@@ -179,8 +179,16 @@ def cmd_catalog(args) -> tuple[Optional[dict], int]:
     return None, EXIT_OK if all_exhaustive else EXIT_BUDGET
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting with argparse's code 2, which
+    would read as EXIT_BUDGET; `main` reports them as input errors."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ram",
         description="Ramification structures on finite groups: check, search, predict, construct.",
     )
@@ -190,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, group=True):
         if group:
             p.add_argument("--group", required=True, help="group spec, e.g. C2xC4xC4xC4")
-        p.add_argument("--json", action="store_true", default=True, help="JSON output (default)")
         p.add_argument("--budget-ms", type=int, default=None, help="search time budget")
         p.add_argument("--seed", type=int, default=None, help="accepted, unused (deterministic)")
 
@@ -245,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
+        start = time.perf_counter()
         payload, code = args.fn(args)
-    except (ParseError, RamError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, ParseError, RamError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_INPUT_ERROR
     if payload is not None:

@@ -17,7 +17,6 @@ import numpy as np
 from .bitset import ElementSet, iter_bits
 from .errors import NotASubgroup, NotNormal, RamError
 
-DESK_SCALE_HINT = 2000  # soft guidance: full enumeration is meant for orders up to here
 QUOTIENT_ORDER_CAP = 4096
 
 _EXHAUSTIVE_AXIOM_CHECK_LIMIT = 200
@@ -490,31 +489,3 @@ def prime_factorization(n: int) -> dict[int, int]:
         out[n] = out.get(n, 0) + 1
     return out
 
-
-def multiply(G: FiniteGroup, a: int, b: int) -> int:
-    """Group product; plain function form of G.mul with index validation."""
-    G.check_index(a)
-    G.check_index(b)
-    return G.mul(a, b)
-
-
-def element_order(G: FiniteGroup, a: int) -> int:
-    return G.order_of(a)
-
-
-def generated_subgroup(G: FiniteGroup, gens: Sequence[int]) -> ElementSet:
-    return G.generated_subgroup(gens)
-
-
-def conjugate(G: FiniteGroup, a: int, g: int) -> int:
-    G.check_index(a)
-    G.check_index(g)
-    return G.conjugate(a, g)
-
-
-def is_normal(G: FiniteGroup, H: ElementSet) -> bool:
-    return G.is_normal(H)
-
-
-def upper_central_series(G: FiniteGroup) -> list[ElementSet]:
-    return G.upper_central_series()

@@ -6,21 +6,30 @@ the first witness in that order is returned. Negative answers are produced
 only after the candidate space is exhausted; running out of budget is reported
 as its own outcome, never as a negative.
 
-Exactness-preserving reductions used by the pair search:
+Every search is one prefix walk, `_SearchContext.walk`: a depth-first search
+over tuple prefixes of length < r drawn from a sorted alphabet, carrying the
+running product and the closure of the prefix. The last entry is forced as the
+inverse of the prefix product. `enumerate_spherical` walks all nontrivial
+elements; a pair search walks T1 over all nontrivial elements and, for each
+completed T1, walks T2 over T1's partner alphabet. The walk applies these
+exactness-preserving rules, and no other code prunes:
 
-* partner alphabet: every entry y of a partner tuple contributes its whole
-  conjugate-closed cyclic set to the partner's sigma, so y is usable only if
-  that set meets sigma(T1) trivially.  Since every such set contains the
-  identity, usability against a prefix is the conjunction of pairwise
-  compatibilities with the prefix entries, so the alphabet is maintained as a
-  running AND of precomputed per-element compatibility masks.  If the usable
-  alphabet fails to generate G, no partner exists for any extension of the
-  current prefix, because sigma only grows along a prefix.
 * generation feasibility: a prefix whose closure needs more new generators
   than there are remaining slots cannot complete to a generating tuple.
+* forced last entry: it must lie in the alphabet (so it is nontrivial) and
+  close the prefix to the whole group.
 * abelian groups: products are invariant under entry permutation, so spherical
   systems are multisets; tuples are enumerated with nondecreasing indices and
   the forced last entry is required to be >= the previous one.
+* partner alphabet (T1 walks only): every entry y of a partner tuple
+  contributes its whole conjugate-closed cyclic set to the partner's sigma, so
+  y is usable only if that set meets sigma(T1) trivially.  Since every such
+  set contains the identity, usability against a prefix is the conjunction of
+  pairwise compatibilities with the prefix entries, so the alphabet is
+  maintained as a running AND of precomputed per-element compatibility masks.
+  If the usable alphabet fails to generate G, no partner exists for any
+  extension of the current prefix, because sigma only grows along a prefix.
+  The test is repeated once the forced last entry has narrowed the alphabet.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from typing import Iterator, Optional
 
 from .bitset import iter_bits
 from .errors import NotNilpotent, RamError
-from .groups import FiniteGroup, prime_factorization, quotient
+from .groups import FiniteGroup, quotient
 from .invariants import frattini, min_generators, sylow_decomposition
 from .structures import GenTuple, RamStructure, _cyc_masks, validated
 
@@ -41,7 +50,8 @@ ORACLE_ORDER_LIMIT = 512
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds on a search; exceeding any bound yields a 'budget' outcome."""
+    """Bounds on a search; exceeding any bound yields a 'budget' outcome.
+    `max_candidates` bounds visited prefixes, counted as `SearchStats.candidates`."""
 
     max_candidates: int = 10**12
     max_millis: Optional[int] = None
@@ -56,6 +66,12 @@ class SearchBudget:
 
 @dataclass
 class SearchStats:
+    """Search counters. `candidates` counts visited prefixes of T1 and partner
+    walks (search nodes, the unit of `SearchBudget.max_candidates`), not
+    candidate tuples; `t1_candidates` counts completed T1 tuples whose partner
+    alphabet still generates G; `partner_searches` counts partner walks run
+    (memo misses)."""
+
     candidates: int = 0
     t1_candidates: int = 0
     partner_searches: int = 0
@@ -221,58 +237,68 @@ class _SearchContext:
         self.need_memo[hmask] = r
         return r
 
-    # -- partner search ----------------------------------------------------------
+    # -- the prefix walk --------------------------------------------------------
 
-    def partner(
-        self, amask: int, alist: tuple[int, ...], r2: int, tracker: _Tracker
-    ) -> Optional[tuple[int, ...]]:
+    def walk(self, r: int, amask: int, multiset: bool, tick, emit, narrow: bool = False):
+        """Depth-first walk over the spherical systems of size r whose entries
+        lie in the alphabet `amask`, in lexicographic order of alphabet
+        indices (nondecreasing under `multiset`).
+
+        `tick()` runs once per visited prefix, before any pruning.  Each
+        completion calls `emit(entries, pmask)`; a truthy return stops the
+        walk and becomes its result, otherwise the walk returns None.  With
+        `narrow`, `pmask` is the partner alphabet of the completed tuple and
+        prefixes whose partner alphabet no longer generates G are cut;
+        otherwise `pmask` is `amask`."""
+        full, mul, inv, compat = self.full, self.mul, self.inv, self.compat
+        extend, need, agen = self.extend_closure, self.need, self.alphabet_generates
+        alist = tuple(iter_bits(amask))
+        entries: list[int] = []
+
+        def rec(depth: int, pi: int, hmask: int, pmask: int, start: int):
+            tick()
+            if narrow and not agen(pmask):
+                return None
+            if need(hmask) > r - depth:
+                return None
+            if depth == r - 1:
+                last = inv[pi]
+                if not (amask >> last) & 1:
+                    return None
+                if multiset and entries and last < entries[-1]:
+                    return None
+                if extend(hmask, last) != full:
+                    return None
+                if narrow:
+                    pmask &= compat[last]
+                    if not agen(pmask):
+                        return None
+                return emit(tuple(entries) + (last,), pmask)
+            row = mul[pi]
+            for i in range(start if multiset else 0, len(alist)):
+                y = alist[i]
+                entries.append(y)
+                res = rec(
+                    depth + 1, row[y], extend(hmask, y), pmask & compat[y] if narrow else pmask, i
+                )
+                entries.pop()
+                if res:
+                    return res
+            return None
+
+        return rec(0, 0, 1, amask, 0)
+
+    def partner(self, amask: int, r2: int, tracker: _Tracker) -> Optional[tuple[int, ...]]:
+        """First spherical system of size r2 over the partner alphabet amask."""
         key = (amask, r2)
         if key in self.partner_memo:
             return self.partner_memo[key]
         tracker.stats.partner_searches += 1
-        res = self._partner_dfs(amask, alist, r2, tracker)
+        res = self.walk(r2, amask, self.abelian, tracker.tick, lambda t2, _: t2)
         if len(self.partner_memo) > 500_000:
             self.partner_memo.clear()  # speed cache only; bound the memory
         self.partner_memo[key] = res
         return res
-
-    def _partner_dfs(
-        self, amask: int, alist: tuple[int, ...], r2: int, tracker: _Tracker
-    ) -> Optional[tuple[int, ...]]:
-        full = self.full
-        inv = self.inv
-        mul = self.mul
-        abelian = self.abelian
-        extend = self.extend_closure
-        need = self.need
-        tick = tracker.tick
-        entries: list[int] = []
-
-        def rec(depth: int, pi: int, hmask: int, startpos: int):
-            tick()
-            if need(hmask) > r2 - depth:
-                return None
-            if depth == r2 - 1:
-                last = inv[pi]
-                if last == 0 or not (amask >> last) & 1:
-                    return None
-                if abelian and entries and last < entries[-1]:
-                    return None
-                if extend(hmask, last) != full:
-                    return None
-                return tuple(entries) + (last,)
-            row = mul[pi]
-            indices = range(startpos, len(alist)) if abelian else range(len(alist))
-            for i in indices:
-                y = alist[i]
-                entries.append(y)
-                r = rec(depth + 1, row[y], extend(hmask, y), i)
-                entries.pop()
-                if r is not None:
-                    return r
-            return None
-
-        return rec(0, 0, 1, 0)
 
 
 def _context(G: FiniteGroup) -> _SearchContext:
@@ -290,23 +316,9 @@ def enumerate_spherical(G: FiniteGroup, r: int) -> Iterator[GenTuple]:
     if r < 2:
         raise ValueError("spherical systems need size >= 2")
     ctx = _context(G)
-    n, full = ctx.n, ctx.full
-    mul, inv = ctx.mul, ctx.inv
-    extend, need = ctx.extend_closure, ctx.need
-
-    def rec(depth: int, pi: int, hmask: int, entries: tuple[int, ...]):
-        if need(hmask) > r - depth:
-            return
-        if depth == r - 1:
-            last = inv[pi]
-            if last != 0 and extend(hmask, last) == full:
-                yield GenTuple(G, entries + (last,))
-            return
-        row = mul[pi]
-        for y in range(1, n):
-            yield from rec(depth + 1, row[y], extend(hmask, y), entries + (y,))
-
-    yield from rec(0, 0, 1, ())
+    out: list[GenTuple] = []
+    ctx.walk(r, ctx.all_nontrivial, False, lambda: None, lambda t, _: out.append(GenTuple(G, t)))
+    yield from out
 
 
 def _search_rows(
@@ -341,49 +353,17 @@ def _search_rows(
 
 
 def _dfs_t1_row(ctx: _SearchContext, r1, undecided, results, tracker):
-    n, full = ctx.n, ctx.full
-    mul, inv, compat = ctx.mul, ctx.inv, ctx.compat
-    abelian = ctx.abelian
-    extend, need, agen = ctx.extend_closure, ctx.need, ctx.alphabet_generates
-    tick = tracker.tick
-    entries: list[int] = []
-
-    def rec(depth: int, pi: int, hmask: int, amask: int, minidx: int):
-        tick()
-        if not agen(amask):
-            return
-        if need(hmask) > r1 - depth:
-            return
-        if depth == r1 - 1:
-            last = inv[pi]
-            if last == 0:
-                return
-            if abelian and entries and last < entries[-1]:
-                return
-            if extend(hmask, last) != full:
-                return
-            amask_full = amask & compat[last]
-            if not agen(amask_full):
-                return
-            tracker.stats.t1_candidates += 1
-            t1 = tuple(entries) + (last,)
-            alist = tuple(iter_bits(amask_full))
-            for r2 in sorted(undecided):
-                t2 = ctx.partner(amask_full, alist, r2, tracker)
-                if t2 is not None:
-                    results[(r1, r2)] = (t1, t2)
-                    undecided.discard(r2)
-            return
-        row = mul[pi]
-        for y in range(minidx if abelian else 1, n):
-            entries.append(y)
-            rec(depth + 1, row[y], extend(hmask, y), amask & compat[y], y)
-            entries.pop()
-            if not undecided:
-                return
+    def emit(t1, pmask):
+        tracker.stats.t1_candidates += 1
+        for r2 in sorted(undecided):
+            t2 = ctx.partner(pmask, r2, tracker)
+            if t2 is not None:
+                results[(r1, r2)] = (t1, t2)
+                undecided.discard(r2)
+        return not undecided
 
     if undecided:
-        rec(0, 0, 1, ctx.all_nontrivial, 1)
+        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker.tick, emit, narrow=True)
 
 
 @dataclass
@@ -474,76 +454,19 @@ def enumerate_structures(
     a, b = min(r1, r2), max(r1, r2)
     ctx = _context(G)
     out: list[RamStructure] = []
-    n, full = ctx.n, ctx.full
-    mul, inv, compat = ctx.mul, ctx.inv, ctx.compat
-    abelian = ctx.abelian
-    extend, need, agen = ctx.extend_closure, ctx.need, ctx.alphabet_generates
-    entries: list[int] = []
 
-    def collect_partners(amask, alist, t1):
-        sub: list[int] = []
+    def emit(t1, pmask):
+        stats.t1_candidates += 1
 
-        def rec(depth, pi, hmask, startpos):
-            tracker.tick()
-            if need(hmask) > b - depth:
-                return False
-            if depth == b - 1:
-                last = inv[pi]
-                if last == 0 or not (amask >> last) & 1:
-                    return False
-                if abelian and sub and last < sub[-1]:
-                    return False
-                if extend(hmask, last) != full:
-                    return False
-                structure = validated(G, t1, tuple(sub) + (last,))
-                if (r1, r2) != (a, b):
-                    structure = structure.swapped()
-                out.append(structure)
-                return len(out) >= limit
-            row = mul[pi]
-            indices = range(startpos, len(alist)) if abelian else range(len(alist))
-            for i in indices:
-                y = alist[i]
-                sub.append(y)
-                done = rec(depth + 1, row[y], extend(hmask, y), i)
-                sub.pop()
-                if done:
-                    return True
-            return False
+        def emit_partner(t2, _):
+            structure = validated(G, t1, t2)
+            out.append(structure if (r1, r2) == (a, b) else structure.swapped())
+            return len(out) >= limit
 
-        return rec(0, 0, 1, 0)
-
-    def rec1(depth, pi, hmask, amask, minidx):
-        tracker.tick()
-        if not agen(amask):
-            return False
-        if need(hmask) > a - depth:
-            return False
-        if depth == a - 1:
-            last = inv[pi]
-            if last == 0:
-                return False
-            if abelian and entries and last < entries[-1]:
-                return False
-            if extend(hmask, last) != full:
-                return False
-            amask_full = amask & compat[last]
-            if not agen(amask_full):
-                return False
-            stats.t1_candidates += 1
-            alist = tuple(iter_bits(amask_full))
-            return collect_partners(amask_full, alist, tuple(entries) + (last,))
-        row = mul[pi]
-        for y in range(minidx if abelian else 1, n):
-            entries.append(y)
-            done = rec1(depth + 1, row[y], extend(hmask, y), amask & compat[y], y)
-            entries.pop()
-            if done:
-                return True
-        return False
+        return ctx.walk(b, pmask, ctx.abelian, tracker.tick, emit_partner)
 
     try:
-        rec1(0, 0, 1, ctx.all_nontrivial, 1)
+        ctx.walk(a, ctx.all_nontrivial, ctx.abelian, tracker.tick, emit, narrow=True)
     except _BudgetStop:
         stats.exhausted = False
     stats.candidates = tracker.count
@@ -554,18 +477,3 @@ def spherical_count(G: FiniteGroup, r: int) -> int:
     """Number of spherical systems of size r (independent-check helper)."""
     return sum(1 for _ in enumerate_spherical(G, r))
 
-
-def ordered_generating_pairs(G: FiniteGroup) -> int:
-    """Count of ordered pairs (g1, g2) with <g1, g2> = G, by direct enumeration."""
-    full = (1 << G.order) - 1
-    count = 0
-    for g1 in range(1, G.order):
-        for g2 in range(1, G.order):
-            if G.closure_mask((g1, g2)) == full:
-                count += 1
-    return count
-
-
-def prime_of_order(n: int) -> Optional[int]:
-    fact = prime_factorization(n)
-    return next(iter(fact)) if len(fact) == 1 else None

@@ -1,7 +1,7 @@
 import pytest
 
 from ramstruct.bitset import ElementSet, iter_bits, mask_of
-from ramstruct.groups import AbelianGroup, multiply
+from ramstruct.groups import AbelianGroup
 
 
 def test_mask_round_trip():
@@ -33,8 +33,8 @@ def test_element_set_algebra():
 def test_index_validation():
     G = AbelianGroup([4, 2])
     with pytest.raises(IndexError):
-        multiply(G, 0, 8)
+        G.check_index(8)
     with pytest.raises(IndexError):
-        multiply(G, -1, 0)
+        G.check_index(-1)
     with pytest.raises(IndexError):
         G.order_of(11)

@@ -201,3 +201,15 @@ def test_seed_flag_accepted(capsys):
         capsys, "sizes", "--group", "C2xC2", "--cap", "4", "--seed", "7"
     )
     assert code == 0 and payload["pairs"] == []
+
+
+def test_usage_error_exit_code(capsys):
+    # argparse would exit with 2, which is the exhausted-budget code
+    for argv in (("search", "--group", "C4xC4"), ("sizes", "--group", "C2xC2", "--cap", "x")):
+        code, payload, _ = run(capsys, *argv)
+        assert code == 1
+        assert payload["error"] == "ArgumentError" and payload["message"]
+    for argv in (["--version"], ["sizes", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0

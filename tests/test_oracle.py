@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ramstruct.groups import AbelianGroup
+from ramstruct.groups import AbelianGroup, HeisenbergGroup
 from ramstruct.oracle import (
     SearchBudget,
     enumerate_spherical,
@@ -104,24 +104,38 @@ def test_budget_cap_guard():
 
 
 def test_enumerate_structures_capped(heis3):
-    structures, stats = enumerate_structures(heis3, 4, 4, limit=5)
-    assert len(structures) == 5
-    seen = set()
-    for S in structures:
-        assert S.size == (4, 4)
-        key = (S.t1.entries, S.t2.entries)
-        assert key not in seen
-        seen.add(key)
-    # determinism: the first witness equals the single-search witness
-    first = find_structure(heis3, 4, 4).structure
-    assert structures[0].t1.entries == first.t1.entries
-    assert structures[0].t2.entries == first.t2.entries
+    # the abelian case walks partners as multisets
+    for G, size in ((heis3, (4, 4)), (AbelianGroup([2, 2, 2]), (5, 6))):
+        structures, stats = enumerate_structures(G, *size, limit=5)
+        assert len(structures) == 5
+        seen = set()
+        for S in structures:
+            assert S.size == size
+            key = (S.t1.entries, S.t2.entries)
+            assert key not in seen
+            seen.add(key)
+        # determinism: the first witness equals the single-search witness
+        first = find_structure(G, *size).structure
+        assert structures[0].t1.entries == first.t1.entries
+        assert structures[0].t2.entries == first.t2.entries
 
 
 def test_counters_populated():
     out = find_structure(AbelianGroup([3, 3]), 3, 3)
     assert out.stats.candidates > 0
     assert out.stats.exhausted
+
+
+def test_counters_pinned():
+    # fresh groups: the partner memo lives on the group and changes the counts
+    def counts(stats):
+        return stats.candidates, stats.t1_candidates, stats.partner_searches
+
+    assert counts(find_structure(AbelianGroup([3, 3]), 3, 3).stats) == (45, 0, 0)
+    assert counts(find_structure(HeisenbergGroup(3), 4, 5).stats) == (2063, 1, 1)
+    assert counts(size_set_up_to(AbelianGroup([3, 3]), 6).stats) == (116, 3, 3)
+    _, stats = enumerate_structures(HeisenbergGroup(3), 4, 4, limit=5)
+    assert counts(stats) == (2066, 1, 0)
 
 
 def test_grid_witnesses_match_single_searches(heis3):
