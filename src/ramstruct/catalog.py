@@ -76,10 +76,13 @@ def builtin_catalog(max_order: int) -> list[CatalogEntry]:
 
 
 def _content_hash(spec: str, cap: int, budget: SearchBudget) -> str:
-    payload = json.dumps(
-        [SCHEMA_VERSION, spec, cap, budget.max_candidates, budget.max_millis],
-        sort_keys=True,
-    )
+    """Cache key of a catalog entry; a `cayley:` entry also hashes the bytes
+    of its table file, so an edited table is evaluated afresh."""
+    inputs = [SCHEMA_VERSION, spec, cap, budget.max_candidates, budget.max_millis]
+    if spec.startswith("cayley:"):
+        table = Path(spec[len("cayley:") :]).read_bytes()
+        inputs.append(hashlib.sha256(table).hexdigest())
+    payload = json.dumps(inputs, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -2,8 +2,8 @@
 size and rank extension for elementary abelian groups, the odd-odd 2-group
 construction, coprime direct-product assembly, and an orchestrating dispatcher.
 
-Every constructor validates its output through the ramification checker before
-returning; a validation failure in a theory-guaranteed step raises
+Every constructor returns through `_checked`, the single validation gate: it
+runs the ramification checker, and a failure in a theory-guaranteed step raises
 InternalContradiction rather than returning an unchecked structure.
 
 All internal searches (coset choices, redundant-entry scans, basis picks)
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bitset import ElementSet, iter_bits
 from .errors import (
@@ -49,7 +49,7 @@ from .invariants import (
     power_image,
     sylow_decomposition,
 )
-from .structures import GenTuple, RamFailure, RamStructure, check_ramification, validated
+from .structures import GenTuple, RamFailure, RamStructure, check_ramification
 from .theory import (
     SizeConstraintSet,
     predict_elementary_abelian,
@@ -57,6 +57,50 @@ from .theory import (
     predict_semi_abelian_pgroup,
 )
 from . import oracle
+
+
+# -- shared steps: validation gate, padding, entrywise products ------------------
+
+
+def _checked(
+    G: FiniteGroup, t1: Sequence[int], t2: Sequence[int], step: str
+) -> RamStructure:
+    """Validate (t1, t2) on G; a failure means the theory behind `step` was
+    misapplied, so it raises InternalContradiction naming the step."""
+    result = check_ramification(G, GenTuple(G, tuple(t1)), GenTuple(G, tuple(t2)))
+    if isinstance(result, RamFailure):
+        raise InternalContradiction(f"{step} failed validation: {result.reason}")
+    return result
+
+
+def _pad(G: FiniteGroup, entries: Sequence[int], target: int) -> tuple[int, ...]:
+    """Lengthen a spherical tuple to `target` entries, keeping its product and
+    its conjugate cyclic sets: an odd gap splits the first entry x as
+    x^2, ..., x^-1 (so x must have odd order), then cancelling pairs
+    (t0, t0^-1) of the current first entry fill the rest."""
+    out = list(entries)
+    if (target - len(out)) % 2 == 1:
+        x = out[0]
+        out = [G.mul(x, x)] + out[1:] + [G.inv(x)]
+    while len(out) < target:
+        out.extend((out[0], G.inv(out[0])))
+    return tuple(out)
+
+
+def _zip_product(
+    G: FiniteGroup, parts: Sequence[tuple[Callable[[int], int], Sequence[int]]]
+) -> tuple[int, ...]:
+    """Entrywise product in G of tuples from commuting factors, each given as
+    (embed into G, entries); a shorter tuple contributes the identity past its
+    end, so the result has the longest tuple's length."""
+    out = []
+    for i in range(max(len(entries) for _, entries in parts)):
+        acc = 0
+        for embed, entries in parts:
+            if i < len(entries):
+                acc = G.mul(acc, embed(entries[i]))
+        out.append(acc)
+    return tuple(out)
 
 
 # -- lifting through a normal subgroup ----------------------------------------
@@ -110,7 +154,6 @@ def lift_tuple(
     ctx: LiftContext,
     U: GenTuple,
     spherical: bool,
-    forbid_trivial: bool = True,
 ) -> GenTuple:
     """Lift a generating tuple of the quotient to the parent, entrywise
     congruent modulo the kernel.
@@ -118,9 +161,10 @@ def lift_tuple(
     Plain mode picks kernel multipliers so the lifted tuple generates the
     parent. Spherical mode additionally requires the quotient product to be
     trivial; the first r-1 entries are lifted to generators by depth-first
-    search over kernel cosets in enumeration order (identity lifts are replaced
-    by nontrivial kernel elements), and the last entry is forced as the inverse
-    of the running product, which lands in the remaining coset.
+    search over kernel cosets in enumeration order, and the last entry is
+    forced as the inverse of the running product, which lands in the remaining
+    coset. Identity lifts are refused in both modes: an entry whose coset holds
+    only the identity has no admissible lift.
     """
     G = ctx.parent
     Q = ctx.view.group
@@ -145,9 +189,7 @@ def lift_tuple(
     candidate_lists = []
     free = r - 1 if spherical else r
     for i in range(free):
-        cands = _coset_elements(ctx, U.entries[i])
-        if spherical or forbid_trivial:
-            cands = [z for z in cands if z != 0]
+        cands = [z for z in _coset_elements(ctx, U.entries[i]) if z != 0]
         if not cands:
             raise NoLiftExists(f"no admissible lift for entry {i}")
         candidate_lists.append(cands)
@@ -269,10 +311,7 @@ def extend_size(T1: GenTuple, p: int) -> GenTuple:
 
     if not is_spherical_system(G, T1):
         raise PreconditionViolated("input tuple is not a spherical system")
-    x1 = T1.entries[0]
-    if p == 2:
-        return GenTuple(G, T1.entries + (x1, x1))
-    return GenTuple(G, (G.mul(x1, x1),) + T1.entries[1:] + (G.inv(x1),))
+    return GenTuple(G, _pad(G, T1.entries, len(T1) + (2 if p == 2 else 1)))
 
 
 def extend_rank(S: RamStructure) -> RamStructure:
@@ -306,12 +345,7 @@ def extend_rank(S: RamStructure) -> RamStructure:
         out[j] = bigger.mul(out[j], bigger.inv(1))
         return tuple(out)
 
-    result = check_ramification(
-        bigger, GenTuple(bigger, push(S.t1.entries)), GenTuple(bigger, push(S.t2.entries))
-    )
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"rank extension failed validation: {result.reason}")
-    return result
+    return _checked(bigger, push(S.t1.entries), push(S.t2.entries), "rank extension")
 
 
 def _violated_clause(scs: SizeConstraintSet, r1: int, r2: int) -> str:
@@ -384,9 +418,7 @@ def elementary_abelian_structure(p: int, d: int, r1: int, r2: int) -> RamStructu
         T1 = extend_size(T1, p)
     for _ in range(grow2):
         T2 = extend_size(T2, p)
-    result = check_ramification(C, T1, T2)
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"base structure failed validation: {result.reason}")
+    result = _checked(C, T1, T2, "base structure")
     for _ in range(d - base_rank):
         result = extend_rank(result)
     return result
@@ -406,20 +438,14 @@ def exponent_p_structure(G: FiniteGroup, r1: int, r2: int) -> RamStructure:
 
     phi = frattini(G)
     if phi.cardinality == 1:
-        basis = _greedy_basis(G)
-        t1, t2 = _transport_elementary(canonical, G, basis)
-        return validated(G, t1, t2)
-
-    ctx = LiftContext.from_kernel(G, phi)
-    Q = ctx.view.group
-    basis = _greedy_basis(Q)
-    u1, u2 = _transport_elementary(canonical, Q, basis)
-    T1 = lift_tuple(ctx, GenTuple(Q, u1), spherical=True)
-    T2 = lift_tuple(ctx, GenTuple(Q, u2), spherical=True)
-    result = check_ramification(G, T1, T2)
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"exponent-p lift failed validation: {result.reason}")
-    return result
+        t1, t2 = _transport_elementary(canonical, G, _greedy_basis(G))
+    else:
+        ctx = LiftContext.from_kernel(G, phi)
+        Q = ctx.view.group
+        u1, u2 = _transport_elementary(canonical, Q, _greedy_basis(Q))
+        t1 = lift_tuple(ctx, GenTuple(Q, u1), spherical=True)
+        t2 = lift_tuple(ctx, GenTuple(Q, u2), spherical=True)
+    return _checked(G, t1, t2, "exponent-p lift")
 
 
 # -- quotient projection and lifting at the top power level --------------------
@@ -441,10 +467,7 @@ def project_mod_omega(G: FiniteGroup, S: RamStructure) -> RamStructure:
     Q = ctx.view.group
     t1 = tuple(q for q in (ctx.view.project(g) for g in S.t1.entries) if q != 0)
     t2 = tuple(q for q in (ctx.view.project(g) for g in S.t2.entries) if q != 0)
-    result = check_ramification(Q, GenTuple(Q, t1), GenTuple(Q, t2))
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"projection failed validation: {result.reason}")
-    return result
+    return _checked(Q, t1, t2, "projection")
 
 
 def lift_structure_mod_omega(
@@ -468,10 +491,7 @@ def lift_structure_mod_omega(
     ctx = ctx or omega_context(G)
     T1 = lift_tuple(ctx, U.t1, spherical=True)
     T2 = lift_tuple(ctx, U.t2, spherical=True)
-    result = check_ramification(G, T1, T2)
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"lift failed validation: {result.reason}")
-    return result
+    return _checked(G, T1, T2, "lift")
 
 
 # -- padding and direct products -------------------------------------------------
@@ -488,21 +508,12 @@ def pad_from_beauville(S: RamStructure, r1: int, r2: int) -> RamStructure:
     G = S.group
 
     def pad(entries: tuple[int, ...], target: int) -> tuple[int, ...]:
-        x, y = entries[0], entries[1]
-        if (target - 3) % 2 == 0:
-            out = list(entries)
-        else:
-            out = [x, y, G.inv(y), G.inv(x)]
-        while len(out) < target:
-            out.extend((x, G.inv(x)))
-        return tuple(out)
+        if target % 2 == 0:
+            x, y = entries[0], entries[1]
+            entries = (x, y, G.inv(y), G.inv(x))
+        return _pad(G, entries, target)
 
-    result = check_ramification(
-        G, GenTuple(G, pad(S.t1.entries, r1)), GenTuple(G, pad(S.t2.entries, r2))
-    )
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"padding failed validation: {result.reason}")
-    return result
+    return _checked(G, pad(S.t1.entries, r1), pad(S.t2.entries, r2), "padding")
 
 
 def product_combine(SG: RamStructure, SH: RamStructure) -> RamStructure:
@@ -514,20 +525,14 @@ def product_combine(SG: RamStructure, SH: RamStructure) -> RamStructure:
         raise NotCoprime(f"orders {G.order} and {H.order} share a factor")
     P = direct_product(G, H)
 
-    def zip_pad(tG: tuple[int, ...], tH: tuple[int, ...]) -> tuple[int, ...]:
-        r = max(len(tG), len(tH))
-        a = tG + (0,) * (r - len(tG))
-        b = tH + (0,) * (r - len(tH))
-        return tuple(P.index_of(x, y) for x, y in zip(a, b))
+    left, right = (lambda a: P.index_of(a, 0)), (lambda b: P.index_of(0, b))
 
-    result = check_ramification(
-        P,
-        GenTuple(P, zip_pad(SG.t1.entries, SH.t1.entries)),
-        GenTuple(P, zip_pad(SG.t2.entries, SH.t2.entries)),
+    def zip_tuples(tG: GenTuple, tH: GenTuple) -> tuple[int, ...]:
+        return _zip_product(P, [(left, tG.entries), (right, tH.entries)])
+
+    return _checked(
+        P, zip_tuples(SG.t1, SH.t1), zip_tuples(SG.t2, SH.t2), "product combination"
     )
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"product combination failed validation: {result.reason}")
-    return result
 
 
 def product_project(
@@ -561,21 +566,9 @@ def product_project(
             raise PaddingImpossible("only odd-order factors support full-size re-padding")
         if r < len(t1) or s < len(t2):
             raise PreconditionViolated("target size below the projected size")
+        t1, t2 = _pad(F, t1, r), _pad(F, t2, s)
 
-        def repad(t: list[int], target: int) -> list[int]:
-            if (target - len(t)) % 2 == 1:
-                z = t[0]
-                t = [F.mul(z, z), F.inv(z)] + t[1:]
-            while len(t) < target:
-                t.extend((t[0], F.inv(t[0])))
-            return t
-
-        t1, t2 = repad(t1, r), repad(t2, s)
-
-    result = check_ramification(F, GenTuple(F, tuple(t1)), GenTuple(F, tuple(t2)))
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"projection failed validation: {result.reason}")
-    return result
+    return _checked(F, t1, t2, "projection")
 
 
 # -- the odd-odd construction for 2-groups ----------------------------------------
@@ -697,11 +690,8 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
         raise InternalContradiction("template product is not n modulo the squares")
     entries[0] = G.mul(G.inv(w), x)
     entries.append(G.inv(n))
-    T2 = GenTuple(G, tuple(entries))
 
-    result = check_ramification(G, T1, T2)
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"odd-odd construction failed validation: {result.reason}")
+    result = _checked(G, T1, entries, "odd-odd construction")
     return result.swapped() if swap else result
 
 
@@ -781,26 +771,12 @@ def _construct_nilpotent(
         sub = construct_any(factor.group, *target, budget=budget, method=method)
         if sub.status != "ok":
             return ConstructResult("unknown", reason=f"Sylow {p}-factor: {sub.reason}")
-        parts.append((factor, sub.structure))
+        parts.append((factor.embed, sub.structure))
         methods.append(f"{p}:{sub.method}")
 
-    def assemble(pick_tuple) -> tuple[int, ...]:
-        size = max(len(pick_tuple(S)) for _, S in parts)
-        out = []
-        for i in range(size):
-            acc = 0
-            for factor, S in parts:
-                entries = pick_tuple(S).entries
-                if i < len(entries):
-                    acc = G.mul(acc, factor.embed(entries[i]))
-            out.append(acc)
-        return tuple(out)
-
-    t1 = assemble(lambda S: S.t1)
-    t2 = assemble(lambda S: S.t2)
-    result = check_ramification(G, GenTuple(G, t1), GenTuple(G, t2))
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"product assembly failed validation: {result.reason}")
+    t1 = _zip_product(G, [(embed, S.t1.entries) for embed, S in parts])
+    t2 = _zip_product(G, [(embed, S.t2.entries) for embed, S in parts])
+    result = _checked(G, t1, t2, "product assembly")
     return ConstructResult("ok", result, method="sylow-product(" + ",".join(methods) + ")")
 
 

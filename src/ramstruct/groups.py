@@ -158,16 +158,6 @@ class FiniteGroup:
                     return False
         return True
 
-    def center_mask(self) -> int:
-        m = self._cache().get("center")
-        if m is None:
-            m = 0
-            for a in self.elements():
-                if all(self.mul(a, b) == self.mul(b, a) for b in self.elements()):
-                    m |= 1 << a
-            self._cache()["center"] = m
-        return m
-
     def upper_central_series(self) -> list[ElementSet]:
         """[Z_0, Z_1, ...] with Z_0 = {1}, Z_1 the center, until the series stabilizes."""
         series = [1]

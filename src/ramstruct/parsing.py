@@ -122,14 +122,6 @@ class _Cursor:
             raise self.error(f"expected '{ch}'")
         self.pos += 1
 
-    def match_keyword(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text[self.pos : end].lower() == word:
-            self.pos = end
-            return True
-        return False
-
     def integer(self, signed: bool = False) -> int:
         self.skip_ws()
         start = self.pos

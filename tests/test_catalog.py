@@ -1,0 +1,26 @@
+import shutil
+
+from ramstruct import catalog
+from ramstruct.catalog import CatalogEntry, bundled_cayley_path, run_catalog
+
+
+def test_edited_cayley_table_is_not_served_from_cache(monkeypatch, tmp_path):
+    table = tmp_path / "group.json"
+    shutil.copy(bundled_cayley_path("s3"), table)
+    monkeypatch.setattr(
+        catalog, "builtin_catalog", lambda max_order: [CatalogEntry(f"cayley:{table}")]
+    )
+    out = tmp_path / "results.jsonl"
+
+    def sweep() -> dict:
+        (record,) = run_catalog(max_order=8, cap=4, out_path=out)
+        return record
+
+    first = sweep()
+    assert not first["cached"] and first["order"] == 6
+    assert sweep()["cached"]
+
+    shutil.copy(bundled_cayley_path("q8"), table)
+    edited = sweep()
+    assert not edited["cached"] and edited["order"] == 8
+    assert edited["content_hash"] != first["content_hash"]

@@ -16,10 +16,12 @@ from ramstruct.constructors import (
     project_mod_omega,
     semi_abelian_2group_odd_odd,
 )
+from ramstruct import constructors
 from ramstruct.errors import (
     DegenerateRank,
     HypothesisViolated,
     InadmissibleSize,
+    InternalContradiction,
     NoLiftExists,
     NotCoprime,
     PaddingImpossible,
@@ -208,6 +210,15 @@ def test_exponent_p_structure(heis3, heis5):
         exponent_p_structure(AbelianGroup([4]), 3, 3)
 
 
+def test_exponent_p_transport_failure_is_internal_contradiction(monkeypatch):
+    G = AbelianGroup([5, 5])  # trivial Frattini subgroup: no lift, transport only
+    x, y = G.index_of((1, 0)), G.index_of((0, 1))
+    t = (x, y, G.inv(G.mul(x, y)))
+    monkeypatch.setattr(constructors, "_transport_elementary", lambda S, target, basis: (t, t))
+    with pytest.raises(InternalContradiction, match="exponent-p lift failed validation: not_disjoint"):
+        exponent_p_structure(G, 3, 3)
+
+
 def test_project_mod_omega(c2c4cubed, q8):
     S = semi_abelian_2group_odd_odd(c2c4cubed, 7, 7)
     proj = project_mod_omega(c2c4cubed, S)
@@ -299,6 +310,27 @@ def test_product_combine_and_project():
 
     with pytest.raises(NotCoprime):
         product_combine(S2, S2)
+
+
+def test_product_project_repads_odd_and_even_gaps():
+    S3 = elementary_abelian_structure(3, 2, 5, 7)
+    comb = product_combine(S3, elementary_abelian_structure(2, 3, 5, 6))
+    plain = product_project(comb, "left")
+    assert plain.size == (5, 7)
+    assert plain.t1.entries == (6, 6, 1, 2, 6)
+    assert plain.t2.entries == (8, 8, 5, 7, 8, 4, 8)
+    pinned = {
+        # odd gap: the first entry z splits as z^2, ..., z^-1, then (z^2, z^-2)
+        (6, 8): ((3, 6, 1, 2, 6, 3), (4, 8, 5, 7, 8, 4, 8, 4)),
+        # even gap: cancelling pairs of the first entry only
+        (7, 9): ((6, 6, 1, 2, 6, 6, 3), (8, 8, 5, 7, 8, 4, 8, 8, 4)),
+    }
+    for target, (t1, t2) in pinned.items():
+        S = product_project(comb, "left", target_size=target)
+        assert S.size == target
+        assert isinstance(check_ramification(S.group, S.t1, S.t2), RamStructure)
+        assert (S.sigma1, S.sigma2) == (plain.sigma1, plain.sigma2)
+        assert (S.t1.entries, S.t2.entries) == (t1, t2)
 
 
 def test_product_combine_equal_sizes_plain_zip():
