@@ -93,8 +93,9 @@ def _predictor_for(G: FiniteGroup):
         return None
 
 
-def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget) -> dict:
-    """Predictor-vs-oracle comparison for one group, as a JSON-ready record."""
+def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget, key: str) -> dict:
+    """Predictor-vs-oracle comparison for one group, as a JSON-ready record
+    stored under the cache key `key` (see `_content_hash`)."""
     cap_eff = entry.effective_cap(cap)
     G = build_group(entry.spec)
     scs = _predictor_for(G)
@@ -108,8 +109,10 @@ def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget) -> dict:
         "oracle_pairs": sorted(list(p) for p in result.pairs),
         "exhaustive": result.exhaustive,
         "candidates_examined": result.stats.candidates,
+        "t1_candidates": result.stats.t1_candidates,
+        "partner_searches": result.stats.partner_searches,
         "predictor_applies": scs is not None,
-        "content_hash": _content_hash(entry.spec, cap_eff, budget),
+        "content_hash": key,
     }
     if scs is not None:
         grid = []
@@ -169,7 +172,7 @@ def run_catalog(
             record = dict(cache[key])
             record["cached"] = True
         else:
-            record = evaluate_entry(entry, cap, budget)
+            record = evaluate_entry(entry, cap, budget, key)
             record["cached"] = False
         records.append(record)
         yield record

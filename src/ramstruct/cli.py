@@ -20,7 +20,13 @@ from .constructors import construct_any
 from .errors import ParseError, RamError
 from .groups import prime_factorization
 from .invariants import exponent_exponent, is_semi_abelian, pgroup_profile
-from .oracle import SearchBudget, enumerate_structures, find_structure, size_set_up_to
+from .oracle import (
+    SearchBudget,
+    SearchStats,
+    enumerate_structures,
+    find_structure,
+    size_set_up_to,
+)
 from .parsing import build_group, parse_group_spec, parse_tuple, render_element, render_tuple
 from .structures import RamFailure, RamStructure, check_ramification
 from .theory import predict_nilpotent
@@ -42,6 +48,14 @@ def _parse_size(text: str) -> tuple[int, int]:
     if r1 < 3 or r2 < 3:
         raise ValueError("size components must be >= 3")
     return r1, r2
+
+
+def _counters(stats: SearchStats) -> dict:
+    return {
+        "candidates_examined": stats.candidates,
+        "t1_candidates": stats.t1_candidates,
+        "partner_searches": stats.partner_searches,
+    }
 
 
 def _structure_json(S: RamStructure) -> dict:
@@ -81,7 +95,7 @@ def cmd_search(args) -> tuple[dict, int]:
         payload = {
             "status": "found" if structures else ("none" if stats.exhausted else "budget"),
             "witnesses": [_structure_json(S) for S in structures],
-            "candidates_examined": stats.candidates,
+            **_counters(stats),
             "exhaustive": stats.exhausted,
         }
         code = EXIT_BUDGET if payload["status"] == "budget" else EXIT_OK
@@ -89,7 +103,7 @@ def cmd_search(args) -> tuple[dict, int]:
     out = find_structure(G, r1, r2, budget)
     payload = {
         "status": out.status,
-        "candidates_examined": out.stats.candidates,
+        **_counters(out.stats),
         "exhaustive": out.stats.exhausted,
     }
     if out.structure is not None:
@@ -104,7 +118,7 @@ def cmd_sizes(args) -> tuple[dict, int]:
         "pairs": sorted(list(p) for p in result.pairs),
         "cap": args.cap,
         "exhaustive": result.exhaustive,
-        "candidates_examined": result.stats.candidates,
+        **_counters(result.stats),
     }
     return payload, EXIT_OK if result.exhaustive else EXIT_BUDGET
 
@@ -137,6 +151,8 @@ def cmd_construct(args) -> tuple[dict, int]:
         payload["verdict"] = True
     if result.reason:
         payload["reason"] = result.reason
+    if result.stats is not None:
+        payload.update(_counters(result.stats))
     return payload, EXIT_BUDGET if result.status == "unknown" else EXIT_OK
 
 

@@ -701,12 +701,15 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
 @dataclass(frozen=True)
 class ConstructResult:
     """Tri-state outcome: a validated structure, a proof of inadmissibility,
-    or unknown (theory silent and search budget exhausted)."""
+    or unknown (theory silent and search budget exhausted). `stats` holds the
+    counters of the oracle searches the route ran (summed over Sylow
+    factors), or None when it ran none."""
 
     status: str  # "ok" | "inadmissible" | "unknown"
     structure: Optional[RamStructure] = None
     method: str = ""
     reason: str = ""
+    stats: Optional["oracle.SearchStats"] = None
 
     @property
     def found(self) -> bool:
@@ -759,6 +762,7 @@ def _construct_nilpotent(
 
     parts: list[tuple] = []
     methods = []
+    stats = None  # the factors' search counters, summed
     for p, factor in sorted(factors.items()):
         fscs = predict_semi_abelian_pgroup(factor.group)
         target = (r1, r2)
@@ -769,15 +773,21 @@ def _construct_nilpotent(
             if not fscs.membership(*target):
                 return None
         sub = construct_any(factor.group, *target, budget=budget, method=method)
+        if sub.stats is not None:
+            stats = sub.stats if stats is None else stats + sub.stats
         if sub.status != "ok":
-            return ConstructResult("unknown", reason=f"Sylow {p}-factor: {sub.reason}")
+            return ConstructResult(
+                "unknown", reason=f"Sylow {p}-factor: {sub.reason}", stats=stats
+            )
         parts.append((factor.embed, sub.structure))
         methods.append(f"{p}:{sub.method}")
 
     t1 = _zip_product(G, [(embed, S.t1.entries) for embed, S in parts])
     t2 = _zip_product(G, [(embed, S.t2.entries) for embed, S in parts])
     result = _checked(G, t1, t2, "product assembly")
-    return ConstructResult("ok", result, method="sylow-product(" + ",".join(methods) + ")")
+    return ConstructResult(
+        "ok", result, method="sylow-product(" + ",".join(methods) + ")", stats=stats
+    )
 
 
 def construct_any(
@@ -815,9 +825,14 @@ def construct_any(
     except (RamError, ValueError) as exc:
         return ConstructResult("unknown", reason=str(exc))
     if found.status == "found":
-        return ConstructResult("ok", found.structure, method="search")
+        return ConstructResult("ok", found.structure, method="search", stats=found.stats)
     if found.status == "none":
         return ConstructResult(
-            "inadmissible", method="search", reason="exhaustive search found no structure"
+            "inadmissible",
+            method="search",
+            reason="exhaustive search found no structure",
+            stats=found.stats,
         )
-    return ConstructResult("unknown", method="search", reason="search budget exhausted")
+    return ConstructResult(
+        "unknown", method="search", reason="search budget exhausted", stats=found.stats
+    )

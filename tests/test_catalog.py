@@ -18,6 +18,8 @@ def test_edited_cayley_table_is_not_served_from_cache(monkeypatch, tmp_path):
 
     first = sweep()
     assert not first["cached"] and first["order"] == 6
+    for key in ("candidates_examined", "t1_candidates", "partner_searches"):
+        assert first[key] >= 0
     assert sweep()["cached"]
 
     shutil.copy(bundled_cayley_path("q8"), table)

@@ -65,6 +65,8 @@ def test_search_command(capsys):
 
     code, payload, _ = run(capsys, "search", "--group", "C2xC2xC2", "--size", "5,5")
     assert code == 0 and payload["status"] == "none" and payload["exhaustive"]
+    for key in ("candidates_examined", "t1_candidates", "partner_searches"):
+        assert payload[key] >= 0
 
 
 def test_search_all(capsys):
@@ -110,6 +112,14 @@ def test_construct_command(capsys):
         payload["witness"]["t2"],
     )
     assert code == 0 and verdict["verdict"] is True
+    assert "candidates_examined" not in payload  # the theorem route ran no search
+
+    code, payload, _ = run(
+        capsys, "construct", "--group", "C2xC2xC2", "--size", "5,6", "--method", "search"
+    )
+    assert code == 0 and payload["status"] == "ok" and payload["method"] == "search"
+    assert payload["candidates_examined"] > 0
+    assert payload["t1_candidates"] >= 1 and payload["partner_searches"] >= 1
 
     code, payload, _ = run(
         capsys, "construct", "--group", "C7", "--size", "3,3"

@@ -44,7 +44,6 @@ def test_lift_tuple_spherical(c2c4cubed):
     ctx = LiftContext.from_kernel(c2c4cubed, omega(c2c4cubed, 1))
     Q = ctx.view.group
     # a length-5 spherical generating tuple of the quotient (a rank-3 group)
-    gens = [q for q in Q.elements() if q != 0][:3]
     basis = []
     h = 1
     for q in range(1, Q.order):
@@ -52,9 +51,6 @@ def test_lift_tuple_spherical(c2c4cubed):
             basis.append(q)
             h = Q.closure_mask(basis)
     x, y, z = basis
-    closing = Q.inv(Q.mul(Q.mul(x, y), z))
-    u = (x, y, z, closing if closing != 0 else Q.mul(x, y), Q.inv(closing) if closing == 0 else closing)
-    # build a clean length-5 tuple with trivial product instead
     u = (x, y, z, x, Q.inv(Q.mul(Q.mul(Q.mul(x, y), z), x)))
     if u[-1] == 0:
         u = (x, y, z, y, Q.inv(Q.mul(Q.mul(Q.mul(x, y), z), y)))
@@ -90,7 +86,6 @@ def test_lift_tuple_accepts_equal_rebuilt_quotient(c2c4cubed):
     ctx1 = omega_context(c2c4cubed)
     ctx2 = omega_context(c2c4cubed)
     Q = ctx2.view.group
-    u = (1, 2, Q.inv(Q.mul(1, 2)), 1, Q.inv(1))
     u = (1, 2, 4, 1, Q.inv(Q.mul(Q.mul(Q.mul(1, 2), 4), 1)))
     if u[-1] == 0:
         u = (1, 2, 4, 2, Q.inv(Q.mul(Q.mul(Q.mul(1, 2), 4), 2)))
@@ -334,7 +329,6 @@ def test_product_project_repads_odd_and_even_gaps():
 
 
 def test_product_combine_equal_sizes_plain_zip():
-    S5 = elementary_abelian_structure(5, 2, 4, 4)
     S2 = elementary_abelian_structure(2, 3, 5, 6)
     S5 = elementary_abelian_structure(5, 2, 5, 6)
     comb = product_combine(S5, S2)
@@ -399,10 +393,10 @@ def test_construct_any_dispatch(c6c6c2, q8, heis5):
 def test_construct_any_methods(c2c4cubed):
     theorem = construct_any(c2c4cubed, 6, 6, method="theorem")
     assert theorem.status == "ok" and theorem.method == "omega-lift"
+    assert theorem.stats is None
     searched = construct_any(c2c4cubed, 6, 6, method="search")
     assert searched.status == "ok" and searched.method == "search"
-
-    import ramstruct.oracle as oracle
+    assert searched.stats.candidates > 0
 
     res = construct_any(AbelianGroup([4, 4, 4]), 7, 7, method="theorem")
     assert res.status == "unknown"

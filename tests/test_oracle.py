@@ -1,16 +1,21 @@
 import itertools
+import random
 
 import pytest
 
+from ramstruct.bitset import iter_bits
+from ramstruct.catalog import bundled_cayley_path
 from ramstruct.groups import AbelianGroup, HeisenbergGroup
 from ramstruct.oracle import (
     SearchBudget,
+    _context,
     enumerate_spherical,
     enumerate_structures,
     find_structure,
     size_set_up_to,
     spherical_count,
 )
+from ramstruct.parsing import build_group
 from ramstruct.structures import RamStructure, check_ramification
 
 
@@ -136,6 +141,52 @@ def test_counters_pinned():
     assert counts(size_set_up_to(AbelianGroup([3, 3]), 6).stats) == (116, 3, 3)
     _, stats = enumerate_structures(HeisenbergGroup(3), 4, 4, limit=5)
     assert counts(stats) == (2066, 1, 0)
+
+
+def test_counters_pinned_across_generation_paths():
+    # nilpotent groups test the partner alphabet against the maximal
+    # subgroups, s3 closes it; fresh groups, as above
+    def counts(G):
+        stats = size_set_up_to(G, 6).stats
+        return stats.candidates, stats.t1_candidates, stats.partner_searches
+
+    assert counts(AbelianGroup([2, 2, 2, 2])) == (1262, 2, 3)
+    assert counts(AbelianGroup([2, 4, 4])) == (71241, 0, 0)
+    assert counts(build_group(f"cayley:{bundled_cayley_path('s3')}")) == (284, 0, 0)
+    assert counts(build_group(f"cayley:{bundled_cayley_path('q8')}")) == (32, 0, 0)
+    assert counts(HeisenbergGroup(3)) == (6951, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "spec, primes",
+    [
+        ("C2xC2xC2xC2", {2: 4}),
+        ("C2xC4xC4", {2: 3}),
+        ("C3xC3", {3: 2}),
+        ("C6xC6", {2: 2, 3: 2}),
+        ("heis(3)", {3: 2}),
+        ("q8", {2: 2}),
+        ("d4", {2: 2}),
+        ("s3", None),
+    ],
+)
+def test_alphabet_generates_matches_closure(spec, primes):
+    if spec in ("q8", "d4", "s3"):
+        spec = f"cayley:{bundled_cayley_path(spec)}"
+    ctx = _context(build_group(spec))
+    rng = random.Random(spec)
+    masks = [rng.getrandbits(ctx.n) & ctx.all_nontrivial for _ in range(100)]
+    masks += ctx.compat[1:]
+    masks += [a & b for a, b in itertools.combinations(masks, 2)]
+    for m in masks:
+        closed = ctx.closure_from_gens(list(iter_bits(m))) == ctx.full
+        assert ctx.alphabet_generates(m) == closed
+    if primes is None:
+        assert ctx.maximal_complements is None
+    else:
+        # one maximal subgroup per hyperplane of each G_p/Phi(G_p) = F_p^d
+        hyperplanes = sum((p**d - 1) // (p - 1) for p, d in primes.items())
+        assert len(ctx.maximal_complements) == hyperplanes
 
 
 def test_grid_witnesses_match_single_searches(heis3):
