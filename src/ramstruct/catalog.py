@@ -130,6 +130,9 @@ def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget, key: str
     return record
 
 
+_COUNTERS = {"candidates_examined", "t1_candidates", "partner_searches"}
+
+
 def _load_cache(path: Path) -> dict[str, dict]:
     cache: dict[str, dict] = {}
     if not path.exists():
@@ -144,7 +147,9 @@ def _load_cache(path: Path) -> dict[str, dict]:
             except json.JSONDecodeError:
                 continue
             key = record.get("content_hash")
-            if key and record.get("kind") == "catalog":
+            # a record written before the search counters were emitted lacks
+            # them; it is evaluated afresh rather than served in the old shape
+            if key and record.get("kind") == "catalog" and _COUNTERS <= record.keys():
                 cache[key] = record
     return cache
 

@@ -760,10 +760,10 @@ def _construct_nilpotent(
     if not scs.membership(r1, r2):
         return ConstructResult("inadmissible", reason=_violated_clause(scs, r1, r2))
 
-    parts: list[tuple] = []
-    methods = []
-    stats = None  # the factors' search counters, summed
-    for p, factor in sorted(factors.items()):
+    # every factor's target is settled before any factor searches, so falling
+    # back to a search of G never drops the counters of a factor's search
+    targets = {}
+    for p, factor in factors.items():
         fscs = predict_semi_abelian_pgroup(factor.group)
         target = (r1, r2)
         if not fscs.membership(*target):
@@ -772,9 +772,19 @@ def _construct_nilpotent(
             target = (r1 - 1, r2) if r1 >= r2 else (r1, r2 - 1)
             if not fscs.membership(*target):
                 return None
-        sub = construct_any(factor.group, *target, budget=budget, method=method)
+        targets[p] = target
+
+    parts: list[tuple] = []
+    methods = []
+    stats = None  # the factors' search counters, summed
+    for p, factor in sorted(factors.items()):
+        sub = construct_any(factor.group, *targets[p], budget=budget, method=method)
         if sub.stats is not None:
-            stats = sub.stats if stats is None else stats + sub.stats
+            stats = stats or oracle.SearchStats()
+            stats.candidates += sub.stats.candidates
+            stats.t1_candidates += sub.stats.t1_candidates
+            stats.partner_searches += sub.stats.partner_searches
+            stats.exhausted = stats.exhausted and sub.stats.exhausted
         if sub.status != "ok":
             return ConstructResult(
                 "unknown", reason=f"Sylow {p}-factor: {sub.reason}", stats=stats

@@ -30,14 +30,9 @@ exactness-preserving rules, and no other code prunes:
   If the usable alphabet fails to generate G, no partner exists for any
   extension of the current prefix, because sigma only grows along a prefix.
   The test is repeated once the forced last entry has narrowed the alphabet.
-  For nilpotent G it is a maximal-subgroup test: a set generates G iff it
-  lies in no maximal subgroup, and by the Burnside basis theorem the maximal
-  subgroups are the preimages of the hyperplanes of the Frattini quotients
-  G_p/Phi(G_p), one F_p-vector space per prime p.  So the masks of G minus M
-  for all such M are built once per group, and the alphabet generates iff it
-  meets every one of them.  Other groups close the alphabet one element at a
-  time through `extend_closure`, stopping once it is all of G.  Either
-  answer is memoized per alphabet.
+  It closes the alphabet one element at a time through the memoized
+  `extend_closure`, skipping elements already in the closure and stopping
+  once it is all of G, and its answer is memoized per alphabet.
 """
 
 from __future__ import annotations
@@ -45,8 +40,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 from typing import Iterator, Optional
 
 from .bitset import iter_bits
@@ -86,14 +79,6 @@ class SearchStats:
     t1_candidates: int = 0
     partner_searches: int = 0
     exhausted: bool = True
-
-    def __add__(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(
-            self.candidates + other.candidates,
-            self.t1_candidates + other.t1_candidates,
-            self.partner_searches + other.partner_searches,
-            self.exhausted and other.exhausted,
-        )
 
 
 class _BudgetStop(Exception):
@@ -187,24 +172,19 @@ class _SearchContext:
     # -- partner alphabet ------------------------------------------------------
 
     def alphabet_generates(self, amask: int) -> bool:
-        """Whether the usable partner entries still generate the whole group:
-        for nilpotent groups, whether they meet every maximal subgroup's
-        complement; otherwise by closing them one element at a time.  Walks
-        ask about few distinct alphabets many times over, so answers are
-        memoized even where the test itself is cheap."""
+        """Whether the usable partner entries still generate the whole group.
+        Walks ask about few distinct alphabets many times over, so answers
+        are memoized."""
         r = self.alpha_gen_memo.get(amask)
         if r is None:
             if len(self.alpha_gen_memo) > 1_000_000:
                 self.alpha_gen_memo.clear()  # speed cache only; bound the memory
-            if self.maximal_complements is not None:
-                r = all(amask & c for c in self.maximal_complements)
-            else:
-                hmask = 1
-                for y in iter_bits(amask):
-                    hmask = self.extend_closure(hmask, y)
-                    if hmask == self.full:
-                        break
-                r = amask != 0 and hmask == self.full
+            hmask = 1
+            for y in iter_bits(amask):
+                hmask = self.extend_closure(hmask, y)
+                if hmask == self.full:
+                    break
+            r = amask != 0 and hmask == self.full
             self.alpha_gen_memo[amask] = r
         return r
 
@@ -212,11 +192,9 @@ class _SearchContext:
 
     def _setup_generation_bound(self):
         """For nilpotent groups, the exact number of extra generators needed over
-        a subgroup is read off the per-prime Frattini quotients, and so are the
-        complements of the maximal subgroups; otherwise only the trivial bound
-        (1 if proper) is available."""
+        a subgroup is read off the per-prime Frattini quotients; otherwise only
+        the trivial bound (1 if proper) is available."""
         self._nilpotent_data = None
-        self.maximal_complements: Optional[list[int]] = None
         if self.G.order == 1:
             return
         try:
@@ -234,41 +212,6 @@ class _SearchContext:
                 img[x] = qv.project(pos[self._p_part(x, p)])
             data.append((p, d_p, img, qv.group))
         self._nilpotent_data = data
-        self.maximal_complements = [
-            c for p, d_p, img, qgroup in data for c in self._hyperplane_complements(p, img, qgroup)
-        ]
-
-    def _hyperplane_complements(self, p: int, img: list[int], Q: FiniteGroup) -> list[int]:
-        """G minus M for every maximal subgroup M of index p.  M is the
-        preimage of a hyperplane ker f of Q = G_p/Phi(G_p), a vector space over
-        F_p, so G minus M holds the elements x with f(img[x]) != 0.  The
-        functionals f are built one coordinate at a time, carrying the masks of
-        the elements on which the partial sum takes each value; the first
-        nonzero coefficient is 1, so each hyperplane comes out once."""
-        coords = _fp_coordinates(Q, p)
-        d = len(coords[0])
-        # level[i][t]: elements whose image has i-th coordinate t
-        level = [[0] * p for _ in range(d)]
-        for x, q in enumerate(img):
-            for i, t in enumerate(coords[q]):
-                level[i][t] |= 1 << x
-        out: list[int] = []
-
-        def rec(i: int, classes: list[int], started: bool):
-            if i == d:
-                if started:
-                    out.append(self.full & ~classes[0])
-                return
-            rec(i + 1, classes, started)
-            for a in range(1, p if started else 2):
-                shifted = [
-                    reduce(or_, (classes[(c - a * t) % p] & level[i][t] for t in range(p)))
-                    for c in range(p)
-                ]
-                rec(i + 1, shifted, True)
-
-        rec(0, [self.full] + [0] * (p - 1), False)
-        return out
 
     def _p_part(self, x: int, p: int) -> int:
         o = self.G.order_of(x)
@@ -363,22 +306,6 @@ class _SearchContext:
             self.partner_memo.clear()  # speed cache only; bound the memory
         self.partner_memo[key] = res
         return res
-
-
-def _fp_coordinates(Q: FiniteGroup, p: int) -> list[tuple[int, ...]]:
-    """Coordinates over F_p of the elements of an elementary abelian p-group,
-    in the basis chosen greedily in element-index order."""
-    coords: dict[int, tuple[int, ...]] = {0: ()}
-    for g in range(1, Q.order):
-        if g not in coords:
-            # g lies outside the span so far: e * g^t gets coordinate t
-            spanned = {}
-            for e, c in coords.items():
-                for t in range(p):
-                    spanned[e] = c + (t,)
-                    e = Q.mul(e, g)
-            coords = spanned
-    return [coords[q] for q in range(Q.order)]
 
 
 def _context(G: FiniteGroup) -> _SearchContext:

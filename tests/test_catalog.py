@@ -1,3 +1,4 @@
+import json
 import shutil
 
 from ramstruct import catalog
@@ -26,3 +27,24 @@ def test_edited_cayley_table_is_not_served_from_cache(monkeypatch, tmp_path):
     edited = sweep()
     assert not edited["cached"] and edited["order"] == 8
     assert edited["content_hash"] != first["content_hash"]
+
+
+def test_cached_record_without_counters_is_evaluated_afresh(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        catalog, "builtin_catalog", lambda max_order: [CatalogEntry("C3xC3")]
+    )
+    out = tmp_path / "results.jsonl"
+
+    def sweep() -> dict:
+        (record,) = run_catalog(max_order=9, cap=5, out_path=out)
+        return record
+
+    first = sweep()
+    dropped = ("cached", "t1_candidates", "partner_searches")
+    old = {k: v for k, v in first.items() if k not in dropped}
+    out.write_text(json.dumps(old) + "\n")
+
+    again = sweep()
+    assert not again["cached"]
+    assert again == first
+    assert sweep()["cached"]

@@ -16,7 +16,7 @@ from ramstruct.constructors import (
     project_mod_omega,
     semi_abelian_2group_odd_odd,
 )
-from ramstruct import constructors
+from ramstruct import constructors, oracle
 from ramstruct.errors import (
     DegenerateRank,
     HypothesisViolated,
@@ -400,6 +400,36 @@ def test_construct_any_methods(c2c4cubed):
 
     res = construct_any(AbelianGroup([4, 4, 4]), 7, 7, method="theorem")
     assert res.status == "unknown"
+
+
+def test_nilpotent_fallback_reports_every_search(c6c6c2, monkeypatch):
+    # the Sylow 3-factor of C2^3 x C3^2 refuses (5,6), so the route falls back
+    # to searching G; the Sylow 2-factor, which would search, must not run
+    # first, or its counters would be lost from the result
+    real_predict, real_find = constructors.predict_semi_abelian_pgroup, oracle.find_structure
+
+    class Refuses:
+        def membership(self, r1, r2):
+            return False
+
+    monkeypatch.setattr(
+        constructors,
+        "predict_semi_abelian_pgroup",
+        lambda P: Refuses() if P.order % 3 == 0 else real_predict(P),
+    )
+    monkeypatch.setattr(constructors, "_construct_pgroup", lambda P, r1, r2: None)
+    searches = []
+
+    def find_structure(G, *args):
+        out = real_find(G, *args)
+        searches.append((G.order, out.stats))
+        return out
+
+    monkeypatch.setattr(oracle, "find_structure", find_structure)
+    res = construct_any(c6c6c2, 5, 6)
+    assert res.status == "ok" and res.method == "search"
+    assert [order for order, _ in searches] == [72]
+    assert res.stats == searches[0][1]
 
 
 def test_constructors_always_validate(c2c4cubed, c6c6c2, heis3):
