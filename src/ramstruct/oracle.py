@@ -29,10 +29,22 @@ exactness-preserving rules, and no other code prunes:
   maintained as a running AND of precomputed per-element compatibility masks.
   If the usable alphabet fails to generate G, no partner exists for any
   extension of the current prefix, because sigma only grows along a prefix.
-  The test is repeated once the forced last entry has narrowed the alphabet.
-  It closes the alphabet one element at a time through the memoized
-  `extend_closure`, skipping elements already in the closure and stopping
-  once it is all of G, and its answer is memoized per alphabet.
+  The test is repeated once the forced last entry has narrowed the alphabet,
+  and skipped where an entry leaves the alphabet unchanged, since the same
+  alphabet already passed higher up the path.  It closes the alphabet one
+  element at a time through the memoized `extend_closure`, skipping elements
+  already in the closure and stopping once it is all of G, and its answer is
+  memoized per alphabet.
+
+Most visited prefixes are leaves (length r-1, whose only extension is the
+forced last entry), so the leaf level runs inside its parent's loop rather
+than as one call per leaf. A leaf still counts as one node in
+`SearchStats.candidates` and against the budget. Two of the checks an inner
+prefix makes are not made at a leaf, because the leaf's remaining checks
+imply them: its own partner alphabet generates G whenever the smaller
+alphabet left after the forced last entry does, since generation is monotone
+in the alphabet; and `need` is a lower bound on the elements still to adjoin,
+so if it exceeds 1 the single forced last entry cannot close the prefix to G.
 """
 
 from __future__ import annotations
@@ -107,6 +119,17 @@ class _Tracker:
                 raise _BudgetStop
 
 
+def _p_part(G: FiniteGroup, x: int, p: int) -> int:
+    o = G.order_of(x)
+    pp = 1
+    while o % p == 0:
+        o //= p
+        pp *= p
+    if pp == 1:
+        return 0
+    return G.power(x, o * pow(o, -1, pp))
+
+
 class _SearchContext:
     """Per-group tables and memoized machinery shared by all searches."""
 
@@ -116,7 +139,6 @@ class _SearchContext:
             raise RamError(
                 f"oracle search supports orders up to {ORACLE_ORDER_LIMIT}, got {n}"
             )
-        self.G = G
         self.n = n
         self.full = (1 << n) - 1
         self.mul = [[G.mul(a, b) for b in range(n)] for a in range(n)]
@@ -139,7 +161,7 @@ class _SearchContext:
                     m |= 1 << y
             self.compat[x] = m
         self.all_nontrivial = self.full & ~1
-        self._setup_generation_bound()
+        self._setup_generation_bound(G)
 
     # -- closures -------------------------------------------------------------
 
@@ -190,15 +212,17 @@ class _SearchContext:
 
     # -- generation-feasibility bound -------------------------------------------
 
-    def _setup_generation_bound(self):
+    def _setup_generation_bound(self, G: FiniteGroup):
         """For nilpotent groups, the exact number of extra generators needed over
         a subgroup is read off the per-prime Frattini quotients; otherwise only
-        the trivial bound (1 if proper) is available."""
+        the trivial bound (1 if proper) is available.  The context keeps no
+        reference to G, so a group and its cached context are freed by
+        reference counting."""
         self._nilpotent_data = None
-        if self.G.order == 1:
+        if G.order == 1:
             return
         try:
-            factors = sylow_decomposition(self.G)
+            factors = sylow_decomposition(G)
         except NotNilpotent:
             return
         data = []
@@ -209,19 +233,9 @@ class _SearchContext:
             pos = {g: i for i, g in enumerate(factor.embedding)}
             img = [0] * self.n
             for x in range(self.n):
-                img[x] = qv.project(pos[self._p_part(x, p)])
+                img[x] = qv.project(pos[_p_part(G, x, p)])
             data.append((p, d_p, img, qv.group))
         self._nilpotent_data = data
-
-    def _p_part(self, x: int, p: int) -> int:
-        o = self.G.order_of(x)
-        pp = 1
-        while o % p == 0:
-            o //= p
-            pp *= p
-        if pp == 1:
-            return 0
-        return self.G.power(x, o * pow(o, -1, pp))
 
     def need(self, hmask: int) -> int:
         """Lower bound on how many further elements must be adjoined to the
@@ -246,54 +260,80 @@ class _SearchContext:
 
     # -- the prefix walk --------------------------------------------------------
 
-    def walk(self, r: int, amask: int, multiset: bool, tick, emit, narrow: bool = False):
-        """Depth-first walk over the spherical systems of size r whose entries
-        lie in the alphabet `amask`, in lexicographic order of alphabet
-        indices (nondecreasing under `multiset`).
+    def walk(
+        self, r: int, amask: int, multiset: bool, tracker: _Tracker, emit, narrow: bool = False
+    ):
+        """Depth-first walk over the spherical systems of size r >= 2 whose
+        entries lie in the alphabet `amask`, in lexicographic order of
+        alphabet indices (nondecreasing under `multiset`).
 
-        `tick()` runs once per visited prefix, before any pruning.  Each
-        completion calls `emit(entries, pmask)`; a truthy return stops the
-        walk and becomes its result, otherwise the walk returns None.  With
-        `narrow`, `pmask` is the partner alphabet of the completed tuple and
-        prefixes whose partner alphabet no longer generates G are cut;
-        otherwise `pmask` is `amask`."""
+        `tracker` counts one node per visited prefix, before any pruning, and
+        raises `_BudgetStop` at its node limit or deadline; the leaf level
+        keeps the count in a local and stores it back before each `emit`,
+        which may run walks on the same tracker.  Each completion calls
+        `emit(entries, pmask)`; a truthy return stops the walk and becomes
+        its result, otherwise the walk returns None.  With `narrow`, `pmask`
+        is the partner alphabet of the completed tuple and prefixes whose
+        partner alphabet no longer generates G are cut; otherwise `pmask` is
+        `amask`."""
         full, mul, inv, compat = self.full, self.mul, self.inv, self.compat
         extend, need, agen = self.extend_closure, self.need, self.alphabet_generates
+        tick, limit, deadline = tracker.tick, tracker.limit, tracker.deadline
         alist = tuple(iter_bits(amask))
         entries: list[int] = []
 
-        def rec(depth: int, pi: int, hmask: int, pmask: int, start: int):
+        def rec(depth: int, pi: int, hmask: int, pmask: int, start: int, narrowed: bool):
+            # narrowed: pmask is the root's or a proper subset of its parent's;
+            # otherwise it is an alphabet that already passed higher up
             tick()
-            if narrow and not agen(pmask):
+            if narrowed and not agen(pmask):
                 return None
             if need(hmask) > r - depth:
                 return None
-            if depth == r - 1:
-                last = inv[pi]
-                if not (amask >> last) & 1:
-                    return None
-                if multiset and entries and last < entries[-1]:
-                    return None
-                if extend(hmask, last) != full:
-                    return None
-                if narrow:
-                    pmask &= compat[last]
-                    if not agen(pmask):
-                        return None
-                return emit(tuple(entries) + (last,), pmask)
             row = mul[pi]
-            for i in range(start if multiset else 0, len(alist)):
+            first = start if multiset else 0
+            if depth < r - 2:
+                for i in range(first, len(alist)):
+                    y = alist[i]
+                    p = pmask & compat[y] if narrow else pmask
+                    entries.append(y)
+                    res = rec(depth + 1, row[y], extend(hmask, y), p, i, p != pmask)
+                    entries.pop()
+                    if res:
+                        return res
+                return None
+            # the children are leaves: visit them here, one node each
+            c = tracker.count
+            for i in range(first, len(alist)):
+                c += 1
+                if c >= limit or (
+                    deadline is not None and not c & 0xFFF and time.monotonic() > deadline
+                ):
+                    tracker.count = c
+                    raise _BudgetStop
                 y = alist[i]
-                entries.append(y)
-                res = rec(
-                    depth + 1, row[y], extend(hmask, y), pmask & compat[y] if narrow else pmask, i
-                )
-                entries.pop()
+                last = inv[row[y]]
+                if not (amask >> last) & 1 or (multiset and last < y):
+                    continue
+                if extend(extend(hmask, y), last) != full:
+                    continue
+                p = pmask
+                if narrow:
+                    p = pmask & compat[y] & compat[last]
+                    if p != pmask and not agen(p):
+                        continue
+                tracker.count = c
+                res = emit(tuple(entries) + (y, last), p)
                 if res:
                     return res
+                c = tracker.count
+            tracker.count = c
             return None
 
-        return rec(0, 0, 1, amask, 0)
+        try:
+            return rec(0, 0, 1, amask, 0, narrow)
+        finally:
+            del rec  # rec refers to itself; free it without the cyclic collector
 
     def partner(self, amask: int, r2: int, tracker: _Tracker) -> Optional[tuple[int, ...]]:
         """First spherical system of size r2 over the partner alphabet amask."""
@@ -301,7 +341,7 @@ class _SearchContext:
         if key in self.partner_memo:
             return self.partner_memo[key]
         tracker.stats.partner_searches += 1
-        res = self.walk(r2, amask, self.abelian, tracker.tick, lambda t2, _: t2)
+        res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2)
         if len(self.partner_memo) > 500_000:
             self.partner_memo.clear()  # speed cache only; bound the memory
         self.partner_memo[key] = res
@@ -324,7 +364,8 @@ def enumerate_spherical(G: FiniteGroup, r: int) -> Iterator[GenTuple]:
         raise ValueError("spherical systems need size >= 2")
     ctx = _context(G)
     out: list[GenTuple] = []
-    ctx.walk(r, ctx.all_nontrivial, False, lambda: None, lambda t, _: out.append(GenTuple(G, t)))
+    unbounded = _Tracker(SearchBudget(), SearchStats())
+    ctx.walk(r, ctx.all_nontrivial, False, unbounded, lambda t, _: out.append(GenTuple(G, t)))
     yield from out
 
 
@@ -370,7 +411,7 @@ def _dfs_t1_row(ctx: _SearchContext, r1, undecided, results, tracker):
         return not undecided
 
     if undecided:
-        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker.tick, emit, narrow=True)
+        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
 
 
 @dataclass
@@ -470,10 +511,10 @@ def enumerate_structures(
             out.append(structure if (r1, r2) == (a, b) else structure.swapped())
             return len(out) >= limit
 
-        return ctx.walk(b, pmask, ctx.abelian, tracker.tick, emit_partner)
+        return ctx.walk(b, pmask, ctx.abelian, tracker, emit_partner)
 
     try:
-        ctx.walk(a, ctx.all_nontrivial, ctx.abelian, tracker.tick, emit, narrow=True)
+        ctx.walk(a, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
     except _BudgetStop:
         stats.exhausted = False
     stats.candidates = tracker.count

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -99,6 +101,80 @@ def test_budget_exhaustion_never_reports_negative():
     assert not out.stats.exhausted
     res = size_set_up_to(G, 8, SearchBudget(max_candidates=50, cap=8))
     assert not res.exhaustive
+    # 26.5M nodes to exhaust: the deadline, polled inside the leaf loop, must stop it
+    out = find_structure(
+        AbelianGroup([2, 4, 4, 4]), 5, 5, SearchBudget(max_millis=200, cap=5)
+    )
+    assert out.status == "budget"
+    assert not out.stats.exhausted
+
+
+# max_candidates -> (status, candidates, t1_candidates, partner_searches);
+# the stops at heis(3) 2000 and 2063 and C3xC3 20 and 24 land inside a partner
+# walk, which ticks the same tracker as the T1 walk around it
+BUDGET_STOPS = {
+    "C4xC4xC2-7-7": (
+        lambda: AbelianGroup([4, 4, 2]),
+        (7, 7),
+        {n: ("budget", n, 0, 0) for n in (1, 2, 3, 50, 97, 1000, 4095, 4096, 4097, 20000)},
+    ),
+    "heis3-4-5": (
+        lambda: HeisenbergGroup(3),
+        (4, 5),
+        {
+            **{n: ("budget", n, 0, 0) for n in (1, 2, 3, 50, 97, 1000)},
+            2000: ("budget", 2000, 1, 1),
+            2063: ("budget", 2063, 1, 1),
+            **{n: ("found", 2063, 1, 1) for n in (2064, 4095, 4096, 4097, 20000)},
+        },
+    ),
+    "C3xC3-4-4": (
+        lambda: AbelianGroup([3, 3]),
+        (4, 4),
+        {
+            **{n: ("budget", n, 0, 0) for n in (1, 2, 3)},
+            20: ("budget", 20, 1, 1),
+            24: ("budget", 24, 1, 1),
+            **{n: ("found", 24, 1, 1) for n in (25, 50, 97, 1000, 4095, 4096, 4097, 20000)},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BUDGET_STOPS))
+def test_budget_stops_pinned(case):
+    make, size, stops = BUDGET_STOPS[case]
+    for n, expected in stops.items():
+        out = find_structure(make(), *size, SearchBudget(max_candidates=n, cap=8))
+        stats = out.stats
+        got = (out.status, stats.candidates, stats.t1_candidates, stats.partner_searches)
+        assert got == expected, n
+        assert stats.exhausted == (out.status == "found")
+
+
+def test_groups_freed_by_refcount():
+    # a group, its search context and its memos must not wait for the cyclic
+    # collector: searches on large groups would otherwise pile them up
+    searches = [
+        lambda G: size_set_up_to(G, 5),
+        lambda G: find_structure(G, 4, 5),
+        lambda G: find_structure(G, 7, 7, SearchBudget(max_candidates=500, cap=8)),
+        lambda G: enumerate_structures(G, 4, 4, limit=3),
+        lambda G: list(enumerate_spherical(G, 3)),
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for search in searches:
+            for make in (lambda: AbelianGroup([3, 3]), lambda: HeisenbergGroup(3)):
+                G = make()
+                ref = weakref.ref(G)
+                search(G)
+                del G
+                assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_budget_cap_guard():
