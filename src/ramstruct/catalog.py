@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .errors import HypothesisViolated, NotNilpotent, RamError
 from .groups import FiniteGroup, prime_factorization
-from .oracle import SearchBudget, size_set_up_to
+from .oracle import ORACLE_VERSION, SearchBudget, size_set_up_to
 from .parsing import build_group
 from .theory import predict_nilpotent
 
@@ -76,9 +76,12 @@ def builtin_catalog(max_order: int) -> list[CatalogEntry]:
 
 
 def _content_hash(spec: str, cap: int, budget: SearchBudget) -> str:
-    """Cache key of a catalog entry; a `cayley:` entry also hashes the bytes
-    of its table file, so an edited table is evaluated afresh."""
-    inputs = [SCHEMA_VERSION, spec, cap, budget.max_candidates, budget.max_millis]
+    """Cache key of a catalog entry.  It includes `ORACLE_VERSION`, so a
+    record computed by older search code is evaluated afresh; a `cayley:`
+    entry also hashes the bytes of its table file, so an edited table is too."""
+    inputs = [
+        SCHEMA_VERSION, ORACLE_VERSION, spec, cap, budget.max_candidates, budget.max_millis
+    ]
     if spec.startswith("cayley:"):
         table = Path(spec[len("cayley:") :]).read_bytes()
         inputs.append(hashlib.sha256(table).hexdigest())

@@ -37,14 +37,31 @@ exactness-preserving rules, and no other code prunes:
   memoized per alphabet.
 
 Most visited prefixes are leaves (length r-1, whose only extension is the
-forced last entry), so the leaf level runs inside its parent's loop rather
-than as one call per leaf. A leaf still counts as one node in
-`SearchStats.candidates` and against the budget. Two of the checks an inner
-prefix makes are not made at a leaf, because the leaf's remaining checks
-imply them: its own partner alphabet generates G whenever the smaller
-alphabet left after the forced last entry does, since generation is monotone
-in the alphabet; and `need` is a lower bound on the elements still to adjoin,
-so if it exceeds 1 the single forced last entry cannot close the prefix to G.
+forced last entry), so the leaf level is decided by masks in its parent's
+loop rather than one leaf at a time. A prefix of length r-2 with product pi
+and closure H visits only the set bits of
+
+    closers(H) & alphabet & lo(pi) & (bits >= its first allowed entry)
+
+(`lo` only under the multiset rule), and checks each for its forced last
+entry in the alphabet and, when narrowing, its partner alphabet:
+
+* pi lies in H, so the forced last entry (pi*y)^-1 lies in <H, y>, and the
+  leaf closes to G exactly when <H, y> = G; `closers(H)` is the mask of those
+  y. Since <H, y> = <H, yh> for every h in H, it is a union of cosets yH and
+  takes one closure per coset; when `need(H)` > 1 it is empty.
+* `lo(pi)` is the mask of y with (pi*y)^-1 >= y, memoized per pi.
+* A leaf's own partner alphabet generates G whenever the smaller alphabet
+  left after the forced last entry does, since generation is monotone in the
+  alphabet, and `need(H')` > 1 would mean no single entry closes H' to G; so
+  neither is tested at a leaf.
+
+Every leaf still counts as one node in `SearchStats.candidates` and against
+the budget: the leaf at alphabet position i is node c + (i - first) + 1,
+where c is the count at its parent and `first` the parent's first allowed
+position, so the skipped leaves are added arithmetically. A node limit between two visited
+leaves stops the walk at the limit, and the deadline is polled whenever the
+count crosses a multiple of 4096, exactly where a per-leaf count would stop.
 """
 
 from __future__ import annotations
@@ -61,6 +78,10 @@ from .invariants import frattini, min_generators, sylow_decomposition
 from .structures import GenTuple, RamStructure, _cyc_masks, validated
 
 ORACLE_ORDER_LIMIT = 512
+
+# Part of every catalog cache key: raise it with any change that can alter a
+# decision, a witness or a counter, so that records of older code are not served.
+ORACLE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -118,6 +139,28 @@ class _Tracker:
             if time.monotonic() > self.deadline:
                 raise _BudgetStop
 
+    def overrun(self, c: int, cy: int):
+        """Account the nodes c+1..cy at once, stopping where `tick` would
+        have: at the first deadline poll (a multiple of 4096) found past the
+        deadline, or at the limit.  Returns if neither falls in the range."""
+        first_poll = (c | 0xFFF) + 1
+        if (
+            self.deadline is not None
+            and first_poll <= cy
+            and first_poll < self.limit
+            and time.monotonic() > self.deadline
+        ):
+            self.count = first_poll
+            raise _BudgetStop
+        if cy >= self.limit:
+            self.count = self.limit
+            raise _BudgetStop
+
+    def poll(self):
+        """Stop if the deadline has passed, e.g. during the context build."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _BudgetStop
+
 
 def _p_part(G: FiniteGroup, x: int, p: int) -> int:
     o = G.order_of(x)
@@ -150,6 +193,8 @@ class _SearchContext:
         self.alpha_gen_memo: dict[int, bool] = {}
         self.partner_memo: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
         self.need_memo: dict[int, int] = {}
+        self.closers_memo: dict[int, int] = {}
+        self.lo_memo: list[Optional[int]] = [None] * n
         # compat[x]: usable partner entries once x is in the tuple, i.e. all y
         # whose conjugate cyclic set meets that of x only in the identity
         cyc = self.cyc
@@ -258,6 +303,47 @@ class _SearchContext:
         self.need_memo[hmask] = r
         return r
 
+    # -- leaf masks -------------------------------------------------------------
+
+    def closers(self, hmask: int) -> int:
+        """Mask of all y with <H, y> = G, for the closed set H.  Since
+        <H, y> = <H, yh> for every h in H, the mask is a union of cosets yH,
+        and one closure decides a whole coset."""
+        r = self.closers_memo.get(hmask)
+        if r is None:
+            if len(self.closers_memo) > 100_000:
+                self.closers_memo.clear()  # speed cache only; bound the memory
+            full = self.full
+            r = full if hmask == full else 0
+            # need 0 means H = G; need > 1 means no single y closes H to G
+            rest = full & ~hmask if self.need(hmask) == 1 else 0
+            hs = tuple(iter_bits(hmask))
+            while rest:
+                y = (rest & -rest).bit_length() - 1
+                row = self.mul[y]
+                coset = 0
+                for h in hs:
+                    coset |= 1 << row[h]
+                rest &= ~coset
+                if self.extend_closure(hmask, y) == full:
+                    r |= coset
+            self.closers_memo[hmask] = r
+        return r
+
+    def lo(self, pi: int) -> int:
+        """Mask of all y with inv(pi*y) >= y: the entries after a prefix with
+        product pi whose forced last entry keeps a multiset nondecreasing.
+        Memoized per pi, so at most |G| entries."""
+        r = self.lo_memo[pi]
+        if r is None:
+            row, inv = self.mul[pi], self.inv
+            r = 0
+            for y in range(self.n):
+                if inv[row[y]] >= y:
+                    r |= 1 << y
+            self.lo_memo[pi] = r
+        return r
+
     # -- the prefix walk --------------------------------------------------------
 
     def walk(
@@ -268,16 +354,21 @@ class _SearchContext:
         alphabet indices (nondecreasing under `multiset`).
 
         `tracker` counts one node per visited prefix, before any pruning, and
-        raises `_BudgetStop` at its node limit or deadline; the leaf level
-        keeps the count in a local and stores it back before each `emit`,
-        which may run walks on the same tracker.  Each completion calls
+        raises `_BudgetStop` at its node limit or deadline.  The leaf level
+        visits only the leaves that may complete (see the module docstring)
+        and counts the others arithmetically, in a local: it polls the
+        deadline where the count crosses a multiple of 4096, stops at the
+        limit where it falls between two visited leaves, and stores the
+        count back before each `emit`, which may run walks on the same
+        tracker, and reads it again after.  Each completion calls
         `emit(entries, pmask)`; a truthy return stops the walk and becomes
         its result, otherwise the walk returns None.  With `narrow`, `pmask`
         is the partner alphabet of the completed tuple and prefixes whose
         partner alphabet no longer generates G are cut; otherwise `pmask` is
         `amask`."""
-        full, mul, inv, compat = self.full, self.mul, self.inv, self.compat
+        mul, inv, compat = self.mul, self.inv, self.compat
         extend, need, agen = self.extend_closure, self.need, self.alphabet_generates
+        closers, lo = self.closers, self.lo
         tick, limit, deadline = tracker.tick, tracker.limit, tracker.deadline
         alist = tuple(iter_bits(amask))
         entries: list[int] = []
@@ -302,20 +393,27 @@ class _SearchContext:
                     if res:
                         return res
                 return None
-            # the children are leaves: visit them here, one node each
+            # the children are leaves, one node each; only those in `m` can
+            # complete, and the others are counted arithmetically: the leaf at
+            # position i of alist is node base + i + 1
             c = tracker.count
-            for i in range(first, len(alist)):
-                c += 1
-                if c >= limit or (
-                    deadline is not None and not c & 0xFFF and time.monotonic() > deadline
-                ):
-                    tracker.count = c
-                    raise _BudgetStop
-                y = alist[i]
+            base = c - first
+            m = closers(hmask) & amask
+            if multiset:
+                m &= lo(pi)
+            if first:
+                m &= -(1 << alist[first])
+            while m:
+                low = m & -m
+                m ^= low
+                y = low.bit_length() - 1
+                i = (amask & (low - 1)).bit_count()
+                cy = base + i + 1
+                if cy >= limit or (deadline is not None and cy >> 12 != c >> 12):
+                    tracker.overrun(c, cy)
+                c = cy
                 last = inv[row[y]]
-                if not (amask >> last) & 1 or (multiset and last < y):
-                    continue
-                if extend(extend(hmask, y), last) != full:
+                if not (amask >> last) & 1:
                     continue
                 p = pmask
                 if narrow:
@@ -327,7 +425,11 @@ class _SearchContext:
                 if res:
                     return res
                 c = tracker.count
-            tracker.count = c
+                base = c - i - 1
+            cy = base + len(alist)
+            if cy >= limit or (deadline is not None and cy >> 12 != c >> 12):
+                tracker.overrun(c, cy)
+            tracker.count = cy
             return None
 
         try:
@@ -377,9 +479,10 @@ def _search_rows(
 ) -> dict[tuple[int, int], Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Decide each (r1, r2) pair (r1 <= r2): a witness tuple pair, or None for
     proven nonexistence. Pairs left undecided on budget exhaustion are absent
-    from the result and stats.exhausted is cleared."""
-    ctx = _context(G)
+    from the result and stats.exhausted is cleared.  The budget's clock
+    starts before the search context is built, so the build is charged."""
     tracker = _Tracker(budget, stats)
+    ctx = _context(G)
     results: dict[tuple[int, int], Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     rows: dict[int, set[int]] = {}
     for r1, r2 in pairs:
@@ -388,6 +491,7 @@ def _search_rows(
         rows.setdefault(r1, set()).add(r2)
 
     try:
+        tracker.poll()
         for r1 in sorted(rows):
             undecided = rows[r1]
             _dfs_t1_row(ctx, r1, undecided, results, tracker)
@@ -514,6 +618,7 @@ def enumerate_structures(
         return ctx.walk(b, pmask, ctx.abelian, tracker, emit_partner)
 
     try:
+        tracker.poll()
         ctx.walk(a, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
     except _BudgetStop:
         stats.exhausted = False

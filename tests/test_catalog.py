@@ -48,3 +48,21 @@ def test_cached_record_without_counters_is_evaluated_afresh(monkeypatch, tmp_pat
     assert not again["cached"]
     assert again == first
     assert sweep()["cached"]
+
+
+def test_record_of_other_oracle_version_is_evaluated_afresh(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        catalog, "builtin_catalog", lambda max_order: [CatalogEntry("C3xC3")]
+    )
+    out = tmp_path / "results.jsonl"
+
+    def sweep() -> dict:
+        (record,) = run_catalog(max_order=9, cap=5, out_path=out)
+        return record
+
+    first = sweep()
+    assert sweep()["cached"]
+    monkeypatch.setattr(catalog, "ORACLE_VERSION", catalog.ORACLE_VERSION + 1)
+    again = sweep()
+    assert not again["cached"]
+    assert again["content_hash"] != first["content_hash"]

@@ -3,10 +3,15 @@ import itertools
 import random
 import weakref
 
-import pytest
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ramstruct import oracle
 from ramstruct.bitset import iter_bits
-from ramstruct.catalog import bundled_cayley_path
+from ramstruct.catalog import builtin_catalog, bundled_cayley_path
 from ramstruct.groups import AbelianGroup, HeisenbergGroup
 from ramstruct.oracle import (
     SearchBudget,
@@ -107,6 +112,47 @@ def test_budget_exhaustion_never_reports_negative():
     )
     assert out.status == "budget"
     assert not out.stats.exhausted
+
+
+def test_context_build_charged_to_budget(monkeypatch):
+    # the budget's clock runs while the search context is built: a build that
+    # outlasts the budget stops the search at the first check after it
+    build = oracle._SearchContext.__init__
+
+    def slow_build(self, G):
+        build(self, G)
+        time.sleep(0.3)
+
+    monkeypatch.setattr(oracle._SearchContext, "__init__", slow_build)
+    out = find_structure(
+        AbelianGroup([2, 4, 4, 4]), 5, 5, SearchBudget(max_millis=100, cap=5)
+    )
+    assert out.status == "budget"
+    assert not out.stats.exhausted
+    assert out.stats.candidates <= 4096
+
+
+SMALL_SPECS = [e.spec for e in builtin_catalog(16) if build_group(e.spec).order <= 16]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from(SMALL_SPECS),
+    r1=st.integers(3, 5),
+    r2=st.integers(3, 5),
+    max_candidates=st.integers(1, 5000),
+)
+def test_budgets_never_lie(spec, r1, r2, max_candidates):
+    unbounded = find_structure(build_group(spec), r1, r2, SearchBudget(cap=5))
+    out = find_structure(
+        build_group(spec), r1, r2, SearchBudget(max_candidates=max_candidates, cap=5)
+    )
+    assert out.stats.exhausted == (out.status != "budget")
+    if out.status != "budget":
+        assert out.status == unbounded.status
+    if out.found:
+        assert out.structure.t1.entries == unbounded.structure.t1.entries
+        assert out.structure.t2.entries == unbounded.structure.t2.entries
 
 
 # max_candidates -> (status, candidates, t1_candidates, partner_searches);
@@ -233,6 +279,24 @@ def test_counters_pinned_size_sets():
     assert counts(HeisenbergGroup(3)) == (6951, 3, 5)
 
 
+def test_counters_pinned_across_partner_walks():
+    # 29 T1 candidates run partner walks from inside a leaf loop that then
+    # goes on; those walks tick the same tracker as the loop around them
+    stats = size_set_up_to(AbelianGroup([2, 2, 2]), 6).stats
+    assert (stats.candidates, stats.t1_candidates, stats.partner_searches) == (1550, 29, 30)
+
+
+def test_deadline_polled_inside_leaf_level():
+    # a passed deadline stops the walk at the first multiple of 4096 nodes,
+    # also where the leaf level counts that node without visiting it
+    ctx = _context(AbelianGroup([2, 4, 4, 4]))
+    tracker = oracle._Tracker(SearchBudget(max_millis=1), oracle.SearchStats())
+    time.sleep(0.01)
+    with pytest.raises(oracle._BudgetStop):
+        ctx.walk(5, ctx.all_nontrivial, True, tracker, lambda t, p: None)
+    assert tracker.count == 4096
+
+
 @pytest.mark.parametrize(
     "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C3xC3", "C6xC6", "heis(3)", "q8", "d4", "s3"]
 )
@@ -260,3 +324,27 @@ def test_grid_witnesses_match_single_searches(heis3):
         single = find_structure(heis3, *pair).structure
         assert witness.t1.entries == single.t1.entries
         assert witness.t2.entries == single.t2.entries
+
+
+@pytest.mark.parametrize(
+    "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C6xC6", "C3xC3xC3", "heis(3)", "q8", "s3"]
+)
+def test_leaf_masks_match_brute_force(spec):
+    # s3 is not nilpotent, so `need` is only its trivial bound there
+    if spec in ("q8", "s3"):
+        spec = f"cayley:{bundled_cayley_path(spec)}"
+    G = build_group(spec)
+    size_set_up_to(G, 5)
+    ctx = _context(G)
+    # the closure of every prefix the walk reached (only the trivial group in
+    # q8, whose partner alphabets are empty), and every 2-generated subgroup
+    subgroups = set(ctx.need_memo)
+    ext = ctx.extend_closure
+    subgroups |= {ext(ext(1, x), y) for x in range(G.order) for y in range(x)}
+    for H in subgroups:
+        gens = list(iter_bits(H))
+        closers = [y for y in range(G.order) if ctx.closure_from_gens(gens + [y]) == ctx.full]
+        assert ctx.closers(H) == sum(1 << y for y in closers)
+    for pi in range(G.order):
+        lo = [y for y in range(G.order) if G.inv(G.mul(pi, y)) >= y]
+        assert ctx.lo(pi) == sum(1 << y for y in lo)
