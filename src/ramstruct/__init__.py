@@ -80,7 +80,6 @@ from .structures import (
 )
 from .theory import (
     SizeConstraintSet,
-    membership,
     predict_elementary_abelian,
     predict_exponent_p,
     predict_nilpotent,

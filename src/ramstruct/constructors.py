@@ -46,6 +46,7 @@ from .invariants import (
     is_semi_abelian,
     min_generators,
     omega,
+    pgroup_prime,
     power_image,
     sylow_decomposition,
 )
@@ -145,11 +146,6 @@ def _same_table_group(A: FiniteGroup, B: FiniteGroup) -> bool:
     return all(A.mul(x, y) == B.mul(x, y) for x in A.elements() for y in A.elements())
 
 
-def _coset_elements(ctx: LiftContext, u: int) -> list[int]:
-    rep = ctx.view.section(u)
-    return sorted(ctx.parent.mul(rep, k) for k in ctx.kernel)
-
-
 def lift_tuple(
     ctx: LiftContext,
     U: GenTuple,
@@ -186,27 +182,20 @@ def lift_tuple(
                 raise NoLiftExists("trivial kernel cannot repair identity entries")
             return GenTuple(G, lifted)
 
-    candidate_lists = []
     free = r - 1 if spherical else r
-    for i in range(free):
-        cands = [z for z in _coset_elements(ctx, U.entries[i]) if z != 0]
-        if not cands:
+    # the nonidentity elements of each free entry's coset
+    cand_masks = [ctx.view.coset_mask(u) & ~1 for u in U.entries[:free]]
+    for i, m in enumerate(cand_masks):
+        if not m:
             raise NoLiftExists(f"no admissible lift for entry {i}")
-        candidate_lists.append(cands)
+    candidate_lists = [list(iter_bits(m)) for m in cand_masks]
 
     # union of all remaining candidates from position k on (for feasibility)
     suffix_mask = [0] * (free + 1)
-    for k in range(free - 1, -1, -1):
-        m = suffix_mask[k + 1]
-        for z in candidate_lists[k]:
-            m |= 1 << z
-        suffix_mask[k] = m
     if spherical:
-        last_coset = 0
-        for z in _coset_elements(ctx, U.entries[r - 1]):
-            last_coset |= 1 << z
-        for k in range(free + 1):
-            suffix_mask[k] |= last_coset
+        suffix_mask[free] = ctx.view.coset_mask(U.entries[r - 1])
+    for k in range(free - 1, -1, -1):
+        suffix_mask[k] = suffix_mask[k + 1] | cand_masks[k]
 
     chosen: list[int] = []
     feasible_memo: dict[tuple[int, int], bool] = {}
@@ -451,14 +440,21 @@ def exponent_p_structure(G: FiniteGroup, r1: int, r2: int) -> RamStructure:
 # -- quotient projection and lifting at the top power level --------------------
 
 
-def project_mod_omega(G: FiniteGroup, S: RamStructure) -> RamStructure:
-    """Project a structure onto the quotient by the order-below-exponent
-    subgroup, deleting entries with trivial image; needs the semi-abelian
-    hypothesis, which is what keeps the projected tuples disjoint."""
+def _semi_abelian_exponent(G: FiniteGroup) -> tuple[int, int]:
+    """(p, e) with exp(G) = p^e, for a p-group that is semi-p^(e-1)-abelian;
+    raises HypothesisViolated with a witness pair otherwise."""
     p, e = exponent_exponent(G)
     ok, witness = is_semi_abelian(G, e - 1)
     if not ok:
         raise HypothesisViolated(f"not semi-{p}^{e - 1}-abelian; witness {witness}")
+    return p, e
+
+
+def project_mod_omega(G: FiniteGroup, S: RamStructure) -> RamStructure:
+    """Project a structure onto the quotient by the order-below-exponent
+    subgroup, deleting entries with trivial image; needs the semi-abelian
+    hypothesis, which is what keeps the projected tuples disjoint."""
+    _, e = _semi_abelian_exponent(G)
     if S.group is not G:
         raise PreconditionViolated("structure does not live on the given group")
     if e == 1:
@@ -476,10 +472,7 @@ def lift_structure_mod_omega(
     """Lift a structure on G modulo the order-below-exponent subgroup back to
     G; disjointness is guaranteed by the semi-abelian hypothesis but is
     re-verified, and a failure there reports an internal contradiction."""
-    p, e = exponent_exponent(G)
-    ok, witness = is_semi_abelian(G, e - 1)
-    if not ok:
-        raise HypothesisViolated(f"not semi-{p}^{e - 1}-abelian; witness {witness}")
+    _, e = _semi_abelian_exponent(G)
     if e == 1:
         if U.group is not G:
             raise PreconditionViolated("structure does not live on the given group")
@@ -605,12 +598,9 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     n_i attached, corrected by a square so the product telescopes to n, and
     closed with n^-1.
     """
-    p, e = exponent_exponent(G)
-    if p != 2:
+    if pgroup_prime(G) != 2:
         raise NotAPGroup("the odd-odd construction applies to 2-groups")
-    ok, witness = is_semi_abelian(G, e - 1)
-    if not ok:
-        raise HypothesisViolated(f"not semi-2^{e - 1}-abelian; witness {witness}")
+    _, e = _semi_abelian_exponent(G)
     X = power_image(G, e - 1)
     if e < 2 or X.cardinality != 8:
         raise HypothesisViolated("needs exponent >= 4 and exactly 8 top-level powers")
@@ -626,18 +616,18 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     a, b = (r2, r1) if swap else (r1, r2)
 
     phi = frattini(G)
-    wview = quotient(G, phi)
     Om = omega(G, e - 1)
 
+    # x is independent of the earlier ns modulo the squares iff x lies
+    # outside <Phi, ns>
     ns: list[int] = []
-    span = 1
+    span = phi.mask
     for x in Om:
         if len(ns) == d - 3:
             break
-        ix = wview.project(x)
-        if not (span >> ix) & 1:
+        if not (span >> x) & 1:
             ns.append(x)
-            span = wview.group.closure_mask([wview.project(m) for m in ns])
+            span = G.closure_mask([*phi, *ns])
     if len(ns) != d - 3:
         raise InternalContradiction("order-below-exponent subgroup has unexpected rank")
 

@@ -15,7 +15,13 @@ completed T1, walks T2 over T1's partner alphabet. The walk applies these
 exactness-preserving rules, and no other code prunes:
 
 * generation feasibility: a prefix whose closure needs more new generators
-  than there are remaining slots cannot complete to a generating tuple.
+  than there are remaining slots cannot complete to a generating tuple.  For
+  nilpotent G the count `need(H)` is exact and is integer arithmetic on one
+  mask, the Frattini subgroup Phi = prod Phi(G_p): by the Burnside basis
+  theorem on each Sylow factor, elements generate G iff their images
+  generate G/Phi = prod G_p/Phi(G_p), so H needs as many more elements as
+  the largest exponent of a prime in |G : H Phi| = |G| |H & Phi| / (|Phi| |H|).
+  Other groups get the trivial bound, 1 for a proper H.
 * forced last entry: it must lie in the alphabet (so it is nontrivial) and
   close the prefix to the whole group.
 * abelian groups: products are invariant under entry permutation, so spherical
@@ -66,15 +72,14 @@ count crosses a multiple of 4096, exactly where a per-leaf count would stop.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .bitset import iter_bits
 from .errors import NotNilpotent, RamError
-from .groups import FiniteGroup, quotient
-from .invariants import frattini, min_generators, sylow_decomposition
+from .groups import FiniteGroup
+from .invariants import frattini, sylow_decomposition
 from .structures import GenTuple, RamStructure, _cyc_masks, validated
 
 ORACLE_ORDER_LIMIT = 512
@@ -162,17 +167,6 @@ class _Tracker:
             raise _BudgetStop
 
 
-def _p_part(G: FiniteGroup, x: int, p: int) -> int:
-    o = G.order_of(x)
-    pp = 1
-    while o % p == 0:
-        o //= p
-        pp *= p
-    if pp == 1:
-        return 0
-    return G.power(x, o * pow(o, -1, pp))
-
-
 class _SearchContext:
     """Per-group tables and memoized machinery shared by all searches."""
 
@@ -258,48 +252,46 @@ class _SearchContext:
     # -- generation-feasibility bound -------------------------------------------
 
     def _setup_generation_bound(self, G: FiniteGroup):
-        """For nilpotent groups, the exact number of extra generators needed over
-        a subgroup is read off the per-prime Frattini quotients; otherwise only
-        the trivial bound (1 if proper) is available.  The context keeps no
-        reference to G, so a group and its cached context are freed by
-        reference counting."""
-        self._nilpotent_data = None
-        if G.order == 1:
-            return
+        """For a nilpotent group, Phi(G) = prod Phi(G_p) as a mask and the primes
+        of |G|; otherwise None, and only the trivial bound (1 if proper) is
+        available.  The context keeps no reference to G, so a group and its
+        cached context are freed by reference counting."""
+        self.phi, self.primes = None, ()
         try:
             factors = sylow_decomposition(G)
         except NotNilpotent:
             return
-        data = []
-        for p, factor in sorted(factors.items()):
-            phi = frattini(factor.group)
-            qv = quotient(factor.group, phi)
-            d_p = min_generators(factor.group)
-            pos = {g: i for i, g in enumerate(factor.embedding)}
-            img = [0] * self.n
-            for x in range(self.n):
-                img[x] = qv.project(pos[_p_part(G, x, p)])
-            data.append((p, d_p, img, qv.group))
-        self._nilpotent_data = data
+        gens = [f.embed(a) for f in factors.values() for a in frattini(f.group)]
+        self.phi = self.closure_from_gens(gens)
+        self.primes = sorted(factors)
 
     def need(self, hmask: int) -> int:
         """Lower bound on how many further elements must be adjoined to the
-        subgroup H before the whole group can be generated."""
+        subgroup H before the whole group can be generated.
+
+        For nilpotent G this is exact.  By the Burnside basis theorem on each
+        Sylow factor, elements generate G exactly when their images generate
+        G/Phi = prod G_p/Phi(G_p), an F_p-space for each p.  The image of H
+        is HPhi/Phi, and the p-part of |G : HPhi| is p^k, where k is the
+        number of F_p-dimensions that image misses; so H needs the largest
+        such k more elements, with |G : HPhi| = |G| |H & Phi| / (|Phi| |H|).
+        Any proper H needs at least 1, the only bound for other groups."""
         r = self.need_memo.get(hmask)
         if r is not None:
             return r
         if hmask == self.full:
             r = 0
-        elif self._nilpotent_data is None:
-            r = 1
         else:
-            r = 0
-            elems = list(iter_bits(hmask))
-            for p, d_p, img, qgroup in self._nilpotent_data:
-                span = qgroup.closure_mask(sorted({img[x] for x in elems}))
-                rank = round(math.log(span.bit_count(), p)) if span.bit_count() > 1 else 0
-                r = max(r, d_p - rank)
-            r = max(r, 1 if hmask != self.full else 0)
+            r = 1
+            if self.phi is not None:
+                index = self.n * (hmask & self.phi).bit_count()
+                index //= self.phi.bit_count() * hmask.bit_count()
+                for p in self.primes:
+                    e = 0
+                    while index % p == 0:
+                        index //= p
+                        e += 1
+                    r = max(r, e)
         self.need_memo[hmask] = r
         return r
 

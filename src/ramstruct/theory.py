@@ -55,10 +55,6 @@ class SizeConstraintSet:
         }
 
 
-def membership(scs: SizeConstraintSet, r1: int, r2: int) -> bool:
-    return scs.membership(r1, r2)
-
-
 NONE_ADMITTED = SizeConstraintSet(admits=False)
 
 

@@ -331,6 +331,7 @@ def test_grid_witnesses_match_single_searches(heis3):
 )
 def test_leaf_masks_match_brute_force(spec):
     # s3 is not nilpotent, so `need` is only its trivial bound there
+    nilpotent = spec != "s3"
     if spec in ("q8", "s3"):
         spec = f"cayley:{bundled_cayley_path(spec)}"
     G = build_group(spec)
@@ -341,7 +342,21 @@ def test_leaf_masks_match_brute_force(spec):
     subgroups = set(ctx.need_memo)
     ext = ctx.extend_closure
     subgroups |= {ext(ext(1, x), y) for x in range(G.order) for y in range(x)}
+    # the least number of elements that, adjoined to H, generate G
+    fewest = {ctx.full: 0}
+
+    def min_extra(H):
+        if H not in fewest:
+            fewest[H] = 1 + min(
+                min_extra(ext(H, y)) for y in range(G.order) if not (H >> y) & 1
+            )
+        return fewest[H]
+
     for H in subgroups:
+        if nilpotent:
+            assert ctx.need(H) == min_extra(H)
+        else:
+            assert ctx.need(H) == (0 if H == ctx.full else 1)
         gens = list(iter_bits(H))
         closers = [y for y in range(G.order) if ctx.closure_from_gens(gens + [y]) == ctx.full]
         assert ctx.closers(H) == sum(1 << y for y in closers)

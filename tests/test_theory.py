@@ -4,7 +4,6 @@ from ramstruct.errors import HypothesisViolated, NotExponentP
 from ramstruct.groups import AbelianGroup
 from ramstruct.invariants import min_generators
 from ramstruct.theory import (
-    membership,
     predict_elementary_abelian,
     predict_exponent_p,
     predict_nilpotent,
@@ -82,12 +81,12 @@ def test_nilpotent_predictions(c6c6c2, s3):
 
 def test_membership_examples(c6c6c2):
     scs = predict_nilpotent(c6c6c2)
-    assert membership(scs, 5, 5) is False
-    assert membership(scs, 5, 7) is True
+    assert scs.membership(5, 5) is False
+    assert scs.membership(5, 7) is True
     scs = predict_nilpotent(AbelianGroup([2, 2, 2]))
-    assert membership(scs, 7, 9) is False
+    assert scs.membership(7, 9) is False
     with pytest.raises(ValueError):
-        membership(scs, 2, 5)
+        scs.membership(2, 5)
 
 
 def test_membership_symmetry(c6c6c2, c2c4cubed):
