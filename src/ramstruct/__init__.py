@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bitset import ElementSet
 from .constructors import (
     ConstructResult,
-    LiftContext,
     construct_any,
     elementary_abelian_structure,
     extend_rank,

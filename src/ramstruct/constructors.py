@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bitset import ElementSet, iter_bits
+from .bitset import iter_bits
 from .errors import (
     DegenerateRank,
     HypothesisViolated,
@@ -43,6 +43,7 @@ from .groups import (
 from .invariants import (
     exponent_exponent,
     frattini,
+    generators_missing,
     is_semi_abelian,
     min_generators,
     omega,
@@ -107,29 +108,11 @@ def _zip_product(
 # -- lifting through a normal subgroup ----------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftContext:
-    """A normal subgroup of a parent group together with the materialized
-    quotient and its projection/section maps."""
-
-    parent: FiniteGroup
-    kernel: ElementSet
-    view: QuotientView
-
-    @classmethod
-    def from_kernel(cls, parent: FiniteGroup, kernel: ElementSet) -> "LiftContext":
-        return cls(parent, kernel, quotient(parent, kernel))
-
-    @property
-    def trivial_kernel(self) -> bool:
-        return self.kernel.cardinality == 1
-
-
-def omega_context(G: FiniteGroup) -> LiftContext:
-    """Lift context for G modulo the subgroup of elements of order below the
-    exponent level (the kernel used by the projection/lift pair)."""
+def omega_context(G: FiniteGroup) -> QuotientView:
+    """G modulo the subgroup of elements of order below the exponent level
+    (the kernel used by the projection/lift pair)."""
     p, e = exponent_exponent(G)
-    return LiftContext.from_kernel(G, omega(G, max(e - 1, 0)))
+    return quotient(G, omega(G, max(e - 1, 0)))
 
 
 def _same_table_group(A: FiniteGroup, B: FiniteGroup) -> bool:
@@ -146,83 +129,50 @@ def _same_table_group(A: FiniteGroup, B: FiniteGroup) -> bool:
     return all(A.mul(x, y) == B.mul(x, y) for x in A.elements() for y in A.elements())
 
 
-def lift_tuple(
-    ctx: LiftContext,
-    U: GenTuple,
-    spherical: bool,
-) -> GenTuple:
-    """Lift a generating tuple of the quotient to the parent, entrywise
-    congruent modulo the kernel.
+def lift_tuple(view: QuotientView, U: GenTuple) -> GenTuple:
+    """Lift a spherical generating tuple of the quotient to one of the
+    nilpotent parent, entrywise congruent modulo the kernel.
 
-    Plain mode picks kernel multipliers so the lifted tuple generates the
-    parent. Spherical mode additionally requires the quotient product to be
-    trivial; the first r-1 entries are lifted to generators by depth-first
-    search over kernel cosets in enumeration order, and the last entry is
-    forced as the inverse of the running product, which lands in the remaining
-    coset. Identity lifts are refused in both modes: an entry whose coset holds
-    only the identity has no admissible lift.
+    The first r-1 entries are lifted by depth-first search over the
+    nonidentity elements of their kernel cosets in enumeration order, and the
+    last entry is forced as the inverse of the running product, which lands
+    in the remaining coset.  A prefix is cut as soon as its closure needs
+    more generators (`generators_missing`) than there are free entries left;
+    the count is exact, so the cut never loses a lift.  An entry whose coset
+    holds only the identity has no admissible lift.
     """
-    G = ctx.parent
-    Q = ctx.view.group
+    G = view.parent
+    Q = view.group
     if U.group is not Q and not _same_table_group(U.group, Q):
-        raise PreconditionViolated("tuple does not live on this context's quotient")
+        raise PreconditionViolated("tuple does not live on this quotient")
     r = len(U)
     if r == 0:
         raise PreconditionViolated("cannot lift an empty tuple")
     if Q.closure_mask(U.entries) != (1 << Q.order) - 1:
         raise PreconditionViolated("tuple does not generate the quotient")
-    full = (1 << G.order) - 1
+    if U.product() != 0:
+        raise PreconditionViolated("spherical lift needs a trivial quotient product")
 
-    if spherical:
-        if U.product() != 0:
-            raise PreconditionViolated("spherical lift needs a trivial quotient product")
-        if ctx.trivial_kernel:
-            lifted = tuple(ctx.view.section(u) for u in U.entries)
-            if any(z == 0 for z in lifted):
-                raise NoLiftExists("trivial kernel cannot repair identity entries")
-            return GenTuple(G, lifted)
-
-    free = r - 1 if spherical else r
-    # the nonidentity elements of each free entry's coset
-    cand_masks = [ctx.view.coset_mask(u) & ~1 for u in U.entries[:free]]
-    for i, m in enumerate(cand_masks):
+    free = r - 1
+    candidate_lists = []
+    for i, u in enumerate(U.entries[:free]):
+        m = view.coset_mask(u) & ~1
         if not m:
             raise NoLiftExists(f"no admissible lift for entry {i}")
-    candidate_lists = [list(iter_bits(m)) for m in cand_masks]
-
-    # union of all remaining candidates from position k on (for feasibility)
-    suffix_mask = [0] * (free + 1)
-    if spherical:
-        suffix_mask[free] = ctx.view.coset_mask(U.entries[r - 1])
-    for k in range(free - 1, -1, -1):
-        suffix_mask[k] = suffix_mask[k + 1] | cand_masks[k]
-
+        candidate_lists.append(list(iter_bits(m)))
+    phi = frattini(G).mask
     chosen: list[int] = []
-    feasible_memo: dict[tuple[int, int], bool] = {}
-
-    def feasible(hmask: int, k: int) -> bool:
-        key = (hmask, k)
-        res = feasible_memo.get(key)
-        if res is None:
-            gens = list(iter_bits(hmask | suffix_mask[k]))
-            res = G.closure_mask(gens) == full
-            feasible_memo[key] = res
-        return res
 
     def rec(k: int, hmask: int, pi: int) -> Optional[tuple[int, ...]]:
-        if not feasible(hmask, k):
+        if generators_missing(G.order, phi, hmask) > free - k:
             return None
         if k == free:
-            if spherical:
-                if hmask != full:
-                    return None
-                last = G.inv(pi)
-                if last == 0:
-                    return None
-                if ctx.view.project(last) != U.entries[r - 1]:
-                    raise InternalContradiction("forced last entry left its coset")
-                return tuple(chosen) + (last,)
-            return tuple(chosen) if hmask == full else None
+            last = G.inv(pi)
+            if last == 0:
+                return None
+            if view.project(last) != U.entries[free]:
+                raise InternalContradiction("forced last entry left its coset")
+            return tuple(chosen) + (last,)
         for z in candidate_lists[k]:
             chosen.append(z)
             res = rec(k + 1, G.closure_mask(chosen), G.mul(pi, z))
@@ -231,7 +181,10 @@ def lift_tuple(
                 return res
         return None
 
-    result = rec(0, 1, 0)
+    try:
+        result = rec(0, 1, 0)
+    finally:
+        del rec  # rec refers to itself; free it without the cyclic collector
     if result is None:
         raise NoLiftExists("exhausted kernel coset choices without generating the parent")
     return GenTuple(G, result)
@@ -419,21 +372,17 @@ def exponent_p_structure(G: FiniteGroup, r1: int, r2: int) -> RamStructure:
     p, e = exponent_exponent(G)
     if e != 1:
         raise NotExponentP(f"exponent is {p}^{e}, not prime")
-    d = min_generators(G)
-    scs = predict_elementary_abelian(p, d)
-    if not scs.membership(r1, r2):
-        raise InadmissibleSize(_violated_clause(scs, r1, r2))
-    canonical = elementary_abelian_structure(p, d, r1, r2)
+    canonical = elementary_abelian_structure(p, min_generators(G), r1, r2)
 
     phi = frattini(G)
     if phi.cardinality == 1:
         t1, t2 = _transport_elementary(canonical, G, _greedy_basis(G))
     else:
-        ctx = LiftContext.from_kernel(G, phi)
-        Q = ctx.view.group
+        view = quotient(G, phi)
+        Q = view.group
         u1, u2 = _transport_elementary(canonical, Q, _greedy_basis(Q))
-        t1 = lift_tuple(ctx, GenTuple(Q, u1), spherical=True)
-        t2 = lift_tuple(ctx, GenTuple(Q, u2), spherical=True)
+        t1 = lift_tuple(view, GenTuple(Q, u1))
+        t2 = lift_tuple(view, GenTuple(Q, u2))
     return _checked(G, t1, t2, "exponent-p lift")
 
 
@@ -459,15 +408,14 @@ def project_mod_omega(G: FiniteGroup, S: RamStructure) -> RamStructure:
         raise PreconditionViolated("structure does not live on the given group")
     if e == 1:
         return S
-    ctx = omega_context(G)
-    Q = ctx.view.group
-    t1 = tuple(q for q in (ctx.view.project(g) for g in S.t1.entries) if q != 0)
-    t2 = tuple(q for q in (ctx.view.project(g) for g in S.t2.entries) if q != 0)
-    return _checked(Q, t1, t2, "projection")
+    view = omega_context(G)
+    t1 = tuple(q for q in (view.project(g) for g in S.t1.entries) if q != 0)
+    t2 = tuple(q for q in (view.project(g) for g in S.t2.entries) if q != 0)
+    return _checked(view.group, t1, t2, "projection")
 
 
 def lift_structure_mod_omega(
-    G: FiniteGroup, U: RamStructure, ctx: Optional[LiftContext] = None
+    G: FiniteGroup, U: RamStructure, view: Optional[QuotientView] = None
 ) -> RamStructure:
     """Lift a structure on G modulo the order-below-exponent subgroup back to
     G; disjointness is guaranteed by the semi-abelian hypothesis but is
@@ -481,9 +429,9 @@ def lift_structure_mod_omega(
     r1, r2 = U.size
     if r1 < d + 1 or r2 < d + 1:
         raise PreconditionViolated(f"lift needs sizes >= d+1 = {d + 1}")
-    ctx = ctx or omega_context(G)
-    T1 = lift_tuple(ctx, U.t1, spherical=True)
-    T2 = lift_tuple(ctx, U.t2, spherical=True)
+    view = view or omega_context(G)
+    T1 = lift_tuple(view, U.t1)
+    T2 = lift_tuple(view, U.t2)
     return _checked(G, T1, T2, "lift")
 
 
@@ -637,20 +585,20 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     k = G.order_of(n).bit_length() - 1
     t = G.power(n, 1 << (k - 1))
 
-    ctx = omega_context(G)
-    OQ = ctx.view.group
+    view = omega_context(G)
+    OQ = view.group
     if t in X:
         q = 1 << (e - 1)
         x = min(g for g in G.elements() if G.power(g, q) == t)
-        xq = ctx.view.project(x)
+        xq = view.project(x)
         if xq == 0:
             raise InternalContradiction("chosen basis element lies in the kernel")
         basis_q = _greedy_basis(OQ, seed=[xq])
-        y, z = ctx.view.section(basis_q[1]), ctx.view.section(basis_q[2])
+        y, z = view.section(basis_q[1]), view.section(basis_q[2])
     else:
         basis_q = _greedy_basis(OQ)
         xq = basis_q[0]
-        x, y, z = (ctx.view.section(v) for v in basis_q)
+        x, y, z = (view.section(v) for v in basis_q)
     yq, zq = basis_q[1], basis_q[2]
 
     xy = OQ.mul(xq, yq)
@@ -658,7 +606,7 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     xz = OQ.mul(xq, zq)
     xyz = OQ.mul(xy, zq)
     u1 = (xy, yz, xz, xyz, xyz) + (xy,) * (a - 5)
-    T1 = lift_tuple(ctx, GenTuple(OQ, u1), spherical=True)
+    T1 = lift_tuple(view, GenTuple(OQ, u1))
 
     counts = _balanced_template(d, b - 1)
     if counts is None:
@@ -710,10 +658,10 @@ def _construct_pgroup(G: FiniteGroup, r1: int, r2: int) -> Optional[ConstructRes
     """Theory-backed construction for a p-group, or None when the implemented
     theory does not cover it (not semi-abelian, or the degenerate rank case)."""
     p, e = exponent_exponent(G)
-    ok, _ = is_semi_abelian(G, e - 1)
-    if not ok:
+    try:
+        scs = predict_semi_abelian_pgroup(G)
+    except HypothesisViolated:
         return None
-    scs = predict_semi_abelian_pgroup(G)
     if not scs.membership(r1, r2):
         return ConstructResult("inadmissible", reason=_violated_clause(scs, r1, r2))
     if e == 1:
@@ -727,10 +675,10 @@ def _construct_pgroup(G: FiniteGroup, r1: int, r2: int) -> Optional[ConstructRes
             )
         except DegenerateRank:
             return None
-    ctx = omega_context(G)
-    U = exponent_p_structure(ctx.view.group, r1, r2)
+    view = omega_context(G)
+    U = exponent_p_structure(view.group, r1, r2)
     return ConstructResult(
-        "ok", lift_structure_mod_omega(G, U, ctx), method="omega-lift"
+        "ok", lift_structure_mod_omega(G, U, view), method="omega-lift"
     )
 
 
@@ -741,8 +689,6 @@ def _construct_nilpotent(
         factors = sylow_decomposition(G)
     except NotNilpotent:
         return None
-    if len(factors) < 2:
-        return _construct_pgroup(G, r1, r2)
     try:
         scs = predict_nilpotent(G)
     except HypothesisViolated:

@@ -1,6 +1,7 @@
 """p-group and nilpotent-group invariants: exponent, omega/agemo subgroups,
-derived and Frattini subgroups, minimum generator counts, power images,
-the semi-abelian test, Sylow decomposition, and a p-group classifier."""
+the derived subgroup, the Frattini subgroup and the generation bound read off
+it (the one home of both), power images, the semi-abelian test, Sylow
+decomposition, and a p-group classifier."""
 
 from __future__ import annotations
 
@@ -85,44 +86,65 @@ def power_image(G: FiniteGroup, i: int) -> ElementSet:
 
 
 def derived_subgroup(G: FiniteGroup) -> ElementSet:
-    """Subgroup generated by all commutators; normal because the commutator set
-    is closed under conjugation."""
+    """Subgroup generated by all commutators.
+
+    For any generating set S it equals K = <[a, s] : a in G, s in S>: K is
+    normal, as [a, s]^g = [ag, s] [g, s]^-1, and every s is central modulo K,
+    so G/K is abelian.  S is grown greedily, so this takes |G| |S|
+    commutators instead of |G|^2."""
     m = G._cache().get("derived")
     if m is None:
         if G.is_abelian:
             m = 1
         else:
-            comm = sorted({G.commutator(a, b) for a in G.elements() for b in G.elements()})
+            gens: list[int] = []
+            h = 1
+            for x in G.elements():
+                if not (h >> x) & 1:
+                    gens.append(x)
+                    h = G.closure_mask(gens)
+            comm = sorted({G.commutator(a, s) for a in G.elements() for s in gens})
             m = G.closure_mask(comm)
         G._cache()["derived"] = m
     return ElementSet(m, G.order)
 
 
 def frattini(G: FiniteGroup) -> ElementSet:
-    """Phi(G) = G' * G^p for a p-group."""
-    p = pgroup_prime(G)
-    derived = derived_subgroup(G)
-    powers = sorted({G.power(g, p) for g in G.elements()})
-    return G.generated_subgroup(derived.indices() + powers)
+    """Phi(G) = G' * G^r for a nilpotent G, r the product of the primes of |G|.
+
+    The r-th powers of G's p-part are exactly the p-th powers of G_p, so this
+    is prod Phi(G_p) = prod G_p' G_p^p.  A p-group is nilpotent; for several
+    primes `sylow_decomposition` certifies nilpotency, raising NotNilpotent
+    otherwise.  Cached on G as a mask."""
+    m = G._cache().get("frattini")
+    if m is None:
+        primes = prime_factorization(G.order)
+        if len(primes) > 1:
+            sylow_decomposition(G)
+        r = math.prod(primes)
+        powers = {G.power(g, r) for g in G.elements()}
+        m = G.closure_mask(derived_subgroup(G).indices() + sorted(powers))
+        G._cache()["frattini"] = m
+    return ElementSet(m, G.order)
+
+
+def generators_missing(order: int, phi: int, hmask: int) -> int:
+    """How many more elements the subgroup H (a mask) needs to generate a
+    nilpotent group of the given order whose Frattini subgroup is the mask
+    `phi`.
+
+    By the Burnside basis theorem on each Sylow factor, elements generate G
+    exactly when their images generate G/Phi = prod G_p/Phi(G_p), an F_p-space
+    for each p.  The image of H is H Phi/Phi, and the p-part of |G : H Phi| is
+    p^k, where k is the number of F_p-dimensions that image misses; so H needs
+    the largest such k, with |G : H Phi| = |G| |H & Phi| / (|Phi| |H|)."""
+    index = order * (hmask & phi).bit_count() // (phi.bit_count() * hmask.bit_count())
+    return max(prime_factorization(index).values(), default=0)
 
 
 def min_generators(G: FiniteGroup) -> int:
-    """d(G) for p-groups (log_p |G/Phi|) and nilpotent groups (max over Sylow factors)."""
-    d = G._cache().get("min_generators")
-    if d is not None:
-        return d
-    if G.order == 1:
-        d = 0
-    else:
-        fact = prime_factorization(G.order)
-        if len(fact) == 1:
-            p = next(iter(fact))
-            index = G.order // frattini(G).cardinality
-            d = round(math.log(index, p))
-        else:
-            d = max(min_generators(f.group) for f in sylow_decomposition(G).values())
-    G._cache()["min_generators"] = d
-    return d
+    """d(G) for a nilpotent group: the largest F_p-rank of G_p/Phi(G_p)."""
+    return generators_missing(G.order, frattini(G).mask, 1)
 
 
 def is_semi_abelian(G: FiniteGroup, i: int) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -16,11 +16,8 @@ exactness-preserving rules, and no other code prunes:
 
 * generation feasibility: a prefix whose closure needs more new generators
   than there are remaining slots cannot complete to a generating tuple.  For
-  nilpotent G the count `need(H)` is exact and is integer arithmetic on one
-  mask, the Frattini subgroup Phi = prod Phi(G_p): by the Burnside basis
-  theorem on each Sylow factor, elements generate G iff their images
-  generate G/Phi = prod G_p/Phi(G_p), so H needs as many more elements as
-  the largest exponent of a prime in |G : H Phi| = |G| |H & Phi| / (|Phi| |H|).
+  nilpotent G the count `need(H)` is exact: it is
+  `invariants.generators_missing` on the mask of the Frattini subgroup.
   Other groups get the trivial bound, 1 for a proper H.
 * forced last entry: it must lie in the alphabet (so it is nontrivial) and
   close the prefix to the whole group.
@@ -79,7 +76,7 @@ from typing import Iterator, Optional
 from .bitset import iter_bits
 from .errors import NotNilpotent, RamError
 from .groups import FiniteGroup
-from .invariants import frattini, sylow_decomposition
+from .invariants import frattini, generators_missing
 from .structures import GenTuple, RamStructure, _cyc_masks, validated
 
 ORACLE_ORDER_LIMIT = 512
@@ -252,47 +249,28 @@ class _SearchContext:
     # -- generation-feasibility bound -------------------------------------------
 
     def _setup_generation_bound(self, G: FiniteGroup):
-        """For a nilpotent group, Phi(G) = prod Phi(G_p) as a mask and the primes
-        of |G|; otherwise None, and only the trivial bound (1 if proper) is
-        available.  The context keeps no reference to G, so a group and its
-        cached context are freed by reference counting."""
-        self.phi, self.primes = None, ()
+        """The mask of Phi(G) for a nilpotent group, else None, when only the
+        trivial bound (1 if proper) is available.  The context keeps no
+        reference to G, so a group and its cached context are freed by
+        reference counting."""
         try:
-            factors = sylow_decomposition(G)
+            self.phi = frattini(G).mask
         except NotNilpotent:
-            return
-        gens = [f.embed(a) for f in factors.values() for a in frattini(f.group)]
-        self.phi = self.closure_from_gens(gens)
-        self.primes = sorted(factors)
+            self.phi = None
 
     def need(self, hmask: int) -> int:
         """Lower bound on how many further elements must be adjoined to the
-        subgroup H before the whole group can be generated.
-
-        For nilpotent G this is exact.  By the Burnside basis theorem on each
-        Sylow factor, elements generate G exactly when their images generate
-        G/Phi = prod G_p/Phi(G_p), an F_p-space for each p.  The image of H
-        is HPhi/Phi, and the p-part of |G : HPhi| is p^k, where k is the
-        number of F_p-dimensions that image misses; so H needs the largest
-        such k more elements, with |G : HPhi| = |G| |H & Phi| / (|Phi| |H|).
-        Any proper H needs at least 1, the only bound for other groups."""
+        subgroup H before the whole group can be generated: exact for
+        nilpotent G (`generators_missing`), and 1 for any proper H otherwise."""
         r = self.need_memo.get(hmask)
-        if r is not None:
-            return r
-        if hmask == self.full:
-            r = 0
-        else:
-            r = 1
-            if self.phi is not None:
-                index = self.n * (hmask & self.phi).bit_count()
-                index //= self.phi.bit_count() * hmask.bit_count()
-                for p in self.primes:
-                    e = 0
-                    while index % p == 0:
-                        index //= p
-                        e += 1
-                    r = max(r, e)
-        self.need_memo[hmask] = r
+        if r is None:
+            if hmask == self.full:
+                r = 0
+            elif self.phi is None:
+                r = 1
+            else:
+                r = generators_missing(self.n, self.phi, hmask)
+            self.need_memo[hmask] = r
         return r
 
     # -- leaf masks -------------------------------------------------------------

@@ -1,7 +1,6 @@
 import pytest
 
 from ramstruct.constructors import (
-    LiftContext,
     construct_any,
     elementary_abelian_structure,
     extend_rank,
@@ -27,7 +26,7 @@ from ramstruct.errors import (
     PaddingImpossible,
     PreconditionViolated,
 )
-from ramstruct.groups import AbelianGroup
+from ramstruct.groups import AbelianGroup, quotient
 from ramstruct.invariants import omega
 from ramstruct.structures import (
     GenTuple,
@@ -41,8 +40,8 @@ from ramstruct.theory import predict_elementary_abelian
 
 
 def test_lift_tuple_spherical(c2c4cubed):
-    ctx = LiftContext.from_kernel(c2c4cubed, omega(c2c4cubed, 1))
-    Q = ctx.view.group
+    view = quotient(c2c4cubed, omega(c2c4cubed, 1))
+    Q = view.group
     # a length-5 spherical generating tuple of the quotient (a rank-3 group)
     basis = []
     h = 1
@@ -56,50 +55,54 @@ def test_lift_tuple_spherical(c2c4cubed):
         u = (x, y, z, y, Q.inv(Q.mul(Q.mul(Q.mul(x, y), z), y)))
     U = GenTuple(Q, u)
     assert U.product() == 0
-    T = lift_tuple(ctx, U, spherical=True)
+    T = lift_tuple(view, U)
     assert is_spherical_system(c2c4cubed, T)
     for lifted, orig in zip(T.entries, U.entries):
-        assert ctx.view.project(lifted) == orig
+        assert view.project(lifted) == orig
 
 
 def test_lift_tuple_trivial_kernel():
     from ramstruct.bitset import ElementSet
 
     G = AbelianGroup([2, 2])
-    ctx = LiftContext.from_kernel(G, ElementSet.from_indices([0], G.order))
-    Q = ctx.view.group
+    view = quotient(G, ElementSet.from_indices([0], G.order))
+    Q = view.group
     u = (1, 2, Q.inv(Q.mul(1, 2)))
-    T = lift_tuple(ctx, GenTuple(Q, u), spherical=False)
-    assert T.entries == tuple(ctx.view.section(q) for q in u)
-    T = lift_tuple(ctx, GenTuple(Q, u), spherical=True)
-    assert T.entries == tuple(ctx.view.section(q) for q in u)
+    T = lift_tuple(view, GenTuple(Q, u))
+    assert T.entries == tuple(view.section(q) for q in u)
+    # an identity entry has no lift when its coset is the identity alone
+    with pytest.raises(NoLiftExists):
+        lift_tuple(view, GenTuple(Q, (1, 0, 2, Q.inv(Q.mul(1, 2)))))
 
 
 def test_lift_tuple_rejects_foreign_group(c2c4cubed):
-    ctx = LiftContext.from_kernel(c2c4cubed, omega(c2c4cubed, 1))
+    view = quotient(c2c4cubed, omega(c2c4cubed, 1))
     other = AbelianGroup([8])  # same order as the quotient, different group
     with pytest.raises(PreconditionViolated):
-        lift_tuple(ctx, GenTuple(other, (1, 2, 5)), spherical=False)
+        lift_tuple(view, GenTuple(other, (1, 2, 5)))
 
 
 def test_lift_tuple_accepts_equal_rebuilt_quotient(c2c4cubed):
-    ctx1 = omega_context(c2c4cubed)
-    ctx2 = omega_context(c2c4cubed)
-    Q = ctx2.view.group
+    view1 = omega_context(c2c4cubed)
+    view2 = omega_context(c2c4cubed)
+    Q = view2.group
     u = (1, 2, 4, 1, Q.inv(Q.mul(Q.mul(Q.mul(1, 2), 4), 1)))
     if u[-1] == 0:
         u = (1, 2, 4, 2, Q.inv(Q.mul(Q.mul(Q.mul(1, 2), 4), 2)))
     U = GenTuple(Q, u)
-    T = lift_tuple(ctx1, U, spherical=True)  # built against a separate context
+    T = lift_tuple(view1, U)  # built against a separately materialized quotient
     assert is_spherical_system(c2c4cubed, T)
 
 
 def test_lift_tuple_too_short(c2c4cubed):
-    ctx = LiftContext.from_kernel(c2c4cubed, omega(c2c4cubed, 1))
-    Q = ctx.view.group
-    u = (1, 2, 4)  # three entries cannot generate a 4-generator group
+    view = quotient(c2c4cubed, omega(c2c4cubed, 1))
+    Q = view.group
+    # three free entries cannot generate a 4-generator group
+    u = (1, 2, 4, Q.inv(Q.mul(Q.mul(1, 2), 4)))
+    U = GenTuple(Q, u)
+    assert U.product() == 0 and Q.closure_mask(u) == (1 << Q.order) - 1
     with pytest.raises(NoLiftExists):
-        lift_tuple(ctx, GenTuple(Q, u), spherical=False)
+        lift_tuple(view, U)
 
 
 def test_extend_size_odd():
@@ -230,18 +233,18 @@ def test_project_mod_omega(c2c4cubed, q8):
 
 
 def test_lift_structure_mod_omega(c2c4cubed):
-    ctx = omega_context(c2c4cubed)
-    Q = ctx.view.group
+    view = omega_context(c2c4cubed)
+    Q = view.group
     canonical = elementary_abelian_structure(2, 3, 6, 6)
     # move the canonical structure onto the materialized quotient
     from ramstruct.constructors import _greedy_basis, _transport_elementary
 
     t1, t2 = _transport_elementary(canonical, Q, _greedy_basis(Q))
     U = validated(Q, t1, t2)
-    S = lift_structure_mod_omega(c2c4cubed, U, ctx)
+    S = lift_structure_mod_omega(c2c4cubed, U, view)
     assert S.size == (6, 6)
     assert S.group is c2c4cubed
-    images = [ctx.view.project(g) for g in S.t1.entries]
+    images = [view.project(g) for g in S.t1.entries]
     assert tuple(images) == U.t1.entries
 
     # identity operation at exponent level one
@@ -253,15 +256,15 @@ def test_lift_structure_mod_omega(c2c4cubed):
 
 def test_lift_structure_size_guard():
     G = AbelianGroup([2, 2, 4, 4, 4])  # d = 5, top-power image of size 8
-    ctx = omega_context(G)
-    Q = ctx.view.group
+    view = omega_context(G)
+    Q = view.group
     canonical = elementary_abelian_structure(2, 3, 5, 6)
     from ramstruct.constructors import _greedy_basis, _transport_elementary
 
     t1, t2 = _transport_elementary(canonical, Q, _greedy_basis(Q))
     U = validated(Q, t1, t2)
     with pytest.raises(PreconditionViolated):
-        lift_structure_mod_omega(G, U, ctx)  # r1 = 5 < d+1 = 6
+        lift_structure_mod_omega(G, U, view)  # r1 = 5 < d+1 = 6
 
 
 def test_pad_from_beauville():
@@ -367,6 +370,10 @@ def test_odd_odd_larger_group():
     assert S.size == (7, 7)
     S = semi_abelian_2group_odd_odd(G, 9, 7)
     assert S.size == (9, 7)
+    # order 512, d = 6: each of the six free entries of the lifted side must
+    # add one dimension of G/Phi
+    S = semi_abelian_2group_odd_odd(AbelianGroup([2, 2, 2, 4, 4, 4]), 7, 7)
+    assert S.size == (7, 7)
 
 
 def test_construct_any_dispatch(c6c6c2, q8, heis5):

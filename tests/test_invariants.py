@@ -45,8 +45,14 @@ def test_agemo(c2c4cubed, heis3):
     assert agemo(heis3, 1).indices() == [0]
 
 
-def test_derived_subgroup(heis3, q8):
+def test_derived_subgroup(heis3, heis5, q8, d4, s3):
     assert derived_subgroup(AbelianGroup([4, 6])).indices() == [0]
+    from ramstruct.parsing import build_group
+
+    # against the closure of all |G|^2 commutators
+    for G in (heis3, heis5, q8, d4, s3, build_group("prod(heis(3),C2)")):
+        comm = {G.commutator(a, b) for a in G.elements() for b in G.elements()}
+        assert derived_subgroup(G).mask == G.closure_mask(sorted(comm)), G.describe()
     drv = derived_subgroup(heis3)
     assert drv.cardinality == 3
     assert set(drv.indices()) == {heis3.index_of((0, 0, c)) for c in range(3)}
@@ -79,7 +85,26 @@ def test_frattini_quotient_elementary_abelian(c2c4cubed, q8, d4):
         assert all(view.group.order_of(g) in (1, p) for g in view.group.elements())
 
 
+def test_frattini_matches_sylow_factors(s3):
+    # Phi(G) = G' G^r with r the product of the primes, against the product
+    # of the Sylow factors' own Frattini subgroups
+    from ramstruct.catalog import builtin_catalog
+    from ramstruct.parsing import build_group
+
+    catalog = (build_group(entry.spec) for entry in builtin_catalog(32))
+    groups = [G for G in catalog if G.order <= 32 and G.describe() != s3.describe()]
+    groups.append(build_group("prod(heis(3),C2)"))
+    assert len(groups) == 58
+    for G in groups:
+        factors = sylow_decomposition(G).values()
+        gens = [f.embed(a) for f in factors for a in frattini(f.group)]
+        assert frattini(G).mask == G.closure_mask(gens), G.describe()
+    with pytest.raises(NotNilpotent):
+        frattini(s3)
+
+
 def test_min_generators(c2c4cubed, c6c6c2):
+    assert min_generators(CayleyTableGroup([[0]])) == 0
     assert min_generators(c2c4cubed) == 4
     assert min_generators(AbelianGroup([7])) == 1
     assert min_generators(c6c6c2) == 3

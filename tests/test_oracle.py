@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from ramstruct import oracle
 from ramstruct.bitset import iter_bits
 from ramstruct.catalog import builtin_catalog, bundled_cayley_path
+from ramstruct.constructors import construct_any
 from ramstruct.groups import AbelianGroup, HeisenbergGroup
+from ramstruct.invariants import min_generators
 from ramstruct.oracle import (
     SearchBudget,
     _context,
@@ -207,6 +209,8 @@ def test_groups_freed_by_refcount():
         lambda G: find_structure(G, 7, 7, SearchBudget(max_candidates=500, cap=8)),
         lambda G: enumerate_structures(G, 4, 4, limit=3),
         lambda G: list(enumerate_spherical(G, 3)),
+        min_generators,
+        lambda G: construct_any(G, 4, 5),
     ]
     was_enabled = gc.isenabled()
     gc.disable()
