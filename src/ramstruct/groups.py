@@ -4,13 +4,18 @@ Every realization fixes a deterministic enumeration of its elements, so the
 same construction parameters always produce the same index <-> element maps.
 Groups are immutable after construction; derived data is cached lazily and
 idempotently, so instances are safe to share across threads.
+
+Normality, commutativity and the upper central series are computed from a
+greedy generating set (`FiniteGroup.generators`), in about |G| d work for d
+generators rather than |G|^2; so are Omega_i (`invariants.omega`) and the
+conjugacy classes behind `structures.sigma`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -121,27 +126,24 @@ class FiniteGroup:
             self.check_index(g)
         return ElementSet(self.closure_mask(gens), self.order)
 
-    def is_subgroup_mask(self, mask: int) -> bool:
-        if not mask & 1:
-            return False
-        elems = list(iter_bits(mask))
-        mul = self.mul
-        for a in elems:
-            for b in elems:
-                if not (mask >> mul(a, b)) & 1:
-                    return False
-        return True
+    def generators(self) -> list[int]:
+        """Greedy generating set of G, ascending, cached; see greedy_generators."""
+        gens = self._cache().get("generators")
+        if gens is None:
+            gens = self._cache()["generators"] = greedy_generators(self, self.elements())[0]
+        return gens
 
     def is_normal(self, subset: ElementSet) -> bool:
-        """True iff the subgroup is invariant under conjugation by all of G."""
+        """True iff the subgroup is invariant under conjugation by all of G.
+
+        A subset is a subgroup iff its greedy generators close to exactly it.
+        It is normal iff conjugating those generators by G's stays inside: then
+        N^s is contained in N, hence equal to it, for every generator s of G."""
         mask = subset.mask
-        if not self.is_subgroup_mask(mask):
+        hgens, closure = greedy_generators(self, iter_bits(mask))
+        if closure != mask:
             raise NotASubgroup("the given element set is not closed under multiplication")
-        for h in iter_bits(mask):
-            for g in self.elements():
-                if not (mask >> self.conjugate(h, g)) & 1:
-                    return False
-        return True
+        return all((mask >> self.conjugate(h, s)) & 1 for h in hgens for s in self.generators())
 
     @property
     def is_abelian(self) -> bool:
@@ -152,24 +154,30 @@ class FiniteGroup:
         return flag
 
     def _compute_abelian(self) -> bool:
-        for a in self.elements():
-            for b in range(a + 1, self.order):
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
-        return True
+        gens = self.generators()
+        mul = self.mul
+        return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :])
 
     def upper_central_series(self) -> list[ElementSet]:
-        """[Z_0, Z_1, ...] with Z_0 = {1}, Z_1 the center, until the series stabilizes."""
-        series = [1]
-        while True:
-            prev = series[-1]
-            nxt = 0
-            for g in self.elements():
-                if all((prev >> self.commutator(g, x)) & 1 for x in self.elements()):
-                    nxt |= 1 << g
-            if nxt == prev:
-                break
-            series.append(nxt)
+        """[Z_0, Z_1, ...] with Z_0 = {1}, Z_1 the center, until the series stabilizes.
+
+        g lies in Z_{i+1} iff [g, s] lies in Z_i for every generator s, since
+        Z_{i+1}/Z_i is the centre of G/Z_i and the images of the generators
+        generate G/Z_i; so each level takes |G| |S| commutators, not |G|^2."""
+        if self.is_abelian:
+            series = [1] if self.order == 1 else [1, (1 << self.order) - 1]
+        else:
+            gens = self.generators()
+            series = [1]
+            while True:
+                prev = series[-1]
+                nxt = 0
+                for g in self.elements():
+                    if all((prev >> self.commutator(g, s)) & 1 for s in gens):
+                        nxt |= 1 << g
+                if nxt == prev:
+                    break
+                series.append(nxt)
         return [ElementSet(m, self.order) for m in series]
 
     def __repr__(self) -> str:
@@ -389,6 +397,18 @@ class DirectProductGroup(FiniteGroup):
 
     def describe(self) -> str:
         return f"prod({self.left.describe()},{self.right.describe()})"
+
+
+def greedy_generators(G: FiniteGroup, candidates: Iterable[int]) -> tuple[list[int], int]:
+    """The candidates, in the given order, that are not yet in the closure of
+    those kept before them, and the mask of the subgroup they generate."""
+    gens: list[int] = []
+    h = 1
+    for x in candidates:
+        if not (h >> x) & 1:
+            gens.append(x)
+            h = G.closure_mask(gens)
+    return gens, h
 
 
 def direct_product(left: FiniteGroup, right: FiniteGroup) -> DirectProductGroup:

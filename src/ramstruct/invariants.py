@@ -14,6 +14,7 @@ from .errors import NotAPGroup, NotNilpotent
 from .groups import (
     CayleyTableGroup,
     FiniteGroup,
+    greedy_generators,
     prime_factorization,
 )
 
@@ -60,11 +61,11 @@ def torsion_set(G: FiniteGroup, i: int) -> ElementSet:
 
 
 def omega(G: FiniteGroup, i: int) -> ElementSet:
-    """Subgroup generated by all elements of order dividing p^i."""
+    """Subgroup generated by all elements of order dividing p^i; closed over
+    only those not yet in the closure of the ones before them."""
     if i < 0:
         raise ValueError("omega level must be >= 0")
-    raw = torsion_set(G, i)
-    return G.generated_subgroup(raw.indices())
+    return ElementSet(greedy_generators(G, torsion_set(G, i))[1], G.order)
 
 
 def agemo(G: FiniteGroup, i: int) -> ElementSet:
@@ -90,19 +91,14 @@ def derived_subgroup(G: FiniteGroup) -> ElementSet:
 
     For any generating set S it equals K = <[a, s] : a in G, s in S>: K is
     normal, as [a, s]^g = [ag, s] [g, s]^-1, and every s is central modulo K,
-    so G/K is abelian.  S is grown greedily, so this takes |G| |S|
+    so G/K is abelian.  With S = G.generators() this takes |G| |S|
     commutators instead of |G|^2."""
     m = G._cache().get("derived")
     if m is None:
         if G.is_abelian:
             m = 1
         else:
-            gens: list[int] = []
-            h = 1
-            for x in G.elements():
-                if not (h >> x) & 1:
-                    gens.append(x)
-                    h = G.closure_mask(gens)
+            gens = G.generators()
             comm = sorted({G.commutator(a, s) for a in G.elements() for s in gens})
             m = G.closure_mask(comm)
         G._cache()["derived"] = m
@@ -151,15 +147,14 @@ def is_semi_abelian(G: FiniteGroup, i: int) -> tuple[bool, Optional[tuple[int, i
     """Whether x^(p^i) = y^(p^i) iff (x y^-1)^(p^i) = 1 for all pairs; on failure
     returns a witness pair (x, y).
 
-    Full O(|G|^2) pair scan over a precomputed power map; abelian groups satisfy
-    the condition identically, so the scan is skipped for them.
+    Full O(|G|^2) pair scan over a precomputed power map.  It is skipped where
+    the condition holds identically: for abelian groups, and when p^i >= exp(G),
+    so that every p^i-th power is 1.
     """
     p = pgroup_prime(G)
-    if i == 0:
-        return True, None
-    if G.is_abelian:
-        return True, None
     q = p**i
+    if i == 0 or G.is_abelian or q >= exponent(G):
+        return True, None
     pw = [G.power(g, q) for g in G.elements()]
     inv = [G.inv(g) for g in G.elements()]
     mul = G.mul
@@ -173,14 +168,15 @@ def is_semi_abelian(G: FiniteGroup, i: int) -> tuple[bool, Optional[tuple[int, i
 
 @dataclass(frozen=True)
 class SylowFactor:
-    """A Sylow p-subgroup rebuilt as a standalone group.
+    """A Sylow p-subgroup as a standalone group: a p-group is its own factor,
+    otherwise it is rebuilt as a Cayley table.
 
     `embedding[i]` is the parent index of factor element i; the factor preserves
     the parent's element order, so index 0 is the identity.
     """
 
     prime: int
-    group: CayleyTableGroup
+    group: FiniteGroup
     embedding: tuple[int, ...]
 
     def embed(self, a: int) -> int:
@@ -191,12 +187,18 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, SylowFactor]:
     """For each prime p | |G|, the elements of p-power order as a subgroup.
 
     Succeeds exactly when every such set is a subgroup of order p^a, which
-    certifies nilpotency; raises NotNilpotent otherwise.
+    certifies nilpotency; raises NotNilpotent otherwise.  A p-group is its
+    own factor, with the identity embedding and no table copy.
     """
     cached = G._cache().get("sylow")
     if cached is not None:
         return cached
     fact = prime_factorization(G.order) if G.order > 1 else {}
+    if len(fact) == 1:
+        # not cached: G's cache holding a factor that refers to G would be a
+        # reference cycle, keeping G alive past its last outside reference
+        (p,) = fact
+        return {p: SylowFactor(p, G, tuple(G.elements()))}
     out: dict[int, SylowFactor] = {}
     for p, a in sorted(fact.items()):
         members = [g for g in G.elements() if _is_p_power(G.order_of(g), p)]

@@ -40,8 +40,10 @@ class GenTuple:
 def _cyc_masks(G: FiniteGroup) -> list[int]:
     """cyc[y] = bitmask of the union over g of the conjugate subgroups <y>^g.
 
-    For abelian groups this is just <y>; otherwise <y>^g = <y^g>, so the union
-    is accumulated from the powers masks of the conjugates of y.
+    For abelian groups this is just <y>; otherwise <y>^g = <y^g>, so it is the
+    union of the powers masks over the conjugacy class of y, taken as the
+    orbit of y under conjugation by the generators of G, and shared by every
+    member of the class.
     """
     masks = G._cache().get("cyc_masks")
     if masks is not None:
@@ -51,12 +53,24 @@ def _cyc_masks(G: FiniteGroup) -> list[int]:
     if G.is_abelian:
         masks = pw
     else:
+        gens = G.generators()
         masks = [0] * n
         for y in range(n):
-            m = pw[y]
-            for g in range(n):
-                m |= pw[G.conjugate(y, g)]
-            masks[y] = m
+            if masks[y]:
+                continue
+            cls, stack = {y}, [y]
+            while stack:
+                x = stack.pop()
+                for s in gens:
+                    c = G.conjugate(x, s)
+                    if c not in cls:
+                        cls.add(c)
+                        stack.append(c)
+            m = 0
+            for x in cls:
+                m |= pw[x]
+            for x in cls:
+                masks[x] = m
     G._cache()["cyc_masks"] = masks
     return masks
 

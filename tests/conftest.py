@@ -38,3 +38,15 @@ def d4():
 @pytest.fixture(scope="session")
 def s3():
     return load_cayley_file(str(bundled_cayley_path("s3")))
+
+
+@pytest.fixture(scope="session")
+def differential_groups():
+    """The order <= 32 catalog (with heis(3), heis(5), d4, q8 and s3) and
+    prod(heis(3),C2), for checks against brute-force |G|^2 definitions."""
+    from ramstruct.catalog import builtin_catalog
+    from ramstruct.parsing import build_group
+
+    groups = [build_group(entry.spec) for entry in builtin_catalog(32)]
+    groups.append(build_group("prod(heis(3),C2)"))
+    return groups

@@ -247,3 +247,51 @@ def test_product_order_is_lcm_of_components(q8, s3):
     for x in P.elements():
         a, b = P.pair(x)
         assert P.order_of(x) == math.lcm(P.left.order_of(a), P.right.order_of(b))
+
+
+def _brute_upper_central_series(G):
+    series = [1]
+    while True:
+        prev = series[-1]
+        nxt = 0
+        for g in G.elements():
+            if all((prev >> G.commutator(g, x)) & 1 for x in G.elements()):
+                nxt |= 1 << g
+        if nxt == prev:
+            return series
+        series.append(nxt)
+
+
+def _brute_is_normal(G, mask):
+    """None for a subset that is not a subgroup, else whether it is normal."""
+    elems = [g for g in G.elements() if (mask >> g) & 1]
+    if not mask & 1 or any(not (mask >> G.mul(a, b)) & 1 for a in elems for b in elems):
+        return None
+    return all((mask >> G.conjugate(h, g)) & 1 for h in elems for g in G.elements())
+
+
+def test_generating_set_scans_match_brute_force(differential_groups, s3):
+    assert len(differential_groups) == 60
+    for G in differential_groups:
+        name = G.describe()
+        commute = all(G.mul(a, b) == G.mul(b, a) for a in G.elements() for b in G.elements())
+        assert G.is_abelian == commute, name
+        assert G.closure_mask(G.generators()) == (1 << G.order) - 1, name
+        series = [z.mask for z in G.upper_central_series()]
+        assert series == _brute_upper_central_series(G), name
+        # cyclic and two-generated subgroups, and non-subgroups: a subgroup
+        # with one more element, and a subgroup without the identity
+        subsets = set()
+        for y in G.elements():
+            cyc = G.closure_mask([y])
+            z = (5 * y + 2) % G.order
+            subsets |= {cyc, G.closure_mask([y, z]), cyc | 1 << z, cyc & ~1}
+        for mask in subsets:
+            expected = _brute_is_normal(G, mask)
+            if expected is None:
+                with pytest.raises(NotASubgroup):
+                    G.is_normal(ElementSet(mask, G.order))
+            else:
+                assert G.is_normal(ElementSet(mask, G.order)) == expected, name
+    assert [z.mask for z in s3.upper_central_series()] == [1]
+    assert [z.mask for z in CayleyTableGroup([[0]]).upper_central_series()] == [1]

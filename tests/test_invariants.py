@@ -1,7 +1,7 @@
 import pytest
 
 from ramstruct.errors import NotAPGroup, NotNilpotent
-from ramstruct.groups import AbelianGroup, CayleyTableGroup
+from ramstruct.groups import AbelianGroup, CayleyTableGroup, prime_factorization
 from ramstruct.invariants import (
     agemo,
     classify_pgroup,
@@ -210,3 +210,90 @@ def test_pgroup_profile_json(c2c4cubed):
     assert data["power_image_sizes"] == [128, 8, 1]
     assert data["semi_abelian"][0] == {"i": 0, "holds": True, "trivial": True}
     assert data["classification"]["abelian"]
+
+
+def test_omega_and_semi_abelian_match_brute_force(differential_groups):
+    from ramstruct.invariants import exponent_exponent
+
+    pgroups = [G for G in differential_groups if len(prime_factorization(G.order)) == 1]
+    assert len(pgroups) == 39
+    for G in pgroups:
+        p, e = exponent_exponent(G)
+        for i in range(e + 2):
+            q = p**i
+            torsion = [g for g in G.elements() if G.power(g, q) == 0]
+            assert omega(G, i).mask == G.closure_mask(torsion), (G.describe(), i)
+            # the first failing pair of the full scan, or None
+            pw = [G.power(g, q) for g in G.elements()]
+            witness = next(
+                (
+                    (x, y)
+                    for x in G.elements()
+                    for y in G.elements()
+                    if (pw[x] == pw[y]) != (pw[G.mul(x, G.inv(y))] == 0)
+                ),
+                None,
+            )
+            assert is_semi_abelian(G, i) == (witness is None, witness), (G.describe(), i)
+
+
+def test_pgroup_is_its_own_sylow_factor(differential_groups):
+    # no Cayley-table copy, so construct_any never recurses into the same group
+    for G in differential_groups:
+        primes = prime_factorization(G.order)
+        if len(primes) == 1:
+            (factor,) = sylow_decomposition(G).values()
+            assert factor.prime in primes
+            assert factor.group is G
+            assert factor.embedding == tuple(G.elements())
+
+
+def test_pgroup_sylow_factor_keeps_no_reference_cycle():
+    # G's cache must not refer back to G, or G waits for the cyclic collector
+    import gc
+    import weakref
+
+    from ramstruct.groups import HeisenbergGroup
+    from ramstruct.theory import predict_nilpotent
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (lambda: AbelianGroup([4, 2]), lambda: HeisenbergGroup(3)):
+            G = make()
+            ref = weakref.ref(G)
+            predict_nilpotent(G)
+            del G
+            assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _count_mul(G):
+    calls = [0]
+    mul = G.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counted
+    return calls
+
+
+def test_invariants_cost_guard():
+    # multiplications are a cost that does not depend on the hardware; each
+    # bound is a tenth of what the |G|^2 scans took on the same group
+    from ramstruct.parsing import build_group
+    from ramstruct.structures import _cyc_masks
+
+    for spec, quadratic in (("C2xC2xC2xC2xC2xC2xC2xC2", 529_668), ("heis(7)", 1_099_500)):
+        G = build_group(spec)
+        calls = _count_mul(G)
+        pgroup_profile(G)
+        assert calls[0] < quadratic // 10, (spec, calls[0])
+    G = build_group("heis(7)")
+    calls = _count_mul(G)
+    _cyc_masks(G)
+    assert calls[0] < 237_350 // 10, calls[0]

@@ -162,3 +162,17 @@ def test_permutation_and_rotation_invariance(data):
     k = data.draw(st.integers(0, r - 1))
     rotated = GenTuple(G, T.entries[k:] + T.entries[:k])
     assert is_spherical_system(G, rotated).ok == base.ok
+
+
+def test_cyc_masks_match_brute_force(differential_groups):
+    # the union of the powers masks of all |G| conjugates of each element
+    from ramstruct.structures import _cyc_masks
+
+    for G in differential_groups:
+        expected = []
+        for y in G.elements():
+            m = 0
+            for g in G.elements():
+                m |= G.powers_mask(G.conjugate(y, g))
+            expected.append(m)
+        assert _cyc_masks(G) == expected, G.describe()
