@@ -47,6 +47,7 @@ from .invariants import (
     omega,
     pgroup_profile,
     power_image,
+    power_map,
     sylow_decomposition,
     torsion_set,
 )

@@ -28,7 +28,7 @@ from .oracle import (
     size_set_up_to,
 )
 from .parsing import build_group, parse_group_spec, parse_tuple, render_element, render_tuple
-from .structures import RamFailure, RamStructure, check_ramification
+from .structures import RamFailure, RamStructure, check_ramification, sigma
 from .theory import predict_nilpotent
 
 EXIT_OK = 0
@@ -73,8 +73,6 @@ def cmd_check(args) -> tuple[dict, int]:
     t2 = parse_tuple(G, args.t2)
     result = check_ramification(G, t1, t2)
     payload: dict = {"size": [len(t1), len(t2)]}
-    from .structures import sigma
-
     payload["sigma_sizes"] = [sigma(G, t1).cardinality, sigma(G, t2).cardinality]
     if isinstance(result, RamFailure):
         payload["verdict"] = False

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .bitset import iter_bits
 from .errors import (
     DegenerateRank,
@@ -33,14 +35,17 @@ from .errors import (
 )
 from .groups import (
     AbelianGroup,
+    CayleyTableGroup,
     DirectProductGroup,
     FiniteGroup,
     QuotientView,
     direct_product,
+    greedy_generators,
     prime_factorization,
     quotient,
 )
 from .invariants import (
+    exponent,
     exponent_exponent,
     frattini,
     generators_missing,
@@ -49,11 +54,11 @@ from .invariants import (
     omega,
     pgroup_prime,
     power_image,
+    power_map,
     sylow_decomposition,
 )
-from .structures import GenTuple, RamFailure, RamStructure, check_ramification
+from .structures import GenTuple, RamFailure, RamStructure, check_ramification, is_spherical_system
 from .theory import (
-    SizeConstraintSet,
     predict_elementary_abelian,
     predict_nilpotent,
     predict_semi_abelian_pgroup,
@@ -120,10 +125,6 @@ def _same_table_group(A: FiniteGroup, B: FiniteGroup) -> bool:
     deterministic, so independently materialized copies compare equal)."""
     if A.order != B.order:
         return False
-    import numpy as np
-
-    from .groups import CayleyTableGroup
-
     if isinstance(A, CayleyTableGroup) and isinstance(B, CayleyTableGroup):
         return np.array_equal(A.table, B.table)
     return all(A.mul(x, y) == B.mul(x, y) for x in A.elements() for y in A.elements())
@@ -195,29 +196,10 @@ def lift_tuple(view: QuotientView, U: GenTuple) -> GenTuple:
 
 def _is_elementary_abelian(G: FiniteGroup) -> Optional[int]:
     """The prime p if G is a nontrivial direct power of C_p, else None."""
-    if G.order == 1:
-        return None
-    fact = prime_factorization(G.order)
-    if len(fact) != 1:
-        return None
-    p = next(iter(fact))
-    if not G.is_abelian:
-        return None
-    if any(G.order_of(g) > p for g in G.elements()):
-        return None
-    return p
-
-
-def _greedy_basis(G: FiniteGroup, seed: Sequence[int] = ()) -> list[int]:
-    """Minimal generating set of an elementary abelian group, grown greedily in
-    element-index order from an optional seed of independent elements."""
-    basis = list(seed)
-    h = G.closure_mask(basis) if basis else 1
-    for x in G.elements():
-        if not (h >> x) & 1:
-            basis.append(x)
-            h = G.closure_mask(basis)
-    return basis
+    primes = prime_factorization(G.order)
+    if len(primes) == 1 and G.is_abelian and exponent(G) in primes:
+        return exponent(G)
+    return None
 
 
 def _word(G: FiniteGroup, basis: Sequence[int], exps: Sequence[int]) -> int:
@@ -249,8 +231,6 @@ def extend_size(T1: GenTuple, p: int) -> GenTuple:
     G = T1.group
     if _is_elementary_abelian(G) != p:
         raise PreconditionViolated(f"group is not elementary abelian over {p}")
-    from .structures import is_spherical_system
-
     if not is_spherical_system(G, T1):
         raise PreconditionViolated("input tuple is not a spherical system")
     return GenTuple(G, _pad(G, T1.entries, len(T1) + (2 if p == 2 else 1)))
@@ -290,22 +270,12 @@ def extend_rank(S: RamStructure) -> RamStructure:
     return _checked(bigger, push(S.t1.entries), push(S.t2.entries), "rank extension")
 
 
-def _violated_clause(scs: SizeConstraintSet, r1: int, r2: int) -> str:
-    if not scs.admits:
-        return "; ".join(scs.provenance) or "group admits no ramification structure"
-    if r1 < scs.min_size or r2 < scs.min_size:
-        return f"sizes must both be >= {scs.min_size}"
-    if (min(r1, r2), max(r1, r2)) in scs.excluded_pairs:
-        return f"size pair ({r1},{r2}) is excluded"
-    return "sizes must not both be odd"
-
-
 def elementary_abelian_structure(p: int, d: int, r1: int, r2: int) -> RamStructure:
     """A validated structure of size (r1, r2) on C_p^d for every admissible
     size pair, grown from small base structures by size and rank extension."""
     scs = predict_elementary_abelian(p, d)
     if not scs.membership(r1, r2):
-        raise InadmissibleSize(_violated_clause(scs, r1, r2))
+        raise InadmissibleSize(scs.violated_clause(r1, r2))
 
     if p == 2 and r1 % 2 == 0 and r2 % 2 == 1:
         return elementary_abelian_structure(p, d, r2, r1).swapped()
@@ -376,11 +346,11 @@ def exponent_p_structure(G: FiniteGroup, r1: int, r2: int) -> RamStructure:
 
     phi = frattini(G)
     if phi.cardinality == 1:
-        t1, t2 = _transport_elementary(canonical, G, _greedy_basis(G))
+        t1, t2 = _transport_elementary(canonical, G, G.generators())
     else:
         view = quotient(G, phi)
         Q = view.group
-        u1, u2 = _transport_elementary(canonical, Q, _greedy_basis(Q))
+        u1, u2 = _transport_elementary(canonical, Q, Q.generators())
         t1 = lift_tuple(view, GenTuple(Q, u1))
         t2 = lift_tuple(view, GenTuple(Q, u2))
     return _checked(G, t1, t2, "exponent-p lift")
@@ -556,7 +526,7 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
         raise PreconditionViolated("both sizes must be odd")
     d = min_generators(G)
     if r1 < 5 or r2 < 5 or (r1, r2) == (5, 5) or r1 < d + 1 or r2 < d + 1:
-        raise InadmissibleSize(_violated_clause(predict_semi_abelian_pgroup(G), r1, r2))
+        raise InadmissibleSize(predict_semi_abelian_pgroup(G).violated_clause(r1, r2))
     if d == 3:
         raise DegenerateRank("rank 3 leaves no generators for n; fall back to search")
 
@@ -588,15 +558,14 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     view = omega_context(G)
     OQ = view.group
     if t in X:
-        q = 1 << (e - 1)
-        x = min(g for g in G.elements() if G.power(g, q) == t)
+        x = power_map(G, 1 << (e - 1)).index(t)
         xq = view.project(x)
         if xq == 0:
             raise InternalContradiction("chosen basis element lies in the kernel")
-        basis_q = _greedy_basis(OQ, seed=[xq])
+        basis_q = greedy_generators(OQ, [xq, *OQ.elements()])[0]
         y, z = view.section(basis_q[1]), view.section(basis_q[2])
     else:
-        basis_q = _greedy_basis(OQ)
+        basis_q = OQ.generators()
         xq = basis_q[0]
         x, y, z = (view.section(v) for v in basis_q)
     yq, zq = basis_q[1], basis_q[2]
@@ -663,7 +632,7 @@ def _construct_pgroup(G: FiniteGroup, r1: int, r2: int) -> Optional[ConstructRes
     except HypothesisViolated:
         return None
     if not scs.membership(r1, r2):
-        return ConstructResult("inadmissible", reason=_violated_clause(scs, r1, r2))
+        return ConstructResult("inadmissible", reason=scs.violated_clause(r1, r2))
     if e == 1:
         return ConstructResult(
             "ok", exponent_p_structure(G, r1, r2), method="exponent-p-lift"
@@ -694,7 +663,7 @@ def _construct_nilpotent(
     except HypothesisViolated:
         return None
     if not scs.membership(r1, r2):
-        return ConstructResult("inadmissible", reason=_violated_clause(scs, r1, r2))
+        return ConstructResult("inadmissible", reason=scs.violated_clause(r1, r2))
 
     # every factor's target is settled before any factor searches, so falling
     # back to a search of G never drops the counters of a factor's search

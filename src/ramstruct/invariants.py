@@ -1,7 +1,8 @@
 """p-group and nilpotent-group invariants: exponent, omega/agemo subgroups,
 the derived subgroup, the Frattini subgroup and the generation bound read off
 it (the one home of both), power images, the semi-abelian test, Sylow
-decomposition, and a p-group classifier."""
+decomposition, and a p-group classifier.  Every power-structure invariant is
+read off `power_map(G, k)`, the k-th powers of G, computed once per G and k."""
 
 from __future__ import annotations
 
@@ -49,41 +50,52 @@ def exponent_exponent(G: FiniteGroup) -> tuple[int, int]:
     return p, k
 
 
+def power_map(G: FiniteGroup, k: int) -> list[int]:
+    """[g^k for g in G], cached on G per k.  For k = f m with f the least prime
+    factor, g^k = (g^m)^f is read off the two smaller maps; only k = 0, 1 or a
+    prime calls `G.power`.  The cache holds int lists, not G itself."""
+    if k < 0:
+        raise ValueError(f"power exponent must be >= 0, got {k}")
+    maps = G._cache().setdefault("power_maps", {})
+    pm = maps.get(k)
+    if pm is None:
+        f = min(prime_factorization(k), default=k)
+        if f == k:
+            pm = [G.power(g, k) for g in G.elements()]
+        else:
+            outer = power_map(G, f)
+            pm = [outer[x] for x in power_map(G, k // f)]
+        maps[k] = pm
+    return pm
+
+
+def _level(G: FiniteGroup, i: int) -> int:
+    """p^i for the p-group G; a level below 0 is a ValueError."""
+    if i < 0:
+        raise ValueError(f"power level must be >= 0, got {i}")
+    return pgroup_prime(G) ** i
+
+
 def torsion_set(G: FiniteGroup, i: int) -> ElementSet:
     """The raw set {g : g^(p^i) = 1}; not a subgroup in general."""
-    p = pgroup_prime(G)
-    q = p**i
-    mask = 0
-    for g in G.elements():
-        if G.power(g, q) == 0:
-            mask |= 1 << g
-    return ElementSet(mask, G.order)
+    pm = power_map(G, _level(G, i))
+    return ElementSet.from_indices([g for g in G.elements() if pm[g] == 0], G.order)
 
 
 def omega(G: FiniteGroup, i: int) -> ElementSet:
     """Subgroup generated by all elements of order dividing p^i; closed over
     only those not yet in the closure of the ones before them."""
-    if i < 0:
-        raise ValueError("omega level must be >= 0")
     return ElementSet(greedy_generators(G, torsion_set(G, i))[1], G.order)
 
 
 def agemo(G: FiniteGroup, i: int) -> ElementSet:
     """Subgroup generated by all p^i-th powers."""
-    p = pgroup_prime(G)
-    q = p**i
-    gens = sorted({G.power(g, q) for g in G.elements()})
-    return G.generated_subgroup(gens)
+    return G.generated_subgroup(power_image(G, i).indices())
 
 
 def power_image(G: FiniteGroup, i: int) -> ElementSet:
     """The literal set {g^(p^i) : g in G} (a set, not a subgroup)."""
-    p = pgroup_prime(G)
-    q = p**i
-    mask = 0
-    for g in G.elements():
-        mask |= 1 << G.power(g, q)
-    return ElementSet(mask, G.order)
+    return ElementSet.from_indices(power_map(G, _level(G, i)), G.order)
 
 
 def derived_subgroup(G: FiniteGroup) -> ElementSet:
@@ -117,8 +129,7 @@ def frattini(G: FiniteGroup) -> ElementSet:
         primes = prime_factorization(G.order)
         if len(primes) > 1:
             sylow_decomposition(G)
-        r = math.prod(primes)
-        powers = {G.power(g, r) for g in G.elements()}
+        powers = set(power_map(G, math.prod(primes)))
         m = G.closure_mask(derived_subgroup(G).indices() + sorted(powers))
         G._cache()["frattini"] = m
     return ElementSet(m, G.order)
@@ -147,15 +158,14 @@ def is_semi_abelian(G: FiniteGroup, i: int) -> tuple[bool, Optional[tuple[int, i
     """Whether x^(p^i) = y^(p^i) iff (x y^-1)^(p^i) = 1 for all pairs; on failure
     returns a witness pair (x, y).
 
-    Full O(|G|^2) pair scan over a precomputed power map.  It is skipped where
+    Full O(|G|^2) pair scan over `power_map`.  It is skipped where
     the condition holds identically: for abelian groups, and when p^i >= exp(G),
     so that every p^i-th power is 1.
     """
-    p = pgroup_prime(G)
-    q = p**i
+    q = _level(G, i)
     if i == 0 or G.is_abelian or q >= exponent(G):
         return True, None
-    pw = [G.power(g, q) for g in G.elements()]
+    pw = power_map(G, q)
     inv = [G.inv(g) for g in G.elements()]
     mul = G.mul
     for x in G.elements():

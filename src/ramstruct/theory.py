@@ -4,10 +4,12 @@ constraint records: a minimum size, a finite exclusion set, and a parity flag.""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import HypothesisViolated, NotExponentP
 from .groups import FiniteGroup
 from .invariants import (
+    exponent,
     exponent_exponent,
     is_semi_abelian,
     min_generators,
@@ -35,15 +37,20 @@ class SizeConstraintSet:
     def membership(self, r1: int, r2: int) -> bool:
         if r1 < 3 or r2 < 3:
             raise ValueError("size components must be >= 3")
+        return self.violated_clause(r1, r2) is None
+
+    def violated_clause(self, r1: int, r2: int) -> Optional[str]:
+        """The first clause that (r1, r2) fails, as a reason, or None for a
+        member."""
         if not self.admits:
-            return False
+            return "; ".join(self.provenance) or "group admits no ramification structure"
         if r1 < self.min_size or r2 < self.min_size:
-            return False
+            return f"sizes must both be >= {self.min_size}"
         if (min(r1, r2), max(r1, r2)) in self.excluded_pairs:
-            return False
+            return f"size pair ({r1},{r2}) is excluded"
         if self.forbid_both_odd and r1 % 2 == 1 and r2 % 2 == 1:
-            return False
-        return True
+            return "sizes must not both be odd"
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -156,7 +163,7 @@ def predict_nilpotent(G: FiniteGroup) -> SizeConstraintSet:
         m = max(m, scs.min_size)
         excluded |= scs.excluded_pairs
         prov.append(f"Sylow {p}-factor: min {scs.min_size}")
-    is_c2_cubed = G.order == 8 and all(G.order_of(g) <= 2 for g in G.elements())
+    is_c2_cubed = G.order == 8 and exponent(G) == 2
     if excluded:
         prov.append("a Sylow 2-factor with |X| = 8 excludes (5,5)")
     if is_c2_cubed:

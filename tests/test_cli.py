@@ -160,6 +160,13 @@ def test_semiabelian_command(capsys):
     assert not by_level[1]["holds"] and by_level[1]["witness"] == ["i", "j"]
 
 
+def test_semiabelian_negative_level_exit_code(capsys):
+    for group in ("heis(3)", "C4xC4"):
+        code, payload, _ = run(capsys, "semiabelian", "--group", group, "--level", "-1")
+        assert code == 1
+        assert payload["error"] == "ValueError" and payload["message"]
+
+
 def test_catalog_command(capsys, tmp_path):
     out = tmp_path / "results.jsonl"
     code, summary, lines = run(

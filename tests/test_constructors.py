@@ -237,9 +237,9 @@ def test_lift_structure_mod_omega(c2c4cubed):
     Q = view.group
     canonical = elementary_abelian_structure(2, 3, 6, 6)
     # move the canonical structure onto the materialized quotient
-    from ramstruct.constructors import _greedy_basis, _transport_elementary
+    from ramstruct.constructors import _transport_elementary
 
-    t1, t2 = _transport_elementary(canonical, Q, _greedy_basis(Q))
+    t1, t2 = _transport_elementary(canonical, Q, Q.generators())
     U = validated(Q, t1, t2)
     S = lift_structure_mod_omega(c2c4cubed, U, view)
     assert S.size == (6, 6)
@@ -259,9 +259,9 @@ def test_lift_structure_size_guard():
     view = omega_context(G)
     Q = view.group
     canonical = elementary_abelian_structure(2, 3, 5, 6)
-    from ramstruct.constructors import _greedy_basis, _transport_elementary
+    from ramstruct.constructors import _transport_elementary
 
-    t1, t2 = _transport_elementary(canonical, Q, _greedy_basis(Q))
+    t1, t2 = _transport_elementary(canonical, Q, Q.generators())
     U = validated(Q, t1, t2)
     with pytest.raises(PreconditionViolated):
         lift_structure_mod_omega(G, U, view)  # r1 = 5 < d+1 = 6

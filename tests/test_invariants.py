@@ -13,6 +13,7 @@ from ramstruct.invariants import (
     omega,
     pgroup_profile,
     power_image,
+    power_map,
     sylow_decomposition,
     sylow_product_check,
     torsion_set,
@@ -297,3 +298,47 @@ def test_invariants_cost_guard():
     calls = _count_mul(G)
     _cyc_masks(G)
     assert calls[0] < 237_350 // 10, calls[0]
+
+
+def test_power_map_matches_power(differential_groups):
+    # composite exponents are composed from the maps of their factors
+    for G in differential_groups[::7]:
+        for k in range(13):
+            assert power_map(G, k) == [G.power(g, k) for g in G.elements()], (G.describe(), k)
+    with pytest.raises(ValueError):
+        power_map(AbelianGroup([4]), -1)
+
+
+def test_negative_power_level_is_an_input_error(heis3):
+    for G in (heis3, AbelianGroup([4, 4])):
+        for fn in (torsion_set, omega, agemo, power_image, is_semi_abelian):
+            with pytest.raises(ValueError):
+                fn(G, -1)
+
+
+def _count_power(G):
+    calls = [0]
+    power = G.power
+
+    def counted(a, k):
+        calls[0] += 1
+        return power(a, k)
+
+    G.power = counted
+    return calls
+
+
+def test_power_map_computed_once_per_group():
+    from ramstruct.parsing import build_group
+
+    for spec in ("C2xC2xC2xC2xC2xC2xC2xC2", "heis(7)"):
+        G = build_group(spec)
+        calls = _count_power(G)
+        torsion_set(G, 1)
+        power_image(G, 1)
+        agemo(G, 1)
+        assert calls[0] == G.order, (spec, calls[0])
+        pgroup_profile(G)
+        calls[0] = 0
+        pgroup_profile(G)
+        assert calls[0] == 0, (spec, calls[0])

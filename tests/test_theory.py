@@ -83,8 +83,16 @@ def test_membership_examples(c6c6c2):
     scs = predict_nilpotent(c6c6c2)
     assert scs.membership(5, 5) is False
     assert scs.membership(5, 7) is True
+    assert scs.violated_clause(5, 5) == "size pair (5,5) is excluded"
+    assert scs.violated_clause(5, 7) is None
+    assert scs.violated_clause(4, 7) == "sizes must both be >= 5"
     scs = predict_nilpotent(AbelianGroup([2, 2, 2]))
     assert scs.membership(7, 9) is False
+    assert scs.violated_clause(7, 9) == "sizes must not both be odd"
+    assert predict_nilpotent(AbelianGroup([4])).violated_clause(5, 5) == (
+        "Sylow 2-factor admits no structure; |X| = 2 with X the set of 2^1-th powers; "
+        "needs |X| >= 8"
+    )
     with pytest.raises(ValueError):
         scs.membership(2, 5)
 
