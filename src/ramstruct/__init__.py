@@ -63,7 +63,6 @@ from .oracle import (
 from .parsing import (
     build_group,
     parse_element,
-    parse_group_spec,
     parse_tuple,
     render_element,
     render_tuple,

@@ -14,9 +14,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import HypothesisViolated, NotNilpotent, RamError
-from .groups import FiniteGroup, prime_factorization
-from .oracle import ORACLE_VERSION, SearchBudget, size_set_up_to
+from .errors import HypothesisViolated, NotNilpotent
+from .groups import AbelianGroup, FiniteGroup, prime_factorization
+from .oracle import ORACLE_VERSION, SearchBudget, SearchStats, size_set_up_to
 from .parsing import build_group
 from .theory import predict_nilpotent
 
@@ -67,7 +67,7 @@ def builtin_catalog(max_order: int) -> list[CatalogEntry]:
     entries = []
     for n in range(2, max_order + 1):
         for orders in abelian_orders_of(n):
-            entries.append(CatalogEntry("x".join(f"C{m}" for m in orders)))
+            entries.append(CatalogEntry(AbelianGroup(orders).describe()))
     entries.append(CatalogEntry("heis(3)"))
     entries.append(CatalogEntry("heis(5)", cap_override=HEIS5_CAP))
     for name in ("d4", "q8", "s3"):
@@ -111,9 +111,7 @@ def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget, key: str
         "cap": cap_eff,
         "oracle_pairs": sorted(list(p) for p in result.pairs),
         "exhaustive": result.exhaustive,
-        "candidates_examined": result.stats.candidates,
-        "t1_candidates": result.stats.t1_candidates,
-        "partner_searches": result.stats.partner_searches,
+        **result.stats.counters(),
         "predictor_applies": scs is not None,
         "content_hash": key,
     }
@@ -133,7 +131,7 @@ def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget, key: str
     return record
 
 
-_COUNTERS = {"candidates_examined", "t1_candidates", "partner_searches"}
+_COUNTERS = SearchStats().counters().keys()
 
 
 def _load_cache(path: Path) -> dict[str, dict]:

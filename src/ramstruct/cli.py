@@ -15,19 +15,18 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .catalog import append_finding, run_catalog
+from .catalog import run_catalog
 from .constructors import construct_any
 from .errors import ParseError, RamError
-from .groups import prime_factorization
+from .groups import FiniteGroup
 from .invariants import exponent_exponent, is_semi_abelian, pgroup_profile
 from .oracle import (
     SearchBudget,
-    SearchStats,
     enumerate_structures,
     find_structure,
     size_set_up_to,
 )
-from .parsing import build_group, parse_group_spec, parse_tuple, render_element, render_tuple
+from .parsing import build_group, parse_tuple, render_element, render_tuple
 from .structures import RamFailure, RamStructure, check_ramification, sigma
 from .theory import predict_nilpotent
 
@@ -50,14 +49,6 @@ def _parse_size(text: str) -> tuple[int, int]:
     return r1, r2
 
 
-def _counters(stats: SearchStats) -> dict:
-    return {
-        "candidates_examined": stats.candidates,
-        "t1_candidates": stats.t1_candidates,
-        "partner_searches": stats.partner_searches,
-    }
-
-
 def _structure_json(S: RamStructure) -> dict:
     return {
         "t1": render_tuple(S.t1),
@@ -67,8 +58,7 @@ def _structure_json(S: RamStructure) -> dict:
     }
 
 
-def cmd_check(args) -> tuple[dict, int]:
-    G = build_group(args.group)
+def cmd_check(args, G: FiniteGroup) -> tuple[dict, int]:
     t1 = parse_tuple(G, args.t1)
     t2 = parse_tuple(G, args.t2)
     result = check_ramification(G, t1, t2)
@@ -84,8 +74,7 @@ def cmd_check(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_search(args) -> tuple[dict, int]:
-    G = build_group(args.group)
+def cmd_search(args, G: FiniteGroup) -> tuple[dict, int]:
     r1, r2 = _parse_size(args.size)
     budget = _budget(args, max(r1, r2))
     if args.all and args.all > 1:
@@ -93,7 +82,7 @@ def cmd_search(args) -> tuple[dict, int]:
         payload = {
             "status": "found" if structures else ("none" if stats.exhausted else "budget"),
             "witnesses": [_structure_json(S) for S in structures],
-            **_counters(stats),
+            **stats.counters(),
             "exhaustive": stats.exhausted,
         }
         code = EXIT_BUDGET if payload["status"] == "budget" else EXIT_OK
@@ -101,7 +90,7 @@ def cmd_search(args) -> tuple[dict, int]:
     out = find_structure(G, r1, r2, budget)
     payload = {
         "status": out.status,
-        **_counters(out.stats),
+        **out.stats.counters(),
         "exhaustive": out.stats.exhausted,
     }
     if out.structure is not None:
@@ -109,20 +98,18 @@ def cmd_search(args) -> tuple[dict, int]:
     return payload, EXIT_BUDGET if out.status == "budget" else EXIT_OK
 
 
-def cmd_sizes(args) -> tuple[dict, int]:
-    G = build_group(args.group)
+def cmd_sizes(args, G: FiniteGroup) -> tuple[dict, int]:
     result = size_set_up_to(G, args.cap, _budget(args, args.cap))
     payload = {
         "pairs": sorted(list(p) for p in result.pairs),
         "cap": args.cap,
         "exhaustive": result.exhaustive,
-        **_counters(result.stats),
+        **result.stats.counters(),
     }
     return payload, EXIT_OK if result.exhaustive else EXIT_BUDGET
 
 
-def cmd_predict(args) -> tuple[dict, int]:
-    G = build_group(args.group)
+def cmd_predict(args, G: FiniteGroup) -> tuple[dict, int]:
     scs = predict_nilpotent(G)
     payload: dict = {"constraints": scs.to_json()}
     if args.size:
@@ -138,8 +125,7 @@ def cmd_predict(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_construct(args) -> tuple[dict, int]:
-    G = build_group(args.group)
+def cmd_construct(args, G: FiniteGroup) -> tuple[dict, int]:
     r1, r2 = _parse_size(args.size)
     budget = _budget(args, max(r1, r2))
     result = construct_any(G, r1, r2, budget=budget, method=args.method)
@@ -150,17 +136,15 @@ def cmd_construct(args) -> tuple[dict, int]:
     if result.reason:
         payload["reason"] = result.reason
     if result.stats is not None:
-        payload.update(_counters(result.stats))
+        payload.update(result.stats.counters())
     return payload, EXIT_BUDGET if result.status == "unknown" else EXIT_OK
 
 
-def cmd_invariants(args) -> tuple[dict, int]:
-    G = build_group(args.group)
+def cmd_invariants(args, G: FiniteGroup) -> tuple[dict, int]:
     return pgroup_profile(G).to_json(), EXIT_OK
 
 
-def cmd_semiabelian(args) -> tuple[dict, int]:
-    G = build_group(args.group)
+def cmd_semiabelian(args, G: FiniteGroup) -> tuple[dict, int]:
     p, e = exponent_exponent(G)
     levels = [args.level] if args.level is not None else list(range(e + 1))
     out = []
@@ -173,7 +157,7 @@ def cmd_semiabelian(args) -> tuple[dict, int]:
     return {"p": p, "e": e, "levels": out}, EXIT_OK
 
 
-def cmd_catalog(args) -> tuple[Optional[dict], int]:
+def cmd_catalog(args, _G: None) -> tuple[Optional[dict], int]:
     budget = SearchBudget(max_millis=args.budget_ms, cap=args.cap)
     out_path = Path(args.out) if args.out else None
     mismatch_total = 0
@@ -269,14 +253,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         start = time.perf_counter()
-        payload, code = args.fn(args)
+        G = build_group(args.group) if hasattr(args, "group") else None
+        payload, code = args.fn(args, G)
     except (argparse.ArgumentError, ParseError, RamError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_INPUT_ERROR
     if payload is not None:
         payload = {"command": args.command, "tool_version": __version__, **payload}
-        if getattr(args, "group", None):
-            payload["group"] = parse_group_spec(args.group).render()
+        if G is not None:
+            payload["group"] = G.describe()
         payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
         print(json.dumps(payload))
     return code

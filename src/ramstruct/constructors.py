@@ -2,9 +2,9 @@
 size and rank extension for elementary abelian groups, the odd-odd 2-group
 construction, coprime direct-product assembly, and an orchestrating dispatcher.
 
-Every constructor returns through `_checked`, the single validation gate: it
-runs the ramification checker, and a failure in a theory-guaranteed step raises
-InternalContradiction rather than returning an unchecked structure.
+Every constructor returns through `structures.validated`, the single validation
+gate: it runs the ramification checker, and a failure in a theory-guaranteed
+step raises InternalContradiction rather than returning an unchecked structure.
 
 All internal searches (coset choices, redundant-entry scans, basis picks)
 follow the deterministic element enumeration, so witnesses are reproducible.
@@ -57,7 +57,7 @@ from .invariants import (
     power_map,
     sylow_decomposition,
 )
-from .structures import GenTuple, RamFailure, RamStructure, check_ramification, is_spherical_system
+from .structures import GenTuple, RamStructure, is_spherical_system, validated
 from .theory import (
     predict_elementary_abelian,
     predict_nilpotent,
@@ -66,18 +66,7 @@ from .theory import (
 from . import oracle
 
 
-# -- shared steps: validation gate, padding, entrywise products ------------------
-
-
-def _checked(
-    G: FiniteGroup, t1: Sequence[int], t2: Sequence[int], step: str
-) -> RamStructure:
-    """Validate (t1, t2) on G; a failure means the theory behind `step` was
-    misapplied, so it raises InternalContradiction naming the step."""
-    result = check_ramification(G, GenTuple(G, tuple(t1)), GenTuple(G, tuple(t2)))
-    if isinstance(result, RamFailure):
-        raise InternalContradiction(f"{step} failed validation: {result.reason}")
-    return result
+# -- shared steps: padding, entrywise products --------------------------------------
 
 
 def _pad(G: FiniteGroup, entries: Sequence[int], target: int) -> tuple[int, ...]:
@@ -267,7 +256,7 @@ def extend_rank(S: RamStructure) -> RamStructure:
         out[j] = bigger.mul(out[j], bigger.inv(1))
         return tuple(out)
 
-    return _checked(bigger, push(S.t1.entries), push(S.t2.entries), "rank extension")
+    return validated(bigger, push(S.t1.entries), push(S.t2.entries), "rank extension")
 
 
 def elementary_abelian_structure(p: int, d: int, r1: int, r2: int) -> RamStructure:
@@ -330,7 +319,7 @@ def elementary_abelian_structure(p: int, d: int, r1: int, r2: int) -> RamStructu
         T1 = extend_size(T1, p)
     for _ in range(grow2):
         T2 = extend_size(T2, p)
-    result = _checked(C, T1, T2, "base structure")
+    result = validated(C, T1, T2, "base structure")
     for _ in range(d - base_rank):
         result = extend_rank(result)
     return result
@@ -353,7 +342,7 @@ def exponent_p_structure(G: FiniteGroup, r1: int, r2: int) -> RamStructure:
         u1, u2 = _transport_elementary(canonical, Q, Q.generators())
         t1 = lift_tuple(view, GenTuple(Q, u1))
         t2 = lift_tuple(view, GenTuple(Q, u2))
-    return _checked(G, t1, t2, "exponent-p lift")
+    return validated(G, t1, t2, "exponent-p lift")
 
 
 # -- quotient projection and lifting at the top power level --------------------
@@ -381,7 +370,7 @@ def project_mod_omega(G: FiniteGroup, S: RamStructure) -> RamStructure:
     view = omega_context(G)
     t1 = tuple(q for q in (view.project(g) for g in S.t1.entries) if q != 0)
     t2 = tuple(q for q in (view.project(g) for g in S.t2.entries) if q != 0)
-    return _checked(view.group, t1, t2, "projection")
+    return validated(view.group, t1, t2, "projection")
 
 
 def lift_structure_mod_omega(
@@ -402,7 +391,7 @@ def lift_structure_mod_omega(
     view = view or omega_context(G)
     T1 = lift_tuple(view, U.t1)
     T2 = lift_tuple(view, U.t2)
-    return _checked(G, T1, T2, "lift")
+    return validated(G, T1, T2, "lift")
 
 
 # -- padding and direct products -------------------------------------------------
@@ -424,7 +413,7 @@ def pad_from_beauville(S: RamStructure, r1: int, r2: int) -> RamStructure:
             entries = (x, y, G.inv(y), G.inv(x))
         return _pad(G, entries, target)
 
-    return _checked(G, pad(S.t1.entries, r1), pad(S.t2.entries, r2), "padding")
+    return validated(G, pad(S.t1.entries, r1), pad(S.t2.entries, r2), "padding")
 
 
 def product_combine(SG: RamStructure, SH: RamStructure) -> RamStructure:
@@ -441,7 +430,7 @@ def product_combine(SG: RamStructure, SH: RamStructure) -> RamStructure:
     def zip_tuples(tG: GenTuple, tH: GenTuple) -> tuple[int, ...]:
         return _zip_product(P, [(left, tG.entries), (right, tH.entries)])
 
-    return _checked(
+    return validated(
         P, zip_tuples(SG.t1, SH.t1), zip_tuples(SG.t2, SH.t2), "product combination"
     )
 
@@ -479,7 +468,7 @@ def product_project(
             raise PreconditionViolated("target size below the projected size")
         t1, t2 = _pad(F, t1, r), _pad(F, t2, s)
 
-    return _checked(F, t1, t2, "projection")
+    return validated(F, t1, t2, "projection")
 
 
 # -- the odd-odd construction for 2-groups ----------------------------------------
@@ -598,7 +587,7 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     entries[0] = G.mul(G.inv(w), x)
     entries.append(G.inv(n))
 
-    result = _checked(G, T1, entries, "odd-odd construction")
+    result = validated(G, T1, entries, "odd-odd construction")
     return result.swapped() if swap else result
 
 
@@ -686,10 +675,7 @@ def _construct_nilpotent(
         sub = construct_any(factor.group, *targets[p], budget=budget, method=method)
         if sub.stats is not None:
             stats = stats or oracle.SearchStats()
-            stats.candidates += sub.stats.candidates
-            stats.t1_candidates += sub.stats.t1_candidates
-            stats.partner_searches += sub.stats.partner_searches
-            stats.exhausted = stats.exhausted and sub.stats.exhausted
+            stats.add(sub.stats)
         if sub.status != "ok":
             return ConstructResult(
                 "unknown", reason=f"Sylow {p}-factor: {sub.reason}", stats=stats
@@ -699,7 +685,7 @@ def _construct_nilpotent(
 
     t1 = _zip_product(G, [(embed, S.t1.entries) for embed, S in parts])
     t2 = _zip_product(G, [(embed, S.t2.entries) for embed, S in parts])
-    result = _checked(G, t1, t2, "product assembly")
+    result = validated(G, t1, t2, "product assembly")
     return ConstructResult(
         "ok", result, method="sylow-product(" + ",".join(methods) + ")", stats=stats
     )

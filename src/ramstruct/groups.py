@@ -40,7 +40,8 @@ class FiniteGroup:
         raise NotImplementedError
 
     def describe(self) -> str:
-        """Canonical spec string for this group."""
+        """Canonical spec string for this group: `parsing.build_group` of it
+        rebuilds a group made from a spec, Cayley files included."""
         raise NotImplementedError
 
     # -- generic machinery ---------------------------------------------------
@@ -84,12 +85,13 @@ class FiniteGroup:
         if k < 0:
             return self.power(self.inv(a), -k)
         result, base = 0, a
-        while k:
+        while True:
             if k & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = self.mul(base, base)
 
     def powers_mask(self, a: int) -> int:
         """Bitmask of the cyclic subgroup <a>."""

@@ -84,8 +84,14 @@ def torsion_set(G: FiniteGroup, i: int) -> ElementSet:
 
 def omega(G: FiniteGroup, i: int) -> ElementSet:
     """Subgroup generated by all elements of order dividing p^i; closed over
-    only those not yet in the closure of the ones before them."""
-    return ElementSet(greedy_generators(G, torsion_set(G, i))[1], G.order)
+    only those not yet in the closure of the ones before them.  Cached on G
+    as a mask per level; every level i >= e shares Omega_e = G."""
+    i = min(i, exponent_exponent(G)[1])
+    masks = G._cache().setdefault("omega", {})
+    m = masks.get(i)
+    if m is None:
+        m = masks[i] = greedy_generators(G, torsion_set(G, i))[1]
+    return ElementSet(m, G.order)
 
 
 def agemo(G: FiniteGroup, i: int) -> ElementSet:

@@ -115,6 +115,23 @@ class SearchStats:
     partner_searches: int = 0
     exhausted: bool = True
 
+    def counters(self) -> dict:
+        """The counters under their JSON names, as CLI output and catalog
+        records carry them."""
+        return {
+            "candidates_examined": self.candidates,
+            "t1_candidates": self.t1_candidates,
+            "partner_searches": self.partner_searches,
+        }
+
+    def add(self, other: "SearchStats") -> None:
+        """Count another search in: counters add up, and the total is
+        exhaustive only if both searches were."""
+        self.candidates += other.candidates
+        self.t1_candidates += other.t1_candidates
+        self.partner_searches += other.partner_searches
+        self.exhausted = self.exhausted and other.exhausted
+
 
 class _BudgetStop(Exception):
     pass

@@ -1,4 +1,6 @@
-"""Parsers and renderers for group specs, element literals, and tuple literals.
+"""Parsers for group specs, and parsers and renderers for element literals and
+tuple literals.  A spec parses straight into its group; `FiniteGroup.describe()`
+renders it back in canonical form.
 
 Group spec grammar (case-insensitive keywords, whitespace-insensitive):
 
@@ -16,9 +18,7 @@ semicolon-separated element literals in brackets: "[x1; x2; (x1*x2)^-1]".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 from .errors import InvalidOrder, InvalidPrime, OutOfRange, ParseError, RamError
 from .groups import (
@@ -36,63 +36,15 @@ from .structures import GenTuple
 # -- group specs -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianSpec:
-    orders: tuple[int, ...]
-
-    def to_group(self) -> AbelianGroup:
-        return AbelianGroup(self.orders)
-
-    def render(self) -> str:
-        return "x".join(f"C{m}" for m in self.orders)
-
-
-@dataclass(frozen=True)
-class HeisSpec:
-    p: int
-
-    def to_group(self) -> HeisenbergGroup:
-        return HeisenbergGroup(self.p)
-
-    def render(self) -> str:
-        return f"heis({self.p})"
-
-
-@dataclass(frozen=True)
-class CayleySpec:
-    path: str
-
-    def to_group(self) -> CayleyTableGroup:
-        return load_cayley_file(self.path)
-
-    def render(self) -> str:
-        return f"cayley:{self.path}"
-
-
-@dataclass(frozen=True)
-class ProdSpec:
-    left: "GroupSpec"
-    right: "GroupSpec"
-
-    def to_group(self) -> DirectProductGroup:
-        return direct_product(self.left.to_group(), self.right.to_group())
-
-    def render(self) -> str:
-        return f"prod({self.left.render()},{self.right.render()})"
-
-
-GroupSpec = Union[AbelianSpec, HeisSpec, CayleySpec, ProdSpec]
-
-
 def load_cayley_file(path: str) -> CayleyTableGroup:
+    """The table group stored in a JSON file, labelled with its spec
+    "cayley:<path>"."""
     data = json.loads(Path(path).read_text())
     if "order" not in data or "table" not in data:
         raise RamError(f"cayley file {path} lacks 'order'/'table' fields")
     if len(data["table"]) != data["order"]:
         raise RamError(f"cayley file {path}: table size does not match declared order")
-    return CayleyTableGroup(
-        data["table"], data.get("names"), label=Path(path).stem
-    )
+    return CayleyTableGroup(data["table"], data.get("names"), label=f"cayley:{path}")
 
 
 class _Cursor:
@@ -134,15 +86,17 @@ class _Cursor:
         return int(self.text[start : self.pos])
 
 
-def parse_group_spec(text: str) -> GroupSpec:
+def build_group(text: str) -> FiniteGroup:
+    """The group a spec names; `G.describe()` is its canonical spelling, so
+    `build_group(G.describe())` rebuilds G."""
     cur = _Cursor(text)
-    spec = _parse_spec(cur)
+    G = _parse_spec(cur)
     if not cur.at_end():
         raise cur.error("unexpected trailing input")
-    return spec
+    return G
 
 
-def _parse_spec(cur: _Cursor) -> GroupSpec:
+def _parse_spec(cur: _Cursor) -> FiniteGroup:
     cur.skip_ws()
     rest = cur.text[cur.pos :].lower()
     if rest.startswith("abelian"):
@@ -153,7 +107,7 @@ def _parse_spec(cur: _Cursor) -> GroupSpec:
             cur.expect(",")
             orders.append(_order(cur))
         cur.expect(")")
-        return AbelianSpec(tuple(orders))
+        return AbelianGroup(orders)
     if rest.startswith("heis"):
         cur.pos += len("heis")
         cur.expect("(")
@@ -162,7 +116,7 @@ def _parse_spec(cur: _Cursor) -> GroupSpec:
         if p < 3 or not _is_prime(p):
             raise InvalidPrime(f"heis needs an odd prime, got {p}", cur.text, at)
         cur.expect(")")
-        return HeisSpec(p)
+        return HeisenbergGroup(p)
     if rest.startswith("cayley"):
         cur.pos += len("cayley")
         cur.expect(":")
@@ -182,7 +136,7 @@ def _parse_spec(cur: _Cursor) -> GroupSpec:
         path = cur.text[start : cur.pos].strip()
         if not path:
             raise cur.error("empty cayley path")
-        return CayleySpec(path)
+        return load_cayley_file(path)
     if rest.startswith("prod"):
         cur.pos += len("prod")
         cur.expect("(")
@@ -190,13 +144,13 @@ def _parse_spec(cur: _Cursor) -> GroupSpec:
         cur.expect(",")
         right = _parse_spec(cur)
         cur.expect(")")
-        return ProdSpec(left, right)
+        return direct_product(left, right)
     if cur.peek() in ("C", "c"):
         orders = [_cyclic_atom(cur)]
         while cur.peek() in ("x", "X"):
             cur.pos += 1
             orders.append(_cyclic_atom(cur))
-        return AbelianSpec(tuple(orders))
+        return AbelianGroup(orders)
     raise cur.error("expected a group spec")
 
 
@@ -213,10 +167,6 @@ def _order(cur: _Cursor) -> int:
     if n < 2:
         raise InvalidOrder(f"cyclic order must be >= 2, got {n}", cur.text, at)
     return n
-
-
-def build_group(text: str) -> FiniteGroup:
-    return parse_group_spec(text).to_group()
 
 
 # -- element literals ---------------------------------------------------------------

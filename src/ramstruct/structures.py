@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bitset import ElementSet
-from .errors import RamError
+from .errors import InternalContradiction, RamError
 from .groups import FiniteGroup
 
 MIN_STRUCTURE_SIZE = 3
@@ -172,9 +172,13 @@ def check_ramification(G: FiniteGroup, T1: GenTuple, T2: GenTuple):
     )
 
 
-def validated(G: FiniteGroup, t1: Sequence[int], t2: Sequence[int]) -> RamStructure:
-    """check_ramification that raises instead of returning a failure record."""
+def validated(
+    G: FiniteGroup, t1: Sequence[int], t2: Sequence[int], step: str = "tuple pair"
+) -> RamStructure:
+    """check_ramification that raises instead of returning a failure record.
+    The callers build (t1, t2) by a step that theory or the search guarantees,
+    so a failure is an InternalContradiction naming that step."""
     result = check_ramification(G, GenTuple(G, tuple(t1)), GenTuple(G, tuple(t2)))
     if isinstance(result, RamFailure):
-        raise RamError(f"tuple pair failed validation: {result.reason}")
+        raise InternalContradiction(f"{step} failed validation: {result.reason}")
     return result

@@ -62,9 +62,6 @@ class SizeConstraintSet:
         }
 
 
-NONE_ADMITTED = SizeConstraintSet(admits=False)
-
-
 def predict_elementary_abelian(p: int, d: int) -> SizeConstraintSet:
     """Admissible sizes for the elementary abelian group of rank d over p."""
     if d < 1:

@@ -213,6 +213,38 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+def test_request_builds_its_group_once(capsys, monkeypatch):
+    # the spec is parsed once (one cursor; these commands parse no tuples)
+    # and its table file is loaded once, output field included
+    from ramstruct import parsing
+
+    loads, cursors = [], []
+    load = parsing.load_cayley_file
+
+    def counted_load(path):
+        loads.append(path)
+        return load(path)
+
+    class CountedCursor(parsing._Cursor):
+        def __init__(self, text):
+            cursors.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(parsing, "load_cayley_file", counted_load)
+    monkeypatch.setattr(parsing, "_Cursor", CountedCursor)
+    spec = f"cayley:{bundled_cayley_path('q8')}"
+    for argv in (
+        ("invariants", "--group", spec),
+        ("sizes", "--group", f"prod({spec},C3)", "--cap", "4"),
+        ("construct", "--group", spec, "--size", "4,4"),
+    ):
+        loads.clear()
+        cursors.clear()
+        code, payload, _ = run(capsys, *argv)
+        assert code == 0 and payload["group"] == argv[2]
+        assert (len(loads), cursors) == (1, [argv[2]]), argv
+
+
 def test_seed_flag_accepted(capsys):
     code, payload, _ = run(
         capsys, "sizes", "--group", "C2xC2", "--cap", "4", "--seed", "7"

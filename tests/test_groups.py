@@ -46,6 +46,22 @@ def test_heisenberg_all_products_match_brute_force(heis3):
             assert heis3.triple(heis3.mul(x, y)) == expected
 
 
+def test_power_stops_squaring_after_last_bit():
+    G = AbelianGroup([64])
+    mul = G.mul
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counted
+    for k, expected in ((0, 0), (1, 1), (2, 2), (5, 4)):
+        calls[0] = 0
+        assert G.power(3, k) == 3 * k % 64
+        assert calls[0] == expected, k
+
+
 def test_element_orders(c2c4cubed, heis5):
     a = c2c4cubed.index_of((1, 0, 0, 0))
     assert c2c4cubed.order_of(a) == 2

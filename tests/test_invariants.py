@@ -294,6 +294,17 @@ def test_invariants_cost_guard():
         calls = _count_mul(G)
         pgroup_profile(G)
         assert calls[0] < quadratic // 10, (spec, calls[0])
+        # every Omega level is closed once: classify_pgroup's Omega_1 or
+        # Omega_2, and any level above e, come from the cache
+        calls[0] = 0
+        for i in range(4):
+            omega(G, i)
+        assert calls[0] == 0, (spec, calls[0])
+    # C2^8 took 8,455 before Omega was cached and power stopped squaring early
+    G = build_group("C2xC2xC2xC2xC2xC2xC2xC2")
+    calls = _count_mul(G)
+    pgroup_profile(G)
+    assert calls[0] <= 4_400, calls[0]
     G = build_group("heis(7)")
     calls = _count_mul(G)
     _cyc_masks(G)

@@ -257,6 +257,19 @@ def test_counters_populated():
     assert out.stats.exhausted
 
 
+def test_search_stats_counters_and_add():
+    total = oracle.SearchStats(candidates=5, t1_candidates=2, partner_searches=1)
+    total.add(oracle.SearchStats(candidates=7, t1_candidates=3, partner_searches=4))
+    assert total.exhausted
+    assert list(total.counters().items()) == [
+        ("candidates_examined", 12),
+        ("t1_candidates", 5),
+        ("partner_searches", 5),
+    ]
+    total.add(oracle.SearchStats(exhausted=False))
+    assert not total.exhausted and total.counters()["candidates_examined"] == 12
+
+
 def test_counters_pinned():
     # fresh groups: the partner memo lives on the group and changes the counts
     def counts(stats):

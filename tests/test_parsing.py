@@ -1,11 +1,11 @@
 import pytest
 
+from ramstruct.catalog import builtin_catalog, bundled_cayley_path
 from ramstruct.errors import InvalidOrder, InvalidPrime, OutOfRange, ParseError
 from ramstruct.groups import AbelianGroup, DirectProductGroup, HeisenbergGroup
 from ramstruct.parsing import (
     build_group,
     parse_element,
-    parse_group_spec,
     parse_tuple,
     render_element,
     render_tuple,
@@ -13,49 +13,66 @@ from ramstruct.parsing import (
 
 
 def test_group_spec_chain():
-    spec = parse_group_spec("C2xC4xC4xC4")
-    assert spec.orders == (2, 4, 4, 4)
-    assert spec.render() == "C2xC4xC4xC4"
-    assert parse_group_spec("abelian(2, 4, 4, 4)") == spec
-    assert parse_group_spec(" c2 X c4 x C4xC4 ") == spec
+    G = build_group("C2xC4xC4xC4")
+    assert isinstance(G, AbelianGroup) and G.orders == (2, 4, 4, 4)
+    assert G.describe() == "C2xC4xC4xC4"
+    assert build_group("abelian(2, 4, 4, 4)").describe() == G.describe()
+    assert build_group(" c2 X c4 x C4xC4 ").describe() == G.describe()
 
 
 def test_group_spec_heis_and_prod():
-    assert parse_group_spec("heis(5)").p == 5
-    assert parse_group_spec("HEIS( 3 )").p == 3
-    spec = parse_group_spec("prod(C3xC3, heis(3))")
-    G = spec.to_group()
+    assert build_group("heis(5)").p == 5
+    assert build_group("HEIS( 3 )").p == 3
+    G = build_group("prod(C3xC3, heis(3))")
     assert isinstance(G, DirectProductGroup) and G.order == 9 * 27
-    assert spec.render() == "prod(C3xC3,heis(3))"
+    assert isinstance(G.right, HeisenbergGroup)
+    assert G.describe() == "prod(C3xC3,heis(3))"
 
 
-def test_group_spec_cayley(tmp_path):
-    from ramstruct.catalog import bundled_cayley_path
-
+def test_group_spec_cayley():
     path = bundled_cayley_path("q8")
     G = build_group(f"cayley:{path}")
     assert G.order == 8 and not G.is_abelian
+    assert G.describe() == f"cayley:{path}"
 
 
 def test_group_spec_errors():
-    with pytest.raises(InvalidOrder):
-        parse_group_spec("C1xC2")
-    with pytest.raises(InvalidPrime):
-        parse_group_spec("heis(4)")
-    with pytest.raises(InvalidPrime):
-        parse_group_spec("heis(2)")
-    with pytest.raises(ParseError):
-        parse_group_spec("C2x")
-    with pytest.raises(ParseError):
-        parse_group_spec("prod(C2)")
-    with pytest.raises(ParseError):
-        parse_group_spec("C2 garbage")
-    err = None
-    try:
-        parse_group_spec("C2xC0")
-    except ParseError as exc:
-        err = exc
-    assert err is not None and err.pos == 4  # points at the offending integer
+    # (spec, error, position of the offending input)
+    cases = [
+        ("C1xC2", InvalidOrder, 1),
+        ("C2xC0", InvalidOrder, 4),
+        ("abelian(2, 1)", InvalidOrder, 10),
+        ("heis(4)", InvalidPrime, 5),
+        ("heis(2)", InvalidPrime, 5),
+        ("HEIS(9)", InvalidPrime, 5),
+        ("C2x", ParseError, 3),
+        ("prod(C2)", ParseError, 7),
+        ("C2 garbage", ParseError, 3),
+        ("prod(C2,C3) x", ParseError, 12),
+        ("cayley:", ParseError, 7),
+        ("", ParseError, 0),
+    ]
+    for text, error, pos in cases:
+        with pytest.raises(error) as info:
+            build_group(text)
+        assert info.value.pos == pos, text
+
+
+def test_describe_round_trip():
+    # describe() is the canonical spec: parsing it rebuilds the group, and
+    # every spelling of a spec describes the same way
+    q8 = f"cayley:{bundled_cayley_path('q8')}"
+    specs = [entry.spec for entry in builtin_catalog(32)]
+    specs += [f"prod({q8},C3)", f"prod( C3 , {q8} )", "abelian(2, 4,4)", "HEIS( 3 )"]
+    specs += ["c2 X c4", "PROD(heis(3),prod(C2,C3))"]
+    for spec in specs:
+        G = build_group(spec)
+        again = build_group(G.describe())
+        assert again.describe() == G.describe(), spec
+        assert type(again) is type(G) and again.order == G.order, spec
+    assert build_group(f"prod( C3 , {q8} )").describe() == f"prod(C3,{q8})"
+    assert build_group("abelian(2, 4,4)").describe() == "C2xC4xC4"
+    assert build_group("HEIS( 3 )").describe() == "heis(3)"
 
 
 def test_parse_element_abelian(c2c4cubed):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramstruct.errors import InternalContradiction
 from ramstruct.groups import AbelianGroup, HeisenbergGroup
 from ramstruct.structures import (
     GenTuple,
@@ -126,6 +127,16 @@ def test_check_ramification(c2c4cubed, c6c6c2):
     T = GenTuple(C, (C.index_of((1, 0)), C.index_of((0, 1)), C.inv(C.index_of((1, 1)))))
     failure = check_ramification(C, T, T)
     assert isinstance(failure, RamFailure) and failure.reason == "not_disjoint"
+
+
+def test_validated_names_the_failed_step():
+    G = AbelianGroup([5, 5])
+    x, y = G.index_of((1, 0)), G.index_of((0, 1))
+    t = (x, y, G.inv(G.mul(x, y)))
+    with pytest.raises(InternalContradiction, match="^tuple pair failed validation: not_disjoint$"):
+        validated(G, t, t)
+    with pytest.raises(InternalContradiction, match="^padding failed validation: t1:"):
+        validated(G, (x, x, x), t, "padding")
 
 
 def test_small_tuples_rejected_for_structures():
