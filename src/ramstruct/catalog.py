@@ -78,13 +78,15 @@ def builtin_catalog(max_order: int) -> list[CatalogEntry]:
 def _content_hash(spec: str, cap: int, budget: SearchBudget) -> str:
     """Cache key of a catalog entry.  It includes `ORACLE_VERSION`, so a
     record computed by older search code is evaluated afresh; a `cayley:`
-    entry also hashes the bytes of its table file, so an edited table is too."""
+    entry is keyed by its file name and the bytes of its table, so an edited
+    table is too, while the same table in another directory is not."""
     inputs = [
         SCHEMA_VERSION, ORACLE_VERSION, spec, cap, budget.max_candidates, budget.max_millis
     ]
     if spec.startswith("cayley:"):
-        table = Path(spec[len("cayley:") :]).read_bytes()
-        inputs.append(hashlib.sha256(table).hexdigest())
+        path = Path(spec[len("cayley:") :])
+        inputs[2] = f"cayley:{path.name}"
+        inputs.append(hashlib.sha256(path.read_bytes()).hexdigest())
     payload = json.dumps(inputs, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -8,6 +8,7 @@ before an answer was reached, 1 for input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -185,7 +186,10 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ram` parser, built once per process on first use: building it
+    costs about 30 parses, and parsing leaves it unchanged."""
     parser = _Parser(
         prog="ram",
         description="Ramification structures on finite groups: check, search, predict, construct.",

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .groups import (
     AbelianGroup,
-    CayleyTableGroup,
     DirectProductGroup,
     FiniteGroup,
     QuotientView,
@@ -112,11 +111,7 @@ def omega_context(G: FiniteGroup) -> QuotientView:
 def _same_table_group(A: FiniteGroup, B: FiniteGroup) -> bool:
     """Same element indexing and multiplication, entry for entry (quotients are
     deterministic, so independently materialized copies compare equal)."""
-    if A.order != B.order:
-        return False
-    if isinstance(A, CayleyTableGroup) and isinstance(B, CayleyTableGroup):
-        return np.array_equal(A.table, B.table)
-    return all(A.mul(x, y) == B.mul(x, y) for x in A.elements() for y in A.elements())
+    return A.order == B.order and np.array_equal(A.mul_table(), B.mul_table())
 
 
 def lift_tuple(view: QuotientView, U: GenTuple) -> GenTuple:

@@ -44,6 +44,20 @@ class FiniteGroup:
         rebuilds a group made from a spec, Cayley files included."""
         raise NotImplementedError
 
+    def mul_table(self, rows=None, cols=None) -> np.ndarray:
+        """The multiplication table as an integer array, T[i, j] =
+        mul(rows[i], cols[j]); rows and cols default to all of G, giving the
+        full table.  Realizations compute it from their own arithmetic; this
+        fallback calls `mul` once per entry.  Not cached: each caller asks
+        for the block it needs, and must not modify it (a table group
+        returns its own full table)."""
+        r, c = _axes(self.order, rows, cols)
+        cl = c.tolist()
+        out = np.empty((len(r), len(c)), dtype=np.int32)
+        for i, a in enumerate(r.tolist()):
+            out[i] = [self.mul(a, b) for b in cl]
+        return out
+
     # -- generic machinery ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -238,6 +252,19 @@ class AbelianGroup(FiniteGroup):
             out += (-(a // s) % m) * s
         return out
 
+    def mul_table(self, rows=None, cols=None) -> np.ndarray:
+        # one broadcast add per cyclic factor, reduced and shifted to its
+        # stride, accumulated in place in int32
+        r, c = _axes(self.order, rows, cols)
+        out = np.zeros((len(r), len(c)), dtype=np.int32)
+        tmp = np.empty_like(out)
+        for m, s in zip(self.orders, self._strides):
+            np.add.outer(r // s % m, c // s % m, out=tmp)
+            tmp %= m
+            tmp *= s
+            out += tmp
+        return out
+
     def order_of(self, a: int) -> int:
         self.check_index(a)
         k = 1
@@ -283,6 +310,26 @@ class HeisenbergGroup(FiniteGroup):
         p = self.p
         a, b, c = x // (p * p), (x // p) % p, x % p
         return ((-a % p) * p + (-b % p)) * p + (a * b - c) % p
+
+    def mul_table(self, rows=None, cols=None) -> np.ndarray:
+        # the product formula of `mul` on the index arrays, in place in int32
+        p = self.p
+        r, c = _axes(self.order, rows, cols)
+        a1, b1, c1 = r // (p * p), r // p % p, r % p
+        a2, b2, c2 = c // (p * p), c // p % p, c % p
+        out = np.add.outer(a1, a2)
+        out %= p
+        out *= p
+        tmp = np.add.outer(b1, b2)
+        tmp %= p
+        out += tmp
+        out *= p
+        np.multiply.outer(a1, b2, out=tmp)
+        tmp += c1[:, None]
+        tmp += c2
+        tmp %= p
+        out += tmp
+        return out
 
     def describe(self) -> str:
         return f"heis({self.p})"
@@ -357,6 +404,11 @@ class CayleyTableGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return int(self._inv[a])
 
+    def mul_table(self, rows=None, cols=None) -> np.ndarray:
+        if rows is None and cols is None:
+            return self.table
+        return self.table[np.ix_(*_axes(self.order, rows, cols))]
+
     def name_of(self, a: int) -> Optional[str]:
         return self.names[a] if self.names else None
 
@@ -390,6 +442,15 @@ class DirectProductGroup(FiniteGroup):
         a, b = divmod(x, n2)
         return self.left.inv(a) * n2 + self.right.inv(b)
 
+    def mul_table(self, rows=None, cols=None) -> np.ndarray:
+        # (a1, b1)(a2, b2) = (a1 a2, b1 b2): the factors' tables on the
+        # component indices, combined as in `mul`, in place in int32
+        n2 = self.right.order
+        r, c = _axes(self.order, rows, cols)
+        out = np.multiply(self.left.mul_table(r // n2, c // n2), n2, dtype=np.int32)
+        out += self.right.mul_table(r % n2, c % n2)
+        return out
+
     def order_of(self, x: int) -> int:
         a, b = self.pair(x)
         return math.lcm(self.left.order_of(a), self.right.order_of(b))
@@ -399,6 +460,14 @@ class DirectProductGroup(FiniteGroup):
 
     def describe(self) -> str:
         return f"prod({self.left.describe()},{self.right.describe()})"
+
+
+def _axes(order: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column indices of a table block, all of G by default."""
+    every = np.arange(order, dtype=np.int32)
+    r = every if rows is None else np.asarray(rows, dtype=np.int32)
+    c = every if cols is None else np.asarray(cols, dtype=np.int32)
+    return r, c
 
 
 def greedy_generators(G: FiniteGroup, candidates: Iterable[int]) -> tuple[list[int], int]:
@@ -465,7 +534,7 @@ def quotient(G: FiniteGroup, N: ElementSet) -> QuotientView:
         raise RamError(f"quotient order {q_order} exceeds cap {QUOTIENT_ORDER_CAP}")
     index_of_rep = {r: i for i, r in enumerate(reps)}
     coset_of = tuple(index_of_rep[rep_of[x]] for x in range(n))
-    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
+    table = np.asarray(coset_of)[G.mul_table(reps, reps)]
     qgroup = CayleyTableGroup(
         table,
         label=f"{G.describe()}/N{N.cardinality}",

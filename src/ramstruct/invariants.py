@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .bitset import ElementSet, iter_bits
 from .errors import NotAPGroup, NotNilpotent
 from .groups import (
@@ -171,14 +173,14 @@ def is_semi_abelian(G: FiniteGroup, i: int) -> tuple[bool, Optional[tuple[int, i
     q = _level(G, i)
     if i == 0 or G.is_abelian or q >= exponent(G):
         return True, None
-    pw = power_map(G, q)
-    inv = [G.inv(g) for g in G.elements()]
-    mul = G.mul
+    pw = np.asarray(power_map(G, q))
+    inv = np.array([G.inv(g) for g in G.elements()])
+    trivial = pw == 0
     for x in G.elements():
-        px = pw[x]
-        for y in G.elements():
-            if (px == pw[y]) != (pw[mul(x, inv[y])] == 0):
-                return False, (x, y)
+        # row x of the pair scan: y with x^q = y^q against (x y^-1)^q = 1
+        bad = (pw == pw[x]) != trivial[G.mul_table([x], inv)[0]]
+        if bad.any():
+            return False, (x, int(bad.argmax()))
     return True, None
 
 
@@ -222,16 +224,11 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, SylowFactor]:
             raise NotNilpotent(
                 f"elements of {p}-power order number {len(members)}, expected {p**a}"
             )
-        pos = {g: i for i, g in enumerate(members)}
-        table = []
-        for x in members:
-            row = []
-            for y in members:
-                t = G.mul(x, y)
-                if t not in pos:
-                    raise NotNilpotent(f"{p}-power-order elements are not closed under product")
-                row.append(pos[t])
-            table.append(row)
+        pos = np.full(G.order, -1)
+        pos[members] = np.arange(len(members))
+        table = pos[G.mul_table(members, members)]
+        if (table < 0).any():
+            raise NotNilpotent(f"{p}-power-order elements are not closed under product")
         factor = CayleyTableGroup(table, label=f"sylow{p}({G.describe()})", trusted=True)
         out[p] = SylowFactor(p, factor, tuple(members))
     G._cache()["sylow"] = out

@@ -39,6 +39,21 @@ exactness-preserving rules, and no other code prunes:
   already in the closure and stopping once it is all of G, and its answer is
   memoized per alphabet.
 
+The context is built from the group's arithmetic, not from |G|^2 calls of
+`G.mul`: `mul` is `G.mul_table()`, which each realization computes with
+array arithmetic (a table group returns its own table), and `compat` is read
+off buckets rather than a scan over all pairs.  Two conjugate-closed cyclic
+sets cyc(x) and cyc(y) meet in more than the identity exactly when some
+conjugates of <x> and <y> share an element z != 1, hence share the subgroup
+of prime order p generated by a power of z.  A cyclic group has one
+subgroup of each prime order p dividing its order, so this happens exactly
+when, for some p, the order-p subgroups of <x> and <y> are conjugate.  The
+order-p subgroup of <x> is generated by z = x^(o(x)/p), and two order-p
+subgroups are conjugate exactly when their conjugate-closed sets cyc[z] are
+equal (if cyc[z] = cyc[w], then w lies in a conjugate of <z>, which has
+order p and so is <w>), so cyc[z] keys a bucket of all elements having that subgroup; x is
+incompatible with precisely the members of its own buckets.
+
 Most visited prefixes are leaves (length r-1, whose only extension is the
 forced last entry), so the leaf level is decided by masks in its parent's
 loop rather than one leaf at a time. A prefix of length r-2 with product pi
@@ -75,7 +90,7 @@ from typing import Iterator, Optional
 
 from .bitset import iter_bits
 from .errors import NotNilpotent, RamError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, prime_factorization
 from .invariants import frattini, generators_missing
 from .structures import GenTuple, RamStructure, _cyc_masks, validated
 
@@ -192,7 +207,7 @@ class _SearchContext:
             )
         self.n = n
         self.full = (1 << n) - 1
-        self.mul = [[G.mul(a, b) for b in range(n)] for a in range(n)]
+        self.mul = G.mul_table().tolist()
         self.inv = [G.inv(a) for a in range(n)]
         self.cyc = _cyc_masks(G)
         self.abelian = G.is_abelian
@@ -203,18 +218,38 @@ class _SearchContext:
         self.need_memo: dict[int, int] = {}
         self.closers_memo: dict[int, int] = {}
         self.lo_memo: list[Optional[int]] = [None] * n
-        # compat[x]: usable partner entries once x is in the tuple, i.e. all y
-        # whose conjugate cyclic set meets that of x only in the identity
-        cyc = self.cyc
-        self.compat = [0] * n
-        for x in range(1, n):
-            m = 0
-            for y in range(1, n):
-                if cyc[x] & cyc[y] == 1:
-                    m |= 1 << y
-            self.compat[x] = m
         self.all_nontrivial = self.full & ~1
+        self.compat = self._compat_masks()
         self._setup_generation_bound(G)
+
+    def _compat_masks(self) -> list[int]:
+        """compat[x]: usable partner entries once x is in the tuple, i.e. all
+        nontrivial y whose conjugate cyclic set meets that of x only in the
+        identity.  Read off buckets of the prime-order subgroups (see the
+        module docstring): each nontrivial x files itself under the key
+        cyc[x^(o(x)/p)] of each prime p dividing o(x), and compat[x] is every
+        nontrivial element outside the buckets of x's keys."""
+        mul, cyc = self.mul, self.cyc
+        keys: list[tuple[int, ...]] = [()] * self.n
+        buckets: dict[int, int] = {}
+        for x in range(1, self.n):
+            # powers[k - 1] = x^k for 1 <= k < o(x)
+            row = mul[x]
+            powers, z = [x], row[x]
+            while z:
+                powers.append(z)
+                z = row[z]
+            o = len(powers) + 1
+            keys[x] = tuple(cyc[powers[o // p - 1]] for p in prime_factorization(o))
+            for k in keys[x]:
+                buckets[k] = buckets.get(k, 0) | 1 << x
+        compat = [0] * self.n
+        for x in range(1, self.n):
+            hit = 0
+            for k in keys[x]:
+                hit |= buckets[k]
+            compat[x] = self.all_nontrivial & ~hit
+        return compat
 
     # -- closures -------------------------------------------------------------
 

@@ -50,3 +50,26 @@ def differential_groups():
     groups = [build_group(entry.spec) for entry in builtin_catalog(32)]
     groups.append(build_group("prod(heis(3),C2)"))
     return groups
+
+
+@pytest.fixture(scope="session")
+def table_groups():
+    """The order <= 32 catalog (its table groups loaded from their files),
+    groups of order 72 to 512 in every realization, and a product with a
+    loaded Cayley factor, for checks of `mul_table` and the oracle context
+    against their |G|^2 definitions."""
+    from ramstruct.catalog import builtin_catalog
+    from ramstruct.parsing import build_group
+
+    specs = [entry.spec for entry in builtin_catalog(32)]
+    specs += [
+        "x".join(["C2"] * 9),
+        "C8xC8xC8",
+        "heis(7)",
+        "C6xC6xC2",
+        "C2xC4xC4xC4",
+        "prod(heis(3),C4)",
+        "prod(heis(5),C3)",
+        f"prod(cayley:{bundled_cayley_path('q8')},C3)",
+    ]
+    return [build_group(spec) for spec in specs]

@@ -3,6 +3,7 @@ import shutil
 
 from ramstruct import catalog
 from ramstruct.catalog import CatalogEntry, bundled_cayley_path, run_catalog
+from ramstruct.oracle import SearchBudget
 
 
 def test_edited_cayley_table_is_not_served_from_cache(monkeypatch, tmp_path):
@@ -66,3 +67,18 @@ def test_record_of_other_oracle_version_is_evaluated_afresh(monkeypatch, tmp_pat
     again = sweep()
     assert not again["cached"]
     assert again["content_hash"] != first["content_hash"]
+
+
+def test_cayley_cache_key_ignores_the_directory(tmp_path):
+    # the key holds the table's file name and bytes, not the checkout path
+    budget = SearchBudget(cap=4)
+    keys = []
+    for folder in ("one", "two"):
+        (tmp_path / folder).mkdir()
+        table = tmp_path / folder / "group.json"
+        shutil.copy(bundled_cayley_path("s3"), table)
+        keys.append(catalog._content_hash(f"cayley:{table}", 4, budget))
+    assert keys[0] == keys[1]
+    shutil.copy(bundled_cayley_path("q8"), tmp_path / "two" / "group.json")
+    edited = catalog._content_hash(f"cayley:{tmp_path / 'two' / 'group.json'}", 4, budget)
+    assert edited != keys[0]

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ramstruct import __version__
 from ramstruct.catalog import bundled_cayley_path
-from ramstruct.cli import main
+from ramstruct.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -262,3 +267,37 @@ def test_usage_error_exit_code(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+
+
+def _fresh_process(*argv):
+    """`ram` run in a new interpreter, as a shell user runs it."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramstruct.cli", *argv],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_parser_reused_across_requests(capsys):
+    # main builds its parser once per process; a usage error, a request and
+    # another command after it answer as each would in a fresh process
+    for argv in (
+        ("search", "--group", "C4xC4"),
+        ("search", "--group", "C4xC4", "--size", "3,3"),
+        ("predict", "--group", "C4xC4", "--size", "3,3"),
+        ("search", "--group", "C4xC4", "--size", "3,3", "--all", "2"),
+    ):
+        code, payload, _ = run(capsys, *argv)
+        payload.pop("elapsed_ms", None)
+        fresh_code, fresh = _fresh_process(*argv)
+        fresh.pop("elapsed_ms", None)
+        assert (code, payload) == (fresh_code, fresh), argv
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    code, payload, _ = run(capsys, "sizes", "--group", "C2xC2", "--cap", "4")
+    assert code == 0 and payload["pairs"] == []

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,3 +312,67 @@ def test_generating_set_scans_match_brute_force(differential_groups, s3):
                 assert G.is_normal(ElementSet(mask, G.order)) == expected, name
     assert [z.mask for z in s3.upper_central_series()] == [1]
     assert [z.mask for z in CayleyTableGroup([[0]]).upper_central_series()] == [1]
+
+
+def test_mul_table_matches_mul(table_groups):
+    assert len(table_groups) == 67
+    for G in table_groups:
+        name = G.describe()
+        n = G.order
+        mul = G.mul
+        table = G.mul_table()
+        assert table.shape == (n, n) and table.dtype.kind == "i", name
+        assert table.tolist() == [[mul(a, b) for b in range(n)] for a in range(n)], name
+        # a block: repeated, unsorted rows and columns
+        rows = [n - 1, 0, n // 2, n - 1]
+        cols = [n // 3, 1 % n, n - 1]
+        assert G.mul_table(rows, cols).tolist() == [[mul(a, b) for b in cols] for a in rows]
+        assert np.array_equal(G.mul_table(rows), table[rows]), name
+        assert np.array_equal(G.mul_table(cols=cols), table[:, cols]), name
+
+
+def test_quotient_tables_of_constructor_kernels(monkeypatch):
+    # the quotients the constructors take on these groups, and those by every
+    # Omega_i and by Phi of each Sylow factor, have the table
+    # Q[i, j] = coset of section(i) * section(j)
+    from ramstruct import constructors
+    from ramstruct.invariants import exponent_exponent, frattini, sylow_decomposition
+    from ramstruct.parsing import build_group
+
+    views = []
+
+    def recorded(G, N):
+        view = quotient(G, N)
+        views.append(view)
+        return view
+
+    monkeypatch.setattr(constructors, "quotient", recorded)
+    for spec, r1, r2 in [
+        ("heis(7)", 4, 5),
+        ("heis(5)", 3, 4),
+        ("heis(3)", 4, 4),
+        ("C3xC3xC3", 4, 5),
+        ("C2xC4xC4xC4", 5, 7),
+        ("C2xC4xC4xC4", 6, 6),
+        ("C9xC9", 4, 4),
+        ("C3xC9", 4, 4),
+        ("C4xC8xC16", 5, 6),
+        ("C4xC4xC4", 6, 6),
+        ("C2xC2xC2xC2", 4, 4),
+        ("C6xC6xC2", 5, 7),
+        ("C8xC8", 5, 5),
+        ("C12xC12", 4, 4),
+        ("prod(heis(3),C2)", 4, 4),
+    ]:
+        G = build_group(spec)
+        constructors.construct_any(G, r1, r2)
+        for factor in sylow_decomposition(G).values():
+            P = factor.group
+            _, e = exponent_exponent(P)
+            views += [quotient(P, omega(P, i)) for i in range(e + 1)]
+            views.append(quotient(P, frattini(P)))
+    assert len(views) == 72
+    for view in views:
+        G, reps = view.parent, view._reps
+        expected = [[view.project(G.mul(a, b)) for b in reps] for a in reps]
+        assert view.group.table.tolist() == expected, view.group.describe()

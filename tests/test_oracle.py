@@ -380,3 +380,46 @@ def test_leaf_masks_match_brute_force(spec):
     for pi in range(G.order):
         lo = [y for y in range(G.order) if G.inv(G.mul(pi, y)) >= y]
         assert ctx.lo(pi) == sum(1 << y for y in lo)
+
+
+def test_compat_buckets_match_pairwise_definition(table_groups):
+    # compat, read off prime-order subgroup buckets, is the pairwise
+    # definition: nontrivial y whose conjugate cyclic set meets that of x
+    # only in the identity
+    for G in table_groups:
+        name = G.describe()
+        n = G.order
+        ctx = oracle._SearchContext(G)
+        cyc = ctx.cyc
+        pairwise = [0] * n
+        for x in range(1, n):
+            for y in range(1, n):
+                if cyc[x] & cyc[y] == 1:
+                    pairwise[x] |= 1 << y
+        assert ctx.compat == pairwise, name
+
+
+@pytest.mark.parametrize("spec", ["x".join(["C2"] * 9), "C8xC8xC8", "heis(7)"])
+def test_context_build_reads_the_group_arithmetic(spec, monkeypatch):
+    # the build reads the table from the group's arithmetic, not |G|^2 calls
+    G = build_group(spec)
+    calls = 0
+    mul = type(G).mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(G), "mul", counted)
+    oracle._SearchContext(G)
+    assert calls < G.order**2 // 8
+
+
+def test_budget_answers_from_the_need_bound_on_c2_9():
+    # C2^9 needs 9 generators, so (5,5) is refuted at the root: the context
+    # build must leave the 1000 ms budget room to say so
+    G = AbelianGroup([2] * 9)
+    out = find_structure(G, 5, 5, SearchBudget(max_millis=1000, cap=5))
+    assert out.status == "none"
+    assert out.stats.exhausted
