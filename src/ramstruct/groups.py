@@ -122,19 +122,9 @@ class FiniteGroup:
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
-    def closure_mask(self, gens: Sequence[int]) -> int:
-        """Bitmask of <gens>, by breadth-first closure under right multiplication."""
-        mask = 1
-        queue = [0]
-        mul = self.mul
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                t = mul(x, g)
-                if not (mask >> t) & 1:
-                    mask |= 1 << t
-                    queue.append(t)
-        return mask
+    def closure_mask(self, gens: Iterable[int]) -> int:
+        """Bitmask of <gens>; see greedy_generators."""
+        return greedy_generators(self, gens)[1]
 
     def generated_subgroup(self, gens: Sequence[int]) -> ElementSet:
         """Subgroup generated by gens; contains the identity, empty gens give {1}."""
@@ -472,13 +462,35 @@ def _axes(order: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
 
 def greedy_generators(G: FiniteGroup, candidates: Iterable[int]) -> tuple[list[int], int]:
     """The candidates, in the given order, that are not yet in the closure of
-    those kept before them, and the mask of the subgroup they generate."""
+    those kept before them, and the mask of the subgroup they generate.
+
+    Each kept candidate y extends the closed H = <gens> to <H, y> by left
+    cosets (Dimino's algorithm): for each representative g, the identity
+    first, and each generator s with s g not yet in the closure, it adds the
+    coset (s g)H and queues s g as a representative.  A union of left
+    cosets of H closed under left multiplication by the generators is the
+    subgroup, and it costs about |<H, y>| + |<H, y> : H| |gens| products,
+    not |<H, y>| |gens|.  `oracle._SearchContext.extend_closure` runs the
+    same step on table rows."""
+    mul = G.mul
     gens: list[int] = []
     h = 1
-    for x in candidates:
-        if not (h >> x) & 1:
-            gens.append(x)
-            h = G.closure_mask(gens)
+    elems = [0]
+    for y in candidates:
+        if (h >> y) & 1:
+            continue
+        gens.append(y)
+        hs = tuple(elems)
+        reps = [0]
+        for g in reps:
+            for s in gens:
+                t = mul(s, g)
+                if not (h >> t) & 1:
+                    for x in hs:
+                        u = mul(t, x)
+                        h |= 1 << u
+                        elems.append(u)
+                    reps.append(t)
     return gens, h
 
 

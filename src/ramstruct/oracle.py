@@ -8,7 +8,8 @@ as its own outcome, never as a negative.
 
 Every search is one prefix walk, `_SearchContext.walk`: a depth-first search
 over tuple prefixes of length < r drawn from a sorted alphabet, carrying the
-running product and the closure of the prefix. The last entry is forced as the
+running product and the closure HPhi of the prefix with the Frattini
+subgroup (see below). The last entry is forced as the
 inverse of the prefix product. `enumerate_spherical` walks all nontrivial
 elements; a pair search walks T1 over all nontrivial elements and, for each
 completed T1, walks T2 over T1's partner alphabet. The walk applies these
@@ -35,9 +36,25 @@ exactness-preserving rules, and no other code prunes:
   The test is repeated once the forced last entry has narrowed the alphabet,
   and skipped where an entry leaves the alphabet unchanged, since the same
   alphabet already passed higher up the path.  It closes the alphabet one
-  element at a time through the memoized `extend_closure`, skipping elements
-  already in the closure and stopping once it is all of G, and its answer is
-  memoized per alphabet.
+  element at a time through the memoized `extend_closure`, starting from
+  Phi(G), skipping elements already in the closure and stopping once it is
+  all of G, and its answer is memoized per alphabet.
+
+A subgroup grows only by one coset step, `extend_closure(H, y)` (Dimino's
+algorithm): starting from the closed set H, for each representative g of a
+new left coset (first the identity) and each s among H's generators and y,
+if s*g is not yet in the set, the whole coset (s*g)H, read off the table
+row of s*g, joins it and s*g is queued.  A union of left cosets of H that is
+closed under left multiplication by the generators is <H, y>, so the step
+takes about |<H, y>| products plus |gens| per coset, not |<H, y>| |gens|.
+
+The walk carries HPhi rather than H: its root is `base`, the mask of Phi(G)
+(for nilpotent G; {1} otherwise), and each entry is adjoined to it.  Phi(G)
+is the set of non-generators, so <H, y> = G exactly when <HPhi, y> = G,
+and `need`, `closers` and the alphabet test read only that; the prefix
+product still lies in H, a subset of HPhi.  Every cut, node count and
+witness is therefore the same as with H, while fewer distinct closures are
+built and memoized.
 
 The context is built from the group's arithmetic, not from |G|^2 calls of
 `G.mul`: `mul` is `G.mul_table()`, which each realization computes with
@@ -253,28 +270,32 @@ class _SearchContext:
 
     # -- closures -------------------------------------------------------------
 
-    def closure_from_gens(self, gens) -> int:
-        mask = 1
-        queue = [0]
-        mul = self.mul
-        while queue:
-            row = mul[queue.pop()]
-            for g in gens:
-                t = row[g]
-                if not (mask >> t) & 1:
-                    mask |= 1 << t
-                    queue.append(t)
-        return mask
-
     def extend_closure(self, hmask: int, y: int) -> int:
-        """Closure of <H, y> given the closed set H; memoized on (H, y)."""
+        """Closure of <H, y> given the closed set H; memoized on (H, y).
+
+        One coset step (see the module docstring): the closure is grown by
+        whole left cosets gH, queueing each new representative g, until
+        s*g lies in it for every representative g and every generator s of
+        <H, y>."""
         if (hmask >> y) & 1:
             return hmask
         key = (hmask, y)
         c = self.ext_memo.get(key)
         if c is None:
+            mul = self.mul
             gens = self.gens_for[hmask] + (y,)
-            c = self.closure_from_gens(gens)
+            grows = [mul[s] for s in gens]
+            hs = tuple(iter_bits(hmask))
+            c = hmask
+            reps = [0]
+            for g in reps:
+                for srow in grows:
+                    t = srow[g]
+                    if not (c >> t) & 1:
+                        row = mul[t]
+                        for h in hs:
+                            c |= 1 << row[h]
+                        reps.append(t)
             self.ext_memo[key] = c
             self.gens_for.setdefault(c, gens)
         return c
@@ -282,14 +303,14 @@ class _SearchContext:
     # -- partner alphabet ------------------------------------------------------
 
     def alphabet_generates(self, amask: int) -> bool:
-        """Whether the usable partner entries still generate the whole group.
-        Walks ask about few distinct alphabets many times over, so answers
-        are memoized."""
+        """Whether the usable partner entries still generate the whole group,
+        closing them over `base`.  Walks ask about few distinct alphabets
+        many times over, so answers are memoized."""
         r = self.alpha_gen_memo.get(amask)
         if r is None:
             if len(self.alpha_gen_memo) > 1_000_000:
                 self.alpha_gen_memo.clear()  # speed cache only; bound the memory
-            hmask = 1
+            hmask = self.base
             for y in iter_bits(amask):
                 hmask = self.extend_closure(hmask, y)
                 if hmask == self.full:
@@ -302,13 +323,17 @@ class _SearchContext:
 
     def _setup_generation_bound(self, G: FiniteGroup):
         """The mask of Phi(G) for a nilpotent group, else None, when only the
-        trivial bound (1 if proper) is available.  The context keeps no
-        reference to G, so a group and its cached context are freed by
-        reference counting."""
+        trivial bound (1 if proper) is available; and `base`, the closed set
+        every walk and alphabet test starts from: Phi(G), or {1} without it.
+        The context keeps no reference to G, so a group and its cached
+        context are freed by reference counting."""
         try:
             self.phi = frattini(G).mask
         except NotNilpotent:
             self.phi = None
+        self.base = 1
+        for x in iter_bits(self.phi or 0):
+            self.base = self.extend_closure(self.base, x)
 
     def need(self, hmask: int) -> int:
         """Lower bound on how many further elements must be adjoined to the
@@ -455,7 +480,7 @@ class _SearchContext:
             return None
 
         try:
-            return rec(0, 0, 1, amask, 0, narrow)
+            return rec(0, 0, self.base, amask, 0, narrow)
         finally:
             del rec  # rec refers to itself; free it without the cyclic collector
 

@@ -73,3 +73,37 @@ def table_groups():
         f"prod(cayley:{bundled_cayley_path('q8')},C3)",
     ]
     return [build_group(spec) for spec in specs]
+
+
+@pytest.fixture(scope="session")
+def closure_groups():
+    """The order <= 32 catalog (with heis(3), heis(5), d4, q8 and s3) and
+    heis(7), C2^9, C8xC8xC8 and prod(heis(3),C4), for checks of the coset
+    closures against a breadth-first one."""
+    from ramstruct.catalog import builtin_catalog
+    from ramstruct.parsing import build_group
+
+    specs = [entry.spec for entry in builtin_catalog(32)]
+    specs += ["heis(7)", "x".join(["C2"] * 9), "C8xC8xC8", "prod(heis(3),C4)"]
+    return [build_group(spec) for spec in specs]
+
+
+def _bfs_closure(mul, gens) -> int:
+    mask, queue = 1, [0]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            t = mul(x, g)
+            if not (mask >> t) & 1:
+                mask |= 1 << t
+                queue.append(t)
+    return mask
+
+
+@pytest.fixture(scope="session")
+def bfs_closure():
+    """bfs_closure(mul, gens): the mask of <gens> by breadth-first closure
+    from the identity under right multiplication by gens, with `mul` a
+    product function; a reference that shares no code with the closures it
+    checks."""
+    return _bfs_closure

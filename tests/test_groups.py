@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from ramstruct.groups import (
     DirectProductGroup,
     HeisenbergGroup,
     direct_product,
+    greedy_generators,
     quotient,
 )
 from ramstruct.invariants import derived_subgroup, omega
+from ramstruct.parsing import build_group
 
 
 def brute_heis_mul(p, x, y):
@@ -314,6 +317,45 @@ def test_generating_set_scans_match_brute_force(differential_groups, s3):
     assert [z.mask for z in CayleyTableGroup([[0]]).upper_central_series()] == [1]
 
 
+def test_closures_match_breadth_first(closure_groups, bfs_closure):
+    # generator lists with the identity, repeats and entries already in the
+    # closure of those before them
+    assert len(closure_groups) == 63
+    for i, G in enumerate(closure_groups):
+        name = G.describe()
+        rng = random.Random(i)
+        for k in (1, 2, 3, 5, 8):
+            cands = [rng.randrange(G.order) for _ in range(k)]
+            cands += [0, cands[0], G.mul(cands[0], cands[-1]), G.inv(cands[-1])]
+            rng.shuffle(cands)
+            kept: list[int] = []
+            for x in cands:
+                if not (bfs_closure(G.mul, kept) >> x) & 1:
+                    kept.append(x)
+            expected = bfs_closure(G.mul, cands)
+            assert G.closure_mask(cands) == expected, name
+            assert greedy_generators(G, cands) == (kept, expected), name
+
+
+@pytest.mark.parametrize("spec", ["x".join(["C2"] * 8), "C8xC8xC8", "heis(7)"])
+def test_closure_costs_about_one_product_per_element(spec, monkeypatch):
+    # the coset step makes about |G| + |G : H| |gens| products per kept
+    # generator; a breadth-first closure makes |G| |gens|
+    G = build_group(spec)
+    gens = G.generators()
+    calls = 0
+    mul = type(G).mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(G), "mul", counted)
+    assert G.closure_mask(gens) == (1 << G.order) - 1
+    assert calls < 2 * G.order
+
+
 def test_mul_table_matches_mul(table_groups):
     assert len(table_groups) == 67
     for G in table_groups:
@@ -337,7 +379,6 @@ def test_quotient_tables_of_constructor_kernels(monkeypatch):
     # Q[i, j] = coset of section(i) * section(j)
     from ramstruct import constructors
     from ramstruct.invariants import exponent_exponent, frattini, sylow_decomposition
-    from ramstruct.parsing import build_group
 
     views = []
 

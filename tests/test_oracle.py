@@ -14,7 +14,7 @@ from ramstruct.bitset import iter_bits
 from ramstruct.catalog import builtin_catalog, bundled_cayley_path
 from ramstruct.constructors import construct_any
 from ramstruct.groups import AbelianGroup, HeisenbergGroup
-from ramstruct.invariants import min_generators
+from ramstruct.invariants import frattini, min_generators
 from ramstruct.oracle import (
     SearchBudget,
     _context,
@@ -317,16 +317,17 @@ def test_deadline_polled_inside_leaf_level():
 @pytest.mark.parametrize(
     "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C3xC3", "C6xC6", "heis(3)", "q8", "d4", "s3"]
 )
-def test_alphabet_generates_matches_closure(spec):
+def test_alphabet_generates_matches_closure(spec, bfs_closure):
     if spec in ("q8", "d4", "s3"):
         spec = f"cayley:{bundled_cayley_path(spec)}"
-    ctx = _context(build_group(spec))
+    G = build_group(spec)
+    ctx = _context(G)
     rng = random.Random(spec)
     masks = [rng.getrandbits(ctx.n) & ctx.all_nontrivial for _ in range(100)]
     masks += ctx.compat[1:]
     masks += [a & b for a, b in itertools.combinations(masks, 2)]
     for m in masks:
-        closed = ctx.closure_from_gens(list(iter_bits(m))) == ctx.full
+        closed = bfs_closure(G.mul, list(iter_bits(m))) == ctx.full
         assert ctx.alphabet_generates(m) == closed
 
 
@@ -346,7 +347,7 @@ def test_grid_witnesses_match_single_searches(heis3):
 @pytest.mark.parametrize(
     "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C6xC6", "C3xC3xC3", "heis(3)", "q8", "s3"]
 )
-def test_leaf_masks_match_brute_force(spec):
+def test_leaf_masks_match_brute_force(spec, bfs_closure):
     # s3 is not nilpotent, so `need` is only its trivial bound there
     nilpotent = spec != "s3"
     if spec in ("q8", "s3"):
@@ -375,7 +376,7 @@ def test_leaf_masks_match_brute_force(spec):
         else:
             assert ctx.need(H) == (0 if H == ctx.full else 1)
         gens = list(iter_bits(H))
-        closers = [y for y in range(G.order) if ctx.closure_from_gens(gens + [y]) == ctx.full]
+        closers = [y for y in range(G.order) if bfs_closure(G.mul, gens + [y]) == ctx.full]
         assert ctx.closers(H) == sum(1 << y for y in closers)
     for pi in range(G.order):
         lo = [y for y in range(G.order) if G.inv(G.mul(pi, y)) >= y]
@@ -397,6 +398,41 @@ def test_compat_buckets_match_pairwise_definition(table_groups):
                 if cyc[x] & cyc[y] == 1:
                     pairwise[x] |= 1 << y
         assert ctx.compat == pairwise, name
+
+
+def test_extend_closure_matches_breadth_first(closure_groups, bfs_closure):
+    # <H, y> by the coset step equals the breadth-first closure of H's
+    # generators and y, for closed H reached from {1} and from the base
+    for i, G in enumerate(closure_groups):
+        name = G.describe()
+        ctx = oracle._SearchContext(G)
+        rng = random.Random(i)
+        for start in (1, ctx.base):
+            H = start
+            for _ in range(6):
+                y = rng.randrange(G.order)
+                gens = ctx.gens_for[H]
+                assert bfs_closure(G.mul, gens) == H, name
+                K = ctx.extend_closure(H, y)
+                assert K == bfs_closure(G.mul, gens + (y,)), name
+                H = K if K != ctx.full else start
+
+
+def test_walks_start_from_the_frattini_subgroup(closure_groups):
+    for G in closure_groups:
+        name = G.describe()
+        ctx = oracle._SearchContext(G)
+        expected = 1 if name.endswith("s3.json") else frattini(G).mask
+        assert ctx.base == expected, name
+    assert sum(G.describe().endswith("s3.json") for G in closure_groups) == 1
+
+
+def test_walk_closures_stay_few_on_c4_cubed():
+    # walking HPhi instead of H merges the prefixes' closures; closing them
+    # from {1} left 4,130 memoized extensions here
+    G = AbelianGroup([4, 4, 4])
+    size_set_up_to(G, 7)
+    assert len(_context(G).ext_memo) < 1000
 
 
 @pytest.mark.parametrize("spec", ["x".join(["C2"] * 9), "C8xC8xC8", "heis(7)"])
