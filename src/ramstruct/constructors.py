@@ -104,7 +104,7 @@ def _zip_product(
 def omega_context(G: FiniteGroup) -> QuotientView:
     """G modulo the subgroup of elements of order below the exponent level
     (the kernel used by the projection/lift pair)."""
-    p, e = exponent_exponent(G)
+    _, e = exponent_exponent(G)
     return quotient(G, omega(G, max(e - 1, 0)))
 
 

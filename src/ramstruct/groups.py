@@ -9,6 +9,18 @@ Normality, commutativity and the upper central series are computed from a
 greedy generating set (`FiniteGroup.generators`), in about |G| d work for d
 generators rather than |G|^2; so are Omega_i (`invariants.omega`) and the
 conjugacy classes behind `structures.sigma`.
+
+Orders, powers and inverses are read off one cached table,
+`FiniteGroup._cyclic`, the only code that powers an element by repeated
+multiplication.  It walks the cyclic group <h> of the first element h, in
+index order, that no earlier walk lists, and files every power h^j not yet
+filed as the pair (row, j), where row = (1, h, ..., h^(m-1)).  A power g =
+h^j then has o(g) = m / gcd(j, m), g^k = row[j k mod m], g^-1 =
+row[-j mod m], and <g> is every gcd(j, m)-th entry of row.  Rows are shared
+because a walk per element would cost sum o(g) products and entries, about
+|G|^2 / 2 on a cyclic group, where the shared rows cost |G| - 1 products
+(784 on C8xC8xC8, 342 on heis(7)).  So a realization supplies only `mul`,
+`mul_table` and `describe`.
 """
 
 from __future__ import annotations
@@ -34,9 +46,6 @@ class FiniteGroup:
     order: int
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -78,41 +87,48 @@ class FiniteGroup:
             self._cache_dict = c
         return c
 
+    def _cyclic(self) -> list[tuple[tuple[int, ...], int]]:
+        """For each element g, a pair (row, j) with g = row[j], where row =
+        (1, h, h^2, ..., h^(m-1)) is the walk of the first element h, in index
+        order, that no earlier row lists.  Cached; see the module docstring."""
+        cyc = self._cache().get("cyclic")
+        if cyc is None:
+            cyc = [None] * self.order
+            mul = self.mul
+            for h in self.elements():
+                if cyc[h] is None:
+                    row, x = [0], h
+                    while x:
+                        row.append(x)
+                        x = mul(x, h)
+                    row = tuple(row)
+                    for j, x in enumerate(row):
+                        if cyc[x] is None:
+                            cyc[x] = (row, j)
+            self._cache()["cyclic"] = cyc
+        return cyc
+
     def order_of(self, a: int) -> int:
         """Least k >= 1 with a^k = identity."""
-        self.check_index(a)
-        orders = self._cache().get("orders")
-        if orders is None:
-            orders = [0] * self.order
-            self._cache()["orders"] = orders
-        if orders[a]:
-            return orders[a]
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        orders[a] = k
-        return k
+        row, j = self._cyclic()[self.check_index(a)]
+        return len(row) // math.gcd(j, len(row))
 
     def power(self, a: int, k: int) -> int:
-        """a^k for any integer k (square-and-multiply)."""
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        result, base = 0, a
-        while True:
-            if k & 1:
-                result = self.mul(result, base)
-            k >>= 1
-            if not k:
-                return result
-            base = self.mul(base, base)
+        """a^k for any integer k."""
+        row, j = self._cyclic()[a]
+        return row[j * k % len(row)]
+
+    def inv(self, a: int) -> int:
+        """a^-1."""
+        row, j = self._cyclic()[a]
+        return row[-j % len(row)]
 
     def powers_mask(self, a: int) -> int:
         """Bitmask of the cyclic subgroup <a>."""
-        mask, x = 1, a
-        while x != 0:
+        row, j = self._cyclic()[a]
+        mask = 0
+        for x in row[:: math.gcd(j, len(row))]:
             mask |= 1 << x
-            x = self.mul(x, a)
         return mask
 
     def conjugate(self, a: int, g: int) -> int:
@@ -236,12 +252,6 @@ class AbelianGroup(FiniteGroup):
             out += (((a // s) + (b // s)) % m) * s
         return out
 
-    def inv(self, a: int) -> int:
-        out = 0
-        for m, s in zip(self.orders, self._strides):
-            out += (-(a // s) % m) * s
-        return out
-
     def mul_table(self, rows=None, cols=None) -> np.ndarray:
         # one broadcast add per cyclic factor, reduced and shifted to its
         # stride, accumulated in place in int32
@@ -254,14 +264,6 @@ class AbelianGroup(FiniteGroup):
             tmp *= s
             out += tmp
         return out
-
-    def order_of(self, a: int) -> int:
-        self.check_index(a)
-        k = 1
-        for m, s in zip(self.orders, self._strides):
-            e = (a // s) % m
-            k = math.lcm(k, m // math.gcd(e, m))
-        return k
 
     def describe(self) -> str:
         return "x".join(f"C{m}" for m in self.orders)
@@ -295,11 +297,6 @@ class HeisenbergGroup(FiniteGroup):
         a1, b1, c1 = x // (p * p), (x // p) % p, x % p
         a2, b2, c2 = y // (p * p), (y // p) % p, y % p
         return (((a1 + a2) % p) * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
-
-    def inv(self, x: int) -> int:
-        p = self.p
-        a, b, c = x // (p * p), (x // p) % p, x % p
-        return ((-a % p) * p + (-b % p)) * p + (a * b - c) % p
 
     def mul_table(self, rows=None, cols=None) -> np.ndarray:
         # the product formula of `mul` on the index arrays, in place in int32
@@ -356,7 +353,6 @@ class CayleyTableGroup(FiniteGroup):
         self.label = label or f"cayley{n}"
         if not trusted:
             self._validate()
-        self._inv = self._build_inverses()
 
     def _validate(self) -> None:
         n = self.order
@@ -382,17 +378,8 @@ class CayleyTableGroup(FiniteGroup):
             if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
                 raise RamError("associativity fails on sampled triples")
 
-    def _build_inverses(self) -> np.ndarray:
-        inv = np.empty(self.order, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == 0)
-        inv[rows] = cols
-        return inv
-
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self._inv[a])
 
     def mul_table(self, rows=None, cols=None) -> np.ndarray:
         if rows is None and cols is None:
@@ -427,11 +414,6 @@ class DirectProductGroup(FiniteGroup):
         a2, b2 = divmod(y, n2)
         return self.left.mul(a1, a2) * n2 + self.right.mul(b1, b2)
 
-    def inv(self, x: int) -> int:
-        n2 = self.right.order
-        a, b = divmod(x, n2)
-        return self.left.inv(a) * n2 + self.right.inv(b)
-
     def mul_table(self, rows=None, cols=None) -> np.ndarray:
         # (a1, b1)(a2, b2) = (a1 a2, b1 b2): the factors' tables on the
         # component indices, combined as in `mul`, in place in int32
@@ -440,10 +422,6 @@ class DirectProductGroup(FiniteGroup):
         out = np.multiply(self.left.mul_table(r // n2, c // n2), n2, dtype=np.int32)
         out += self.right.mul_table(r % n2, c % n2)
         return out
-
-    def order_of(self, x: int) -> int:
-        a, b = self.pair(x)
-        return math.lcm(self.left.order_of(a), self.right.order_of(b))
 
     def _compute_abelian(self) -> bool:
         return self.left.is_abelian and self.right.is_abelian

@@ -23,7 +23,8 @@ from .groups import (
 
 
 def exponent(G: FiniteGroup) -> int:
-    """Maximum element order (equals the group exponent for p-groups)."""
+    """Maximum element order (equals the group exponent for p-groups), read
+    off the group's table of cyclic walks (`FiniteGroup.order_of`)."""
     e = G._cache().get("exponent")
     if e is None:
         e = max(G.order_of(a) for a in G.elements())
@@ -53,21 +54,16 @@ def exponent_exponent(G: FiniteGroup) -> tuple[int, int]:
 
 
 def power_map(G: FiniteGroup, k: int) -> list[int]:
-    """[g^k for g in G], cached on G per k.  For k = f m with f the least prime
-    factor, g^k = (g^m)^f is read off the two smaller maps; only k = 0, 1 or a
-    prime calls `G.power`.  The cache holds int lists, not G itself."""
+    """[g^k for g in G], cached on G per k.  Each entry is read off the
+    group's table of cyclic walks (`FiniteGroup.power`), so a map costs no
+    multiplications once that table is built.  The cache holds int lists,
+    not G itself."""
     if k < 0:
         raise ValueError(f"power exponent must be >= 0, got {k}")
     maps = G._cache().setdefault("power_maps", {})
     pm = maps.get(k)
     if pm is None:
-        f = min(prime_factorization(k), default=k)
-        if f == k:
-            pm = [G.power(g, k) for g in G.elements()]
-        else:
-            outer = power_map(G, f)
-            pm = [outer[x] for x in power_map(G, k // f)]
-        maps[k] = pm
+        pm = maps[k] = [G.power(g, k) for g in G.elements()]
     return pm
 
 

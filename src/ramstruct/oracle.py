@@ -236,28 +236,22 @@ class _SearchContext:
         self.closers_memo: dict[int, int] = {}
         self.lo_memo: list[Optional[int]] = [None] * n
         self.all_nontrivial = self.full & ~1
-        self.compat = self._compat_masks()
+        self.compat = self._compat_masks(G)
         self._setup_generation_bound(G)
 
-    def _compat_masks(self) -> list[int]:
+    def _compat_masks(self, G: FiniteGroup) -> list[int]:
         """compat[x]: usable partner entries once x is in the tuple, i.e. all
         nontrivial y whose conjugate cyclic set meets that of x only in the
         identity.  Read off buckets of the prime-order subgroups (see the
         module docstring): each nontrivial x files itself under the key
         cyc[x^(o(x)/p)] of each prime p dividing o(x), and compat[x] is every
         nontrivial element outside the buckets of x's keys."""
-        mul, cyc = self.mul, self.cyc
+        cyc = self.cyc
         keys: list[tuple[int, ...]] = [()] * self.n
         buckets: dict[int, int] = {}
         for x in range(1, self.n):
-            # powers[k - 1] = x^k for 1 <= k < o(x)
-            row = mul[x]
-            powers, z = [x], row[x]
-            while z:
-                powers.append(z)
-                z = row[z]
-            o = len(powers) + 1
-            keys[x] = tuple(cyc[powers[o // p - 1]] for p in prime_factorization(o))
+            o = G.order_of(x)
+            keys[x] = tuple(cyc[G.power(x, o // p)] for p in prime_factorization(o))
             for k in keys[x]:
                 buckets[k] = buckets.get(k, 0) | 1 << x
         compat = [0] * self.n

@@ -220,7 +220,6 @@ def _abelian_atom(cur: _Cursor, G: AbelianGroup) -> int:
         return 0
     if ch in ("x", "X"):
         cur.pos += 1
-        at = cur.pos
         i = cur.integer()
         if not 1 <= i <= len(G.orders):
             raise OutOfRange(f"generator x{i} out of range (1..{len(G.orders)})")
@@ -236,13 +235,10 @@ def _abelian_atom(cur: _Cursor, G: AbelianGroup) -> int:
 
 
 def _looks_like_vector(cur: _Cursor) -> bool:
-    depth = 0
     for ch in cur.text[cur.pos :]:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
+        if ch == ")":
             return True
-        elif not (ch.isdigit() or ch in ",-+ \t"):
+        if not (ch.isdigit() or ch in "(,-+ \t"):
             return False
     return False
 
@@ -277,7 +273,6 @@ def _heisenberg_triple(cur: _Cursor, G: HeisenbergGroup) -> int:
 def _table_element(cur: _Cursor, G: CayleyTableGroup) -> int:
     if cur.peek() == "#":
         cur.expect("#")
-        at = cur.pos
         i = cur.integer()
         if not 0 <= i < G.order:
             raise OutOfRange(f"element #{i} out of range (order {G.order})")

@@ -107,3 +107,19 @@ def bfs_closure():
     product function; a reference that shares no code with the closures it
     checks."""
     return _bfs_closure
+
+
+def _brute_powers(mul, g) -> list[int]:
+    walk, x = [0], g
+    while x:
+        walk.append(x)
+        x = mul(x, g)
+    return walk
+
+
+@pytest.fixture(scope="session")
+def brute_powers():
+    """brute_powers(mul, g): [1, g, g^2, ..., g^(o-1)] by repeated right
+    multiplication from the identity, with `mul` a product function; a
+    reference that shares no code with the group's table of cyclic walks."""
+    return _brute_powers

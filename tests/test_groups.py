@@ -50,20 +50,49 @@ def test_heisenberg_all_products_match_brute_force(heis3):
             assert heis3.triple(heis3.mul(x, y)) == expected
 
 
-def test_power_stops_squaring_after_last_bit():
-    G = AbelianGroup([64])
-    mul = G.mul
-    calls = [0]
+def test_orders_powers_and_inverses_cost_under_two_products_per_element(monkeypatch):
+    # one shared walk per cyclic subgroup; a walk per element would take
+    # about |G|^2 / 2 products on C4096
+    from ramstruct.invariants import power_map
 
-    def counted(a, b):
-        calls[0] += 1
-        return mul(a, b)
+    for G in (
+        HeisenbergGroup(7),
+        AbelianGroup([2] * 8),
+        AbelianGroup([8, 8, 8]),
+        AbelianGroup([9, 27]),
+        AbelianGroup([4096]),
+    ):
+        mul = type(G).mul
+        calls = [0]
 
-    G.mul = counted
-    for k, expected in ((0, 0), (1, 1), (2, 2), (5, 4)):
-        calls[0] = 0
-        assert G.power(3, k) == 3 * k % 64
-        assert calls[0] == expected, k
+        def counted(self, a, b):
+            calls[0] += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(type(G), "mul", counted)
+        for g in G.elements():
+            G.order_of(g)
+            for k in (-1, 2, 5):
+                G.power(g, k)
+            G.inv(g)
+        power_map(G, 2)
+        power_map(G, 3)
+        monkeypatch.undo()
+        assert calls[0] < 2 * G.order, (G.describe(), calls[0])
+
+
+def test_powers_match_repeated_multiplication(table_groups, brute_powers):
+    P = direct_product(HeisenbergGroup(3), AbelianGroup([9]))
+    N = P.generated_subgroup([P.index_of(0, 3)])
+    for G in table_groups + [quotient(P, N).group]:
+        for g in G.elements():
+            walk = brute_powers(G.mul, g)
+            o = len(walk)
+            assert G.order_of(g) == o, (G.describe(), g)
+            for k in range(-o, 2 * o + 1):
+                assert G.power(g, k) == walk[k % o], (G.describe(), g, k)
+            assert G.inv(g) == walk[-1 % o] and G.mul(g, G.inv(g)) == 0, (G.describe(), g)
+            assert G.powers_mask(g) == sum(1 << x for x in walk), (G.describe(), g)
 
 
 def test_element_orders(c2c4cubed, heis5):

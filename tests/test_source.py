@@ -24,3 +24,51 @@ def test_no_unused_module_imports():
     assert modules
     unused = [item for path in modules for item in _unused_imports(path)]
     assert unused == []
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _unused_locals(path: Path) -> list[str]:
+    """Names a function stores that neither it nor a function nested in it
+    reads; `_`-prefixed names and `nonlocal`/`global` names are skipped."""
+    tree = ast.parse(path.read_text())
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # the function's own statements, without nested scopes
+        own, stack = [], list(fn.body)
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+        shared = {
+            name
+            for node in own
+            if isinstance(node, (ast.Nonlocal, ast.Global))
+            for name in node.names
+        }
+        stored = {}
+        for node in own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+        read = {
+            node.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        out += [
+            f"{path.name}:{line} {name}"
+            for name, line in stored.items()
+            if name not in read and name not in shared and not name.startswith("_")
+        ]
+    return out
+
+
+def test_no_unused_locals():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    unused = [item for path in modules for item in _unused_locals(path)]
+    assert unused == []
