@@ -55,7 +55,8 @@ def exponent_exponent(G: FiniteGroup) -> tuple[int, int]:
 
 def power_map(G: FiniteGroup, k: int) -> list[int]:
     """[g^k for g in G], cached on G per k.  Each entry is read off the
-    group's table of cyclic walks (`FiniteGroup.power`), so a map costs no
+    group's table of cyclic walks, g^k = row[j k mod m] for g = row[j] (see
+    `FiniteGroup._cyclic`), so a map costs one table lookup and no
     multiplications once that table is built.  The cache holds int lists,
     not G itself."""
     if k < 0:
@@ -63,7 +64,7 @@ def power_map(G: FiniteGroup, k: int) -> list[int]:
     maps = G._cache().setdefault("power_maps", {})
     pm = maps.get(k)
     if pm is None:
-        pm = maps[k] = [G.power(g, k) for g in G.elements()]
+        pm = maps[k] = [row[j * k % len(row)] for row, j in G._cyclic()]
     return pm
 
 

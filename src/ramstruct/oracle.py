@@ -97,6 +97,37 @@ where c is the count at its parent and `first` the parent's first allowed
 position, so the skipped leaves are added arithmetically. A node limit between two visited
 leaves stops the walk at the limit, and the deadline is polled whenever the
 count crosses a multiple of 4096, exactly where a per-leaf count would stop.
+
+Above the leaf level a parent counts and cuts its children in its own loop:
+each child is one node, then it is cut if its partner alphabet shrank and no
+longer generates G, or if `need` of its closure exceeds the slots left, and
+only a child that passes both is walked.  The root is counted and tested on
+entry to `walk`.  The checks run in the order a child would run them itself,
+so every count and budget stop is unchanged, and the cut children, about half
+of the interior ones, cost no call.
+
+Decision searches (a pair search's T1 walk and its partner walks) replay
+repeated interior states.  The subtree below a prefix depends only on its
+state: depth, product pi, closure HPhi, partner alphabet and, under the
+multiset rule, its first allowed position.  Within one walk, when the subtree
+of an interior child (one whose children are not leaves) returns without
+success, a table keyed on that state stores the T1-walk nodes it counted and
+the T1 completions it emitted, leaving out the nodes of partner walks it ran.
+A later child in the same state adds these counts instead of being walked.
+The counts are exact: the first visit tried every undecided r2 on each
+completion, and the undecided set only shrinks, so every r2 still open then
+had its partner memoized as None, and a re-walk would count the same nodes
+and completions and find only memo hits.  Three guards keep it so:
+
+* a replay that would reach the node limit is walked for real, so the stop
+  lands at the same counts, `t1_candidates` included;
+* one that crosses a multiple of 4096 polls the deadline, as `overrun` does;
+* an entry serves only while the partner memo has not been cleared since its
+  walk began (the memo counts its clears), since after a clear a re-walk
+  would run partner searches again.
+
+Enumerations need every completion and never replay.  Leaf-parent states
+are not tabled: there the table grew by far more memory than it saved time.
 """
 
 from __future__ import annotations
@@ -140,11 +171,13 @@ class SearchStats:
     walks (search nodes, the unit of `SearchBudget.max_candidates`), not
     candidate tuples; `t1_candidates` counts completed T1 tuples whose partner
     alphabet still generates G; `partner_searches` counts partner walks run
-    (memo misses)."""
+    (memo misses); `states_replayed` counts repeated walk states whose
+    subtrees were counted from their first visit instead of walked."""
 
     candidates: int = 0
     t1_candidates: int = 0
     partner_searches: int = 0
+    states_replayed: int = 0
     exhausted: bool = True
 
     def counters(self) -> dict:
@@ -154,6 +187,7 @@ class SearchStats:
             "candidates_examined": self.candidates,
             "t1_candidates": self.t1_candidates,
             "partner_searches": self.partner_searches,
+            "states_replayed": self.states_replayed,
         }
 
     def add(self, other: "SearchStats") -> None:
@@ -162,6 +196,7 @@ class SearchStats:
         self.candidates += other.candidates
         self.t1_candidates += other.t1_candidates
         self.partner_searches += other.partner_searches
+        self.states_replayed += other.states_replayed
         self.exhausted = self.exhausted and other.exhausted
 
 
@@ -170,10 +205,11 @@ class _BudgetStop(Exception):
 
 
 class _Tracker:
-    __slots__ = ("count", "limit", "deadline", "stats")
+    __slots__ = ("count", "limit", "deadline", "stats", "partner_nodes")
 
     def __init__(self, budget: SearchBudget, stats: SearchStats):
         self.count = 0
+        self.partner_nodes = 0  # the part of `count` spent in partner walks
         self.limit = budget.max_candidates
         self.deadline = (
             time.monotonic() + budget.max_millis / 1000.0
@@ -213,6 +249,22 @@ class _Tracker:
             raise _BudgetStop
 
 
+class _ClearCountingDict(dict):
+    """A dict that counts its clears: state replays rely on the partner
+    memo keeping what it learnt, and compare this count to know it still
+    does."""
+
+    __slots__ = ("clears",)
+
+    def __init__(self):
+        super().__init__()
+        self.clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
 class _SearchContext:
     """Per-group tables and memoized machinery shared by all searches."""
 
@@ -231,7 +283,7 @@ class _SearchContext:
         self.gens_for: dict[int, tuple[int, ...]] = {1: ()}
         self.ext_memo: dict[tuple[int, int], int] = {}
         self.alpha_gen_memo: dict[int, bool] = {}
-        self.partner_memo: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
+        self.partner_memo = _ClearCountingDict()  # (amask, r2) -> T2 or None
         self.need_memo: dict[int, int] = {}
         self.closers_memo: dict[int, int] = {}
         self.lo_memo: list[Optional[int]] = [None] * n
@@ -388,51 +440,85 @@ class _SearchContext:
     # -- the prefix walk --------------------------------------------------------
 
     def walk(
-        self, r: int, amask: int, multiset: bool, tracker: _Tracker, emit, narrow: bool = False
+        self,
+        r: int,
+        amask: int,
+        multiset: bool,
+        tracker: _Tracker,
+        emit,
+        narrow: bool = False,
+        repeats: bool = False,
     ):
         """Depth-first walk over the spherical systems of size r >= 2 whose
         entries lie in the alphabet `amask`, in lexicographic order of
         alphabet indices (nondecreasing under `multiset`).
 
         `tracker` counts one node per visited prefix, before any pruning, and
-        raises `_BudgetStop` at its node limit or deadline.  The leaf level
-        visits only the leaves that may complete (see the module docstring)
-        and counts the others arithmetically, in a local: it polls the
-        deadline where the count crosses a multiple of 4096, stops at the
-        limit where it falls between two visited leaves, and stores the
-        count back before each `emit`, which may run walks on the same
-        tracker, and reads it again after.  Each completion calls
-        `emit(entries, pmask)`; a truthy return stops the walk and becomes
-        its result, otherwise the walk returns None.  With `narrow`, `pmask`
-        is the partner alphabet of the completed tuple and prefixes whose
-        partner alphabet no longer generates G are cut; otherwise `pmask` is
-        `amask`."""
+        raises `_BudgetStop` at its node limit or deadline.  A parent counts
+        and cuts its children in its own loop, and the leaf level visits only
+        the leaves that may complete (see the module docstring) and counts
+        the others arithmetically, in a local: it polls the deadline where
+        the count crosses a multiple of 4096, stops at the limit where it
+        falls between two visited leaves, and stores the count back before
+        each `emit`, which may run walks on the same tracker, and reads it
+        again after.  Each completion calls `emit(entries, pmask)`; a truthy
+        return stops the walk and becomes its result, otherwise the walk
+        returns None.  With `narrow`, `pmask` is the partner alphabet of the
+        completed tuple and prefixes whose partner alphabet no longer
+        generates G are cut; otherwise `pmask` is `amask`.
+
+        With `repeats`, an interior state met again is replayed from its
+        first visit's counts rather than walked (see the module docstring).
+        Only a search that stops at its first success may ask for it: a
+        replayed subtree emits nothing."""
         mul, inv, compat = self.mul, self.inv, self.compat
         extend, need, agen = self.extend_closure, self.need, self.alphabet_generates
         closers, lo = self.closers, self.lo
         tick, limit, deadline = tracker.tick, tracker.limit, tracker.deadline
+        stats, memo = tracker.stats, self.partner_memo
         alist = tuple(iter_bits(amask))
         entries: list[int] = []
+        # an interior child's state (its parent's depth, pi, hmask, pmask,
+        # start) -> the T1-walk nodes below it, its T1 completions, and the
+        # partner memo's clear count when its walk began
+        seen: Optional[dict[tuple, tuple[int, int, int]]] = {} if repeats else None
 
-        def rec(depth: int, pi: int, hmask: int, pmask: int, start: int, narrowed: bool):
-            # narrowed: pmask is the root's or a proper subset of its parent's;
-            # otherwise it is an alphabet that already passed higher up
-            tick()
-            if narrowed and not agen(pmask):
-                return None
-            if need(hmask) > r - depth:
-                return None
+        def rec(depth: int, pi: int, hmask: int, pmask: int, start: int):
             row = mul[pi]
             first = start if multiset else 0
             if depth < r - 2:
+                slack = r - depth - 1
+                table = seen if depth + 1 < r - 2 else None
                 for i in range(first, len(alist)):
                     y = alist[i]
+                    tick()
                     p = pmask & compat[y] if narrow else pmask
+                    if p != pmask and not agen(p):
+                        continue
+                    h = extend(hmask, y)
+                    if need(h) > slack:
+                        continue
+                    if table is not None:
+                        key = (depth, row[y], h, p, i if multiset else 0)
+                        hit = table.get(key)
+                        c = tracker.count
+                        if hit is not None and hit[2] == memo.clears and c + hit[0] < limit:
+                            cy = c + hit[0]
+                            if deadline is not None and cy >> 12 != c >> 12:
+                                tracker.overrun(c, cy)
+                            tracker.count = cy
+                            stats.t1_candidates += hit[1]
+                            stats.states_replayed += 1
+                            continue
+                        c0, t0, clears = c - tracker.partner_nodes, stats.t1_candidates, memo.clears
                     entries.append(y)
-                    res = rec(depth + 1, row[y], extend(hmask, y), p, i, p != pmask)
+                    res = rec(depth + 1, row[y], h, p, i)
                     entries.pop()
                     if res:
                         return res
+                    if table is not None:
+                        nodes = tracker.count - tracker.partner_nodes - c0
+                        table[key] = (nodes, stats.t1_candidates - t0, clears)
                 return None
             # the children are leaves, one node each; only those in `m` can
             # complete, and the others are counted arithmetically: the leaf at
@@ -474,7 +560,10 @@ class _SearchContext:
             return None
 
         try:
-            return rec(0, 0, self.base, amask, 0, narrow)
+            tick()
+            if narrow and not agen(amask) or need(self.base) > r:
+                return None
+            return rec(0, 0, self.base, amask, 0)
         finally:
             del rec  # rec refers to itself; free it without the cyclic collector
 
@@ -484,7 +573,9 @@ class _SearchContext:
         if key in self.partner_memo:
             return self.partner_memo[key]
         tracker.stats.partner_searches += 1
-        res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2)
+        c = tracker.count
+        res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2, repeats=True)
+        tracker.partner_nodes += tracker.count - c
         if len(self.partner_memo) > 500_000:
             self.partner_memo.clear()  # speed cache only; bound the memory
         self.partner_memo[key] = res
@@ -556,7 +647,7 @@ def _dfs_t1_row(ctx: _SearchContext, r1, undecided, results, tracker):
         return not undecided
 
     if undecided:
-        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
+        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True, repeats=True)
 
 
 @dataclass

@@ -328,16 +328,14 @@ def test_negative_power_level_is_an_input_error(heis3):
                 fn(G, -1)
 
 
-def _count_power(G):
-    calls = [0]
-    power = G.power
+class _CountingMaps(dict):
+    """A power-map cache that counts the maps stored in it."""
 
-    def counted(a, k):
-        calls[0] += 1
-        return power(a, k)
+    built = 0
 
-    G.power = counted
-    return calls
+    def __setitem__(self, k, v):
+        self.built += 1
+        super().__setitem__(k, v)
 
 
 def test_power_map_computed_once_per_group():
@@ -345,12 +343,31 @@ def test_power_map_computed_once_per_group():
 
     for spec in ("C2xC2xC2xC2xC2xC2xC2xC2", "heis(7)"):
         G = build_group(spec)
-        calls = _count_power(G)
+        maps = G._cache()["power_maps"] = _CountingMaps()
         torsion_set(G, 1)
         power_image(G, 1)
         agemo(G, 1)
-        assert calls[0] == G.order, (spec, calls[0])
+        assert maps.built == 1, (spec, maps.built)  # the one map for p
         pgroup_profile(G)
-        calls[0] = 0
+        built = maps.built
         pgroup_profile(G)
-        assert calls[0] == 0, (spec, calls[0])
+        assert maps.built == built, (spec, maps.built)
+
+
+def test_power_map_reads_the_cyclic_table_once_per_map():
+    # each entry used to be a `G.power` call that looked the table up again:
+    # 1.18M lookups in `pgroup_profile` on C65536
+    from ramstruct.parsing import build_group
+
+    for spec in ("C65536", "heis(7)", "C9xC27"):
+        G = build_group(spec)
+        cyclic, calls = G._cyclic, [0]
+
+        def counted():
+            calls[0] += 1
+            return cyclic()
+
+        G._cyclic = counted
+        for n, k in enumerate((0, 1, 2, 3, 5, 2**16), 1):
+            power_map(G, k)
+            assert calls[0] == n, (spec, k, calls[0])

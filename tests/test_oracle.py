@@ -258,13 +258,16 @@ def test_counters_populated():
 
 
 def test_search_stats_counters_and_add():
-    total = oracle.SearchStats(candidates=5, t1_candidates=2, partner_searches=1)
-    total.add(oracle.SearchStats(candidates=7, t1_candidates=3, partner_searches=4))
+    total = oracle.SearchStats(candidates=5, t1_candidates=2, partner_searches=1, states_replayed=6)
+    total.add(
+        oracle.SearchStats(candidates=7, t1_candidates=3, partner_searches=4, states_replayed=2)
+    )
     assert total.exhausted
     assert list(total.counters().items()) == [
         ("candidates_examined", 12),
         ("t1_candidates", 5),
         ("partner_searches", 5),
+        ("states_replayed", 8),
     ]
     total.add(oracle.SearchStats(exhausted=False))
     assert not total.exhausted and total.counters()["candidates_examined"] == 12
@@ -459,3 +462,102 @@ def test_budget_answers_from_the_need_bound_on_c2_9():
     out = find_structure(G, 5, 5, SearchBudget(max_millis=1000, cap=5))
     assert out.status == "none"
     assert out.stats.exhausted
+
+
+# -- replay of repeated walk states ------------------------------------------
+
+# the catalog groups and prod(heis(3),C2) at cap 5; C2xC2xC2 at cap 7 also
+# replays T1 subtrees that hold completions
+REPLAY_SIZE_SETS = [(entry.spec, 5) for entry in builtin_catalog(32)]
+REPLAY_SIZE_SETS += [("prod(heis(3),C2)", 5), ("C2xC2xC2", 7)]
+# single searches and node limits; the dense run on C2xC2xC2 (7,7) stops
+# inside replayed subtrees, T1 completions among them
+REPLAY_FINDS = [
+    ("C2xC2xC2", (7, 7), [*range(1, 1650, 47), *range(1650, 2100, 2), 3984, 3985, 3986]),
+    ("C2xC4xC4", (6, 6), list(range(1, 53300, 991))),
+    ("prod(heis(3),C2)", (5, 5), [250_007, 694_036, 694_037]),
+]
+
+
+def _without_repeats(monkeypatch):
+    """Make every walk run without its repeat table."""
+    walk = oracle._SearchContext.walk
+
+    def plain(self, *args, **kwargs):
+        return walk(self, *args, **{**kwargs, "repeats": False})
+
+    monkeypatch.setattr(oracle._SearchContext, "walk", plain)
+
+
+def _forgetful_partners(monkeypatch):
+    """Clear the partner memo before every partner search, as its size limit
+    does: replays that relied on its None answers must not happen."""
+    partner = oracle._SearchContext.partner
+
+    def forgetful(self, *args):
+        self.partner_memo.clear()
+        return partner(self, *args)
+
+    monkeypatch.setattr(oracle._SearchContext, "partner", forgetful)
+
+
+def _replay_runs(monkeypatch, forgetful, run):
+    """`run()` with the repeat table, then without it, each on fresh groups;
+    and the number of states the first replayed."""
+    with monkeypatch.context() as m:
+        if forgetful:
+            _forgetful_partners(m)
+        with_table, replayed = run()
+        _without_repeats(m)
+        plain, none_replayed = run()
+    assert none_replayed == 0
+    return with_table, plain, replayed
+
+
+def _counts(stats):
+    return stats.candidates, stats.t1_candidates, stats.partner_searches, stats.exhausted
+
+
+@pytest.mark.parametrize("forgetful", [False, True])
+def test_replay_keeps_size_sets_witnesses_and_counters(monkeypatch, forgetful):
+    def run():
+        out, replayed = {}, 0
+        for spec, cap in REPLAY_SIZE_SETS:
+            result = size_set_up_to(build_group(spec), cap)
+            witnesses = {p: (S.t1.entries, S.t2.entries) for p, S in result.witnesses.items()}
+            out[spec, cap] = (sorted(result.pairs), witnesses, _counts(result.stats))
+            replayed += result.stats.states_replayed
+        return out, replayed
+
+    with_table, plain, replayed = _replay_runs(monkeypatch, forgetful, run)
+    assert with_table == plain
+    assert replayed > 500
+
+
+@pytest.mark.parametrize("forgetful", [False, True])
+def test_replay_keeps_budget_stops(monkeypatch, forgetful):
+    def run():
+        out, replayed = {}, 0
+        for spec, size, limits in REPLAY_FINDS:
+            for n in limits:
+                budget = SearchBudget(max_candidates=n, cap=8)
+                found = find_structure(build_group(spec), *size, budget)
+                S = found.structure
+                witness = S and (S.t1.entries, S.t2.entries)
+                out[spec, n] = (found.status, witness, _counts(found.stats))
+                replayed += found.stats.states_replayed
+        return out, replayed
+
+    with_table, plain, replayed = _replay_runs(monkeypatch, forgetful, run)
+    assert with_table == plain
+    assert replayed > 1000
+
+
+def test_replay_pinned_on_prod_heis3_c2():
+    # the non-abelian refutation the replay table is for: exact counts,
+    # with 3,437 subtrees replayed rather than walked
+    result = size_set_up_to(build_group("prod(heis(3),C2)"), 6)
+    assert result.pairs == set() and result.exhaustive
+    stats = result.stats
+    assert (stats.candidates, stats.t1_candidates, stats.partner_searches) == (11_908_892, 0, 0)
+    assert stats.states_replayed == 3437

@@ -72,3 +72,44 @@ def test_no_unused_locals():
     assert modules
     unused = [item for path in modules for item in _unused_locals(path)]
     assert unused == []
+
+
+def _walk_calls(path: Path) -> list[tuple[str, ast.Call]]:
+    """Every call `<x>.walk(...)` in the module, with the name of the
+    innermost function that makes it."""
+    calls = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "walk"
+        ):
+            calls.append((fn, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return calls
+
+
+def test_only_decision_searches_replay_repeated_states():
+    # a replayed subtree emits nothing, so only the searches that stop at
+    # their first success may ask for replays; enumerations need every
+    # completion.  `repeats` is passed by keyword, as the literal True.
+    replaying, odd = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for fn, call in _walk_calls(path):
+            where = f"{path.name}:{call.lineno} {fn}"
+            if len(call.args) > 6 or any(k.arg is None for k in call.keywords):
+                odd.append(where)  # `repeats` could hide in these
+            for k in call.keywords:
+                if k.arg == "repeats":
+                    if isinstance(k.value, ast.Constant) and k.value.value is True:
+                        replaying.add(fn)
+                    else:
+                        odd.append(where)
+    assert odd == []
+    assert replaying == {"partner", "_dfs_t1_row"}
