@@ -190,10 +190,3 @@ def run_catalog(
                 stored = {k: v for k, v in record.items() if k != "cached"}
                 f.write(json.dumps(stored) + "\n")
 
-
-def append_finding(path: Path, payload: dict) -> None:
-    """Append an ad-hoc result line (e.g. a search outcome worth keeping) to a
-    results file."""
-    record = {"schema_version": SCHEMA_VERSION, "kind": "finding", **payload}
-    with path.open("a") as f:
-        f.write(json.dumps(record) + "\n")

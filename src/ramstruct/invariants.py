@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitset import ElementSet, iter_bits
+from .bitset import ElementSet
 from .errors import NotAPGroup, NotNilpotent
 from .groups import (
     CayleyTableGroup,
@@ -23,11 +23,12 @@ from .groups import (
 
 
 def exponent(G: FiniteGroup) -> int:
-    """Maximum element order (equals the group exponent for p-groups), read
-    off the group's table of cyclic walks (`FiniteGroup.order_of`)."""
+    """Maximum element order (equals the group exponent for p-groups): the
+    longest row of the group's table of cyclic walks (`FiniteGroup._cyclic`),
+    since each row is the walk of an element and lists only its powers."""
     e = G._cache().get("exponent")
     if e is None:
-        e = max(G.order_of(a) for a in G.elements())
+        e = max(len(row) for row, _ in G._cyclic())
         G._cache()["exponent"] = e
     return e
 
@@ -315,27 +316,3 @@ def pgroup_profile(G: FiniteGroup) -> PGroupProfile:
         semi_abelian=semi,
         classification=classify_pgroup(G),
     )
-
-
-def sylow_product_check(G: FiniteGroup) -> bool:
-    """Every element factors uniquely as a product of commuting p-parts."""
-    factors = sylow_decomposition(G)
-    masks = {p: 0 for p in factors}
-    for p, f in factors.items():
-        for a in f.embedding:
-            masks[p] |= 1 << a
-    seen = set()
-    parts = [list(iter_bits(masks[p])) for p in sorted(factors)]
-    count = 0
-
-    def rec(i: int, acc: int):
-        nonlocal count
-        if i == len(parts):
-            seen.add(acc)
-            count += 1
-            return
-        for a in parts[i]:
-            rec(i + 1, G.mul(acc, a))
-
-    rec(0, 0)
-    return count == G.order and len(seen) == G.order

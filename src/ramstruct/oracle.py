@@ -106,28 +106,19 @@ entry to `walk`.  The checks run in the order a child would run them itself,
 so every count and budget stop is unchanged, and the cut children, about half
 of the interior ones, cost no call.
 
-Decision searches (a pair search's T1 walk and its partner walks) replay
-repeated interior states.  The subtree below a prefix depends only on its
-state: depth, product pi, closure HPhi, partner alphabet and, under the
-multiset rule, its first allowed position.  Within one walk, when the subtree
-of an interior child (one whose children are not leaves) returns without
-success, a table keyed on that state stores the T1-walk nodes it counted and
-the T1 completions it emitted, leaving out the nodes of partner walks it ran.
-A later child in the same state adds these counts instead of being walked.
-The counts are exact: the first visit tried every undecided r2 on each
-completion, and the undecided set only shrinks, so every r2 still open then
-had its partner memoized as None, and a re-walk would count the same nodes
-and completions and find only memo hits.  Three guards keep it so:
-
-* a replay that would reach the node limit is walked for real, so the stop
-  lands at the same counts, `t1_candidates` included;
-* one that crosses a multiple of 4096 polls the deadline, as `overrun` does;
-* an entry serves only while the partner memo has not been cleared since its
-  walk began (the memo counts its clears), since after a clear a re-walk
-  would run partner searches again.
-
-Enumerations need every completion and never replay.  Leaf-parent states
-are not tabled: there the table grew by far more memory than it saved time.
+Every walk replays repeated interior states.  Until it emits, the walk of
+the subtree below a prefix depends only on the prefix's state: depth,
+product pi, closure HPhi, partner alphabet and, under the multiset rule, its
+first allowed position; the memos it reads cache pure functions.  Partner
+searches run only inside `emit`, so a subtree that emitted nothing ran none
+and counts the same nodes on every visit, whatever the partner memo holds.
+Within one walk, when the subtree of an interior child (one whose children
+are not leaves) returns having emitted nothing, a table keyed on that state
+stores the nodes it counted, and a later child in the same state adds that
+count instead of being walked, through the leaf level's check of the limit
+and the deadline polls.  Every count, budget stop and completion is
+therefore the same as without the table.  Leaf-parent states are not
+tabled: there the table grew by far more memory than it saved time.
 """
 
 from __future__ import annotations
@@ -146,7 +137,7 @@ ORACLE_ORDER_LIMIT = 512
 
 # Part of every catalog cache key: raise it with any change that can alter a
 # decision, a witness or a counter, so that records of older code are not served.
-ORACLE_VERSION = 1
+ORACLE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -205,11 +196,10 @@ class _BudgetStop(Exception):
 
 
 class _Tracker:
-    __slots__ = ("count", "limit", "deadline", "stats", "partner_nodes")
+    __slots__ = ("count", "limit", "deadline", "stats")
 
     def __init__(self, budget: SearchBudget, stats: SearchStats):
         self.count = 0
-        self.partner_nodes = 0  # the part of `count` spent in partner walks
         self.limit = budget.max_candidates
         self.deadline = (
             time.monotonic() + budget.max_millis / 1000.0
@@ -249,22 +239,6 @@ class _Tracker:
             raise _BudgetStop
 
 
-class _ClearCountingDict(dict):
-    """A dict that counts its clears: state replays rely on the partner
-    memo keeping what it learnt, and compare this count to know it still
-    does."""
-
-    __slots__ = ("clears",)
-
-    def __init__(self):
-        super().__init__()
-        self.clears = 0
-
-    def clear(self):
-        self.clears += 1
-        super().clear()
-
-
 class _SearchContext:
     """Per-group tables and memoized machinery shared by all searches."""
 
@@ -283,7 +257,7 @@ class _SearchContext:
         self.gens_for: dict[int, tuple[int, ...]] = {1: ()}
         self.ext_memo: dict[tuple[int, int], int] = {}
         self.alpha_gen_memo: dict[int, bool] = {}
-        self.partner_memo = _ClearCountingDict()  # (amask, r2) -> T2 or None
+        self.partner_memo: dict[tuple[int, int], Optional[tuple]] = {}  # (amask, r2) -> T2
         self.need_memo: dict[int, int] = {}
         self.closers_memo: dict[int, int] = {}
         self.lo_memo: list[Optional[int]] = [None] * n
@@ -447,7 +421,7 @@ class _SearchContext:
         tracker: _Tracker,
         emit,
         narrow: bool = False,
-        repeats: bool = False,
+        repeats: bool = True,
     ):
         """Depth-first walk over the spherical systems of size r >= 2 whose
         entries lie in the alphabet `amask`, in lexicographic order of
@@ -467,23 +441,23 @@ class _SearchContext:
         completed tuple and prefixes whose partner alphabet no longer
         generates G are cut; otherwise `pmask` is `amask`.
 
-        With `repeats`, an interior state met again is replayed from its
-        first visit's counts rather than walked (see the module docstring).
-        Only a search that stops at its first success may ask for it: a
-        replayed subtree emits nothing."""
+        An interior state met again whose first visit emitted nothing is
+        replayed from that visit's node count rather than walked (see the
+        module docstring); `repeats=False` walks every subtree."""
         mul, inv, compat = self.mul, self.inv, self.compat
         extend, need, agen = self.extend_closure, self.need, self.alphabet_generates
         closers, lo = self.closers, self.lo
         tick, limit, deadline = tracker.tick, tracker.limit, tracker.deadline
-        stats, memo = tracker.stats, self.partner_memo
+        stats = tracker.stats
         alist = tuple(iter_bits(amask))
         entries: list[int] = []
+        emits = 0
         # an interior child's state (its parent's depth, pi, hmask, pmask,
-        # start) -> the T1-walk nodes below it, its T1 completions, and the
-        # partner memo's clear count when its walk began
-        seen: Optional[dict[tuple, tuple[int, int, int]]] = {} if repeats else None
+        # start) -> the nodes below it, for subtrees that emitted nothing
+        seen: Optional[dict[tuple, int]] = {} if repeats else None
 
         def rec(depth: int, pi: int, hmask: int, pmask: int, start: int):
+            nonlocal emits
             row = mul[pi]
             first = start if multiset else 0
             if depth < r - 2:
@@ -500,25 +474,23 @@ class _SearchContext:
                         continue
                     if table is not None:
                         key = (depth, row[y], h, p, i if multiset else 0)
-                        hit = table.get(key)
+                        nodes = table.get(key)
                         c = tracker.count
-                        if hit is not None and hit[2] == memo.clears and c + hit[0] < limit:
-                            cy = c + hit[0]
-                            if deadline is not None and cy >> 12 != c >> 12:
+                        if nodes is not None:
+                            cy = c + nodes
+                            if cy >= limit or (deadline is not None and cy >> 12 != c >> 12):
                                 tracker.overrun(c, cy)
                             tracker.count = cy
-                            stats.t1_candidates += hit[1]
                             stats.states_replayed += 1
                             continue
-                        c0, t0, clears = c - tracker.partner_nodes, stats.t1_candidates, memo.clears
+                        e0 = emits
                     entries.append(y)
                     res = rec(depth + 1, row[y], h, p, i)
                     entries.pop()
                     if res:
                         return res
-                    if table is not None:
-                        nodes = tracker.count - tracker.partner_nodes - c0
-                        table[key] = (nodes, stats.t1_candidates - t0, clears)
+                    if table is not None and emits == e0:
+                        table[key] = tracker.count - c
                 return None
             # the children are leaves, one node each; only those in `m` can
             # complete, and the others are counted arithmetically: the leaf at
@@ -548,6 +520,7 @@ class _SearchContext:
                     if p != pmask and not agen(p):
                         continue
                 tracker.count = c
+                emits += 1
                 res = emit(tuple(entries) + (y, last), p)
                 if res:
                     return res
@@ -573,9 +546,7 @@ class _SearchContext:
         if key in self.partner_memo:
             return self.partner_memo[key]
         tracker.stats.partner_searches += 1
-        c = tracker.count
-        res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2, repeats=True)
-        tracker.partner_nodes += tracker.count - c
+        res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2)
         if len(self.partner_memo) > 500_000:
             self.partner_memo.clear()  # speed cache only; bound the memory
         self.partner_memo[key] = res
@@ -647,7 +618,7 @@ def _dfs_t1_row(ctx: _SearchContext, r1, undecided, results, tracker):
         return not undecided
 
     if undecided:
-        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True, repeats=True)
+        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
 
 
 @dataclass
@@ -756,9 +727,4 @@ def enumerate_structures(
         stats.exhausted = False
     stats.candidates = tracker.count
     return out, stats
-
-
-def spherical_count(G: FiniteGroup, r: int) -> int:
-    """Number of spherical systems of size r (independent-check helper)."""
-    return sum(1 for _ in enumerate_spherical(G, r))
 

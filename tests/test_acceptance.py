@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from ramstruct.catalog import append_finding, bundled_cayley_path, run_catalog
+from ramstruct.catalog import SCHEMA_VERSION, bundled_cayley_path, run_catalog
 from ramstruct.cli import main
 from ramstruct.constructors import (
     construct_any,
@@ -47,6 +47,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
     return code, json.loads(out.splitlines()[-1])
+
+
+def append_finding(path, payload: dict) -> None:
+    """Append an ad-hoc result line (e.g. a search outcome worth keeping) to a
+    results file."""
+    record = {"schema_version": SCHEMA_VERSION, "kind": "finding", **payload}
+    with path.open("a") as f:
+        f.write(json.dumps(record) + "\n")
 
 
 def test_criterion_1_counterexample_fixture(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from ramstruct.bitset import iter_bits
 from ramstruct.errors import NotAPGroup, NotNilpotent
 from ramstruct.groups import AbelianGroup, CayleyTableGroup, prime_factorization
 from ramstruct.invariants import (
@@ -15,7 +16,6 @@ from ramstruct.invariants import (
     power_image,
     power_map,
     sylow_decomposition,
-    sylow_product_check,
     torsion_set,
 )
 
@@ -24,6 +24,29 @@ def test_exponent(c2c4cubed, heis5):
     assert exponent(c2c4cubed) == 4
     assert exponent(CayleyTableGroup([[0]])) == 1
     assert exponent(heis5) == max(heis5.order_of(g) for g in heis5.elements()) == 5
+
+
+def test_exponent_is_the_largest_element_order(differential_groups):
+    for G in differential_groups:
+        assert exponent(G) == max(G.order_of(g) for g in G.elements()), G.describe()
+
+
+def test_exponent_makes_no_order_lookups():
+    # it reads the longest cyclic walk; it took one `order_of` per element
+    from ramstruct.parsing import build_group
+
+    for spec in ("C4096xC16", "heis(7)", "C9xC27", "prod(heis(3),C2)"):
+        G = build_group(spec)
+        calls = [0]
+        order_of = G.order_of
+
+        def counted(a):
+            calls[0] += 1
+            return order_of(a)
+
+        G.order_of = counted
+        exponent(G)
+        assert calls[0] == 0, (spec, calls[0])
 
 
 def test_omega(c2c4cubed):
@@ -163,6 +186,30 @@ def test_sa_equalities_fail_without_hypothesis(q8):
     assert omega(q8, 1) == torsion_set(q8, 1)  # {1,-1} happens to be closed
     # but SA2 fails: |G : Omega_1| = 4 while the power image has 2 elements
     assert q8.order // omega(q8, 1).cardinality != power_image(q8, 1).cardinality
+
+
+def sylow_product_check(G) -> bool:
+    """Every element factors uniquely as a product of commuting p-parts."""
+    factors = sylow_decomposition(G)
+    masks = {p: 0 for p in factors}
+    for p, f in factors.items():
+        for a in f.embedding:
+            masks[p] |= 1 << a
+    seen = set()
+    parts = [list(iter_bits(masks[p])) for p in sorted(factors)]
+    count = 0
+
+    def rec(i: int, acc: int):
+        nonlocal count
+        if i == len(parts):
+            seen.add(acc)
+            count += 1
+            return
+        for a in parts[i]:
+            rec(i + 1, G.mul(acc, a))
+
+    rec(0, 0)
+    return count == G.order and len(seen) == G.order
 
 
 def test_sylow_decomposition(c6c6c2, heis3, s3):

@@ -22,10 +22,14 @@ from ramstruct.oracle import (
     enumerate_structures,
     find_structure,
     size_set_up_to,
-    spherical_count,
 )
 from ramstruct.parsing import build_group
 from ramstruct.structures import RamStructure, check_ramification
+
+
+def spherical_count(G, r: int) -> int:
+    """Number of spherical systems of size r."""
+    return sum(1 for _ in enumerate_spherical(G, r))
 
 
 def test_enumerate_spherical_klein_four():
@@ -466,12 +470,12 @@ def test_budget_answers_from_the_need_bound_on_c2_9():
 
 # -- replay of repeated walk states ------------------------------------------
 
-# the catalog groups and prod(heis(3),C2) at cap 5; C2xC2xC2 at cap 7 also
-# replays T1 subtrees that hold completions
+# the catalog groups and prod(heis(3),C2) at cap 5, and C2xC2xC2 at cap 7,
+# whose T1 walk holds completions next to the subtrees it replays
 REPLAY_SIZE_SETS = [(entry.spec, 5) for entry in builtin_catalog(32)]
 REPLAY_SIZE_SETS += [("prod(heis(3),C2)", 5), ("C2xC2xC2", 7)]
 # single searches and node limits; the dense run on C2xC2xC2 (7,7) stops
-# inside replayed subtrees, T1 completions among them
+# inside replayed subtrees and inside subtrees that hold T1 completions
 REPLAY_FINDS = [
     ("C2xC2xC2", (7, 7), [*range(1, 1650, 47), *range(1650, 2100, 2), 3984, 3985, 3986]),
     ("C2xC4xC4", (6, 6), list(range(1, 53300, 991))),
@@ -491,7 +495,7 @@ def _without_repeats(monkeypatch):
 
 def _forgetful_partners(monkeypatch):
     """Clear the partner memo before every partner search, as its size limit
-    does: replays that relied on its None answers must not happen."""
+    does: no replay may depend on what the memo holds."""
     partner = oracle._SearchContext.partner
 
     def forgetful(self, *args):
@@ -551,6 +555,32 @@ def test_replay_keeps_budget_stops(monkeypatch, forgetful):
     with_table, plain, replayed = _replay_runs(monkeypatch, forgetful, run)
     assert with_table == plain
     assert replayed > 1000
+
+
+# capped enumerations (limit 3) that refute their size, replaying 978
+# states between them
+REPLAY_ENUMERATIONS = [
+    ("C2xC2xC2", (7, 7)),
+    ("C4xC8", (6, 6)),
+    ("prod(heis(3),C2)", (5, 5)),
+]
+
+
+def test_replay_keeps_enumerations(monkeypatch):
+    def run():
+        out, replayed = {}, 0
+        for spec, size in REPLAY_ENUMERATIONS:
+            structures, stats = enumerate_structures(build_group(spec), *size, limit=3)
+            entries = [(S.t1.entries, S.t2.entries) for S in structures]
+            out[spec, size] = (entries, _counts(stats))
+            replayed += stats.states_replayed
+        for spec in ("C2xC2xC2xC2", "C3xC3xC3"):
+            out[spec, 5] = [T.entries for T in enumerate_spherical(build_group(spec), 5)]
+        return out, replayed
+
+    with_table, plain, replayed = _replay_runs(monkeypatch, False, run)
+    assert with_table == plain
+    assert replayed > 900
 
 
 def test_replay_pinned_on_prod_heis3_c2():

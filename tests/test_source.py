@@ -74,42 +74,34 @@ def test_no_unused_locals():
     assert unused == []
 
 
-def _walk_calls(path: Path) -> list[tuple[str, ast.Call]]:
-    """Every call `<x>.walk(...)` in the module, with the name of the
-    innermost function that makes it."""
-    calls = []
-
-    def visit(node, fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "walk"
-        ):
-            calls.append((fn, node))
-        for child in ast.iter_child_nodes(node):
-            visit(child, fn)
-
-    visit(ast.parse(path.read_text()), "<module>")
-    return calls
+DEMOS = SRC.parent.parent / "demos"
 
 
-def test_only_decision_searches_replay_repeated_states():
-    # a replayed subtree emits nothing, so only the searches that stop at
-    # their first success may ask for replays; enumerations need every
-    # completion.  `repeats` is passed by keyword, as the literal True.
-    replaying, odd = set(), []
-    for path in sorted(SRC.glob("*.py")):
-        for fn, call in _walk_calls(path):
-            where = f"{path.name}:{call.lineno} {fn}"
-            if len(call.args) > 6 or any(k.arg is None for k in call.keywords):
-                odd.append(where)  # `repeats` could hide in these
-            for k in call.keywords:
-                if k.arg == "repeats":
-                    if isinstance(k.value, ast.Constant) and k.value.value is True:
-                        replaying.add(fn)
-                    else:
-                        odd.append(where)
-    assert odd == []
-    assert replaying == {"partner", "_dfs_t1_row"}
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names a piece of code reads, as names, attributes or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_module_level_definition_is_used():
+    # a function or class of the package must be read by the package (its
+    # exports in __init__ count) or a demo, outside its own definition;
+    # helpers only tests call belong in the tests
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path.parent == SRC:
+                    defined.append((path.name, node.name))
+                used |= _referenced_names(node) - {node.name}
+            else:
+                used |= _referenced_names(node)
+    assert defined
+    assert [f"{module} {name}" for module, name in defined if name not in used] == []
