@@ -123,3 +123,41 @@ def brute_powers():
     multiplication from the identity, with `mul` a product function; a
     reference that shares no code with the group's table of cyclic walks."""
     return _brute_powers
+
+
+def _walk_nodes(ctx, r, amask, multiset, narrow) -> int:
+    # the root, then one node per prefix visited below a prefix that passed
+    # its cuts; leaves (length r-1) are never cut, as their last entry is forced
+    alist = [y for y in range(ctx.n) if (amask >> y) & 1]
+    count = 1
+    if narrow and not ctx.alphabet_generates(amask) or ctx.need(1) > r:
+        return count
+
+    def visit(depth, hmask, pmask, start):
+        nonlocal count
+        for i in range(start, len(alist)):
+            y = alist[i]
+            count += 1
+            if depth + 1 == r - 1:
+                continue
+            p = pmask & ctx.compat[y] if narrow else pmask
+            if narrow and not ctx.alphabet_generates(p):
+                continue
+            h = ctx.extend_closure(hmask, y)
+            if ctx.need(h) > r - depth - 1:
+                continue
+            visit(depth + 1, h, p, i if multiset else 0)
+
+    visit(0, 1, amask, 0)
+    return count
+
+
+@pytest.fixture(scope="session")
+def walk_nodes():
+    """walk_nodes(ctx, r, amask, multiset, narrow): the nodes a walk of
+    `ctx` counts, by a plain recursion over prefixes from H = {1} that
+    counts each visited prefix one at a time and cuts a prefix whose partner
+    alphabet (when narrowing) stops generating G or whose closure needs more
+    generators than slots remain; no leaf masks, no arithmetic counting and
+    no replay."""
+    return _walk_nodes

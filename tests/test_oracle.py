@@ -1,7 +1,9 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
+from collections import Counter
 
 import time
 
@@ -34,7 +36,9 @@ def spherical_count(G, r: int) -> int:
 
 def test_enumerate_spherical_klein_four():
     G = AbelianGroup([2, 2])
-    tuples = [T.entries for T in enumerate_spherical(G, 3)]
+    systems = enumerate_spherical(G, 3)
+    assert isinstance(systems, list)
+    tuples = [T.entries for T in systems]
     assert len(tuples) == 6
     assert sorted(tuples) == sorted(itertools.permutations([1, 2, 3]))
 
@@ -154,7 +158,9 @@ def test_budgets_never_lie(spec, r1, r2, max_candidates):
         build_group(spec), r1, r2, SearchBudget(max_candidates=max_candidates, cap=5)
     )
     assert out.stats.exhausted == (out.status != "budget")
-    if out.status != "budget":
+    if out.status == "budget":
+        assert out.stats.candidates == max_candidates
+    else:
         assert out.status == unbounded.status
     if out.found:
         assert out.structure.t1.entries == unbounded.structure.t1.entries
@@ -434,6 +440,45 @@ def test_walks_start_from_the_frattini_subgroup(closure_groups):
     assert sum(G.describe().endswith("s3.json") for G in closure_groups) == 1
 
 
+@pytest.mark.parametrize("narrow", [False, True], ids=["plain", "narrow"])
+@pytest.mark.parametrize("multiset", [False, True], ids=["tuples", "multisets"])
+def test_walk_counts_one_node_per_prefix(walk_nodes, multiset, narrow):
+    # the leaf masks, the leaf parents counted in their parent's loop and the
+    # replay table all count arithmetically; a plain recursion counts one by one
+    for spec in SMALL_SPECS:
+        ctx = oracle._SearchContext(build_group(spec))
+        alphabets = [ctx.all_nontrivial]
+        if not narrow:
+            # a partner walk's alphabet, with gaps
+            alphabets.append(ctx.compat[ctx.n - 1])
+        for amask in alphabets:
+            for r in range(2, 6):
+                tracker = oracle._Tracker(SearchBudget(), oracle.SearchStats())
+                ctx.walk(r, amask, multiset, tracker, lambda *_: None, narrow=narrow)
+                expected = walk_nodes(ctx, r, amask, multiset, narrow)
+                assert tracker.count == expected, (spec, amask, r)
+
+
+def test_walk_calls_once_per_interior_prefix_and_open_leaf_parent():
+    # a leaf parent none of whose leaves can complete is counted in its
+    # parent's loop without a call; calling each one made 7,086 calls here
+    G = build_group("C2xC4xC4")
+    calls = Counter()
+
+    def count_calls(frame, event, arg):
+        name = frame.f_code.co_qualname
+        if event == "call" and name.startswith("_SearchContext.walk.<locals>."):
+            calls[name.rpartition(".")[2]] += 1
+
+    sys.setprofile(count_calls)
+    try:
+        result = size_set_up_to(G, 6)
+    finally:
+        sys.setprofile(None)
+    assert result.stats.candidates == 71_241
+    assert calls == {"rec": 1_564, "leaves": 1_040}
+
+
 def test_walk_closures_stay_few_on_c4_cubed():
     # walking HPhi instead of H merges the prefixes' closures; closing them
     # from {1} left 4,130 memoized extensions here
@@ -494,13 +539,17 @@ def _without_repeats(monkeypatch):
 
 
 def _forgetful_partners(monkeypatch):
-    """Clear the partner memo before every partner search, as its size limit
-    does: no replay may depend on what the memo holds."""
+    """Clear the partner memo before and after every partner search, as its
+    size limit does, so that no lookup hits it: no replay may depend on what
+    the memo holds."""
     partner = oracle._SearchContext.partner
 
     def forgetful(self, *args):
         self.partner_memo.clear()
-        return partner(self, *args)
+        try:
+            return partner(self, *args)
+        finally:
+            self.partner_memo.clear()
 
     monkeypatch.setattr(oracle._SearchContext, "partner", forgetful)
 
