@@ -56,16 +56,10 @@ class FiniteGroup:
     def mul_table(self, rows=None, cols=None) -> np.ndarray:
         """The multiplication table as an integer array, T[i, j] =
         mul(rows[i], cols[j]); rows and cols default to all of G, giving the
-        full table.  Realizations compute it from their own arithmetic; this
-        fallback calls `mul` once per entry.  Not cached: each caller asks
-        for the block it needs, and must not modify it (a table group
-        returns its own full table)."""
-        r, c = _axes(self.order, rows, cols)
-        cl = c.tolist()
-        out = np.empty((len(r), len(c)), dtype=np.int32)
-        for i, a in enumerate(r.tolist()):
-            out[i] = [self.mul(a, b) for b in cl]
-        return out
+        full table.  Realizations compute it from their own arithmetic.  Not
+        cached: each caller asks for the block it needs, and must not modify
+        it (a table group returns its own full table)."""
+        raise NotImplementedError
 
     # -- generic machinery ---------------------------------------------------
 

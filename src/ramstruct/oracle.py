@@ -94,9 +94,15 @@ entry in the alphabet and, when narrowing, its partner alphabet:
 Every leaf still counts as one node in `SearchStats.candidates` and against
 the budget: the leaf at alphabet position i is node c + (i - first) + 1,
 where c is the count at its parent and `first` the parent's first allowed
-position, so the skipped leaves are added arithmetically. A node limit between two visited
-leaves stops the walk at the limit, and the deadline is polled whenever the
-count crosses a multiple of 4096, exactly where a per-leaf count would stop.
+position, so the skipped leaves are added arithmetically.
+
+Wherever the walk counts, one node or many at once, it stores the count
+and calls `_Tracker.reach` once the count reaches `stop`: the node limit or,
+with a deadline, the next multiple of 4096, where the clock is polled.  All
+counts since the last `reach` lie in one block of 4096, so `stop` is the
+first poll a jump crosses; `reach` stops there if the deadline has passed,
+else at the limit if the count reached it, just as counting one node at a
+time would, and otherwise moves `stop` on.
 
 Above the leaf level a parent counts and cuts its children in its own loop:
 each child is one node, then it is cut if its partner alphabet shrank and no
@@ -104,7 +110,7 @@ longer generates G, or if `need` of its closure exceeds the slots left.  A
 child that passes both and is a leaf parent has its leaf mask computed there
 too; when the mask is empty (78-88% of leaf parents on the larger abelian
 groups), none of its leaves can complete, and the parent adds them all at
-once, `len(alphabet) - first`, through the same limit and deadline check.
+once, `len(alphabet) - first`, by the same rule.
 Only a child with leaves to visit, or one above the leaf parents, is called:
 interior prefixes by the interior loop, leaf parents by the one leaf loop,
 which takes the mask so that `closers` and `lo` are read once per leaf
@@ -124,10 +130,10 @@ and counts the same nodes on every visit, whatever the partner memo holds.
 Within one walk, when the subtree of an interior child (one whose children
 are not leaves) returns having emitted nothing, a table keyed on that state
 stores the nodes it counted, and a later child in the same state adds that
-count instead of being walked, through the leaf level's check of the limit
-and the deadline polls.  Every count, budget stop and completion is
-therefore the same as without the table.  Leaf-parent states are not
-tabled: there the table grew by far more memory than it saved time.
+count instead of being walked, by the same rule.  Every count, budget stop
+and completion is therefore the same as without the table.  Leaf-parent
+states are not tabled: there the table grew by far more memory than it
+saved time.
 """
 
 from __future__ import annotations
@@ -205,7 +211,11 @@ class _BudgetStop(Exception):
 
 
 class _Tracker:
-    __slots__ = ("count", "limit", "deadline", "stats")
+    """Counts search nodes against one threshold, `stop`: the next count at
+    which the budget is consulted.  That is the node limit or, with a
+    deadline, the next multiple of 4096, where the clock is polled."""
+
+    __slots__ = ("count", "stop", "limit", "deadline", "stats")
 
     def __init__(self, budget: SearchBudget, stats: SearchStats):
         self.count = 0
@@ -215,32 +225,20 @@ class _Tracker:
             if budget.max_millis is not None
             else None
         )
+        self.stop = self.limit if self.deadline is None else min(self.limit, 4096)
         self.stats = stats
 
-    def tick(self):
-        self.count += 1
-        if self.count >= self.limit:
-            raise _BudgetStop
-        if self.deadline is not None and not self.count & 0xFFF:
-            if time.monotonic() > self.deadline:
-                raise _BudgetStop
-
-    def overrun(self, c: int, cy: int):
-        """Account the nodes c+1..cy at once, stopping where `tick` would
-        have: at the first deadline poll (a multiple of 4096) found past the
-        deadline, or at the limit.  Returns if neither falls in the range."""
-        first_poll = (c | 0xFFF) + 1
-        if (
-            self.deadline is not None
-            and first_poll <= cy
-            and first_poll < self.limit
-            and time.monotonic() > self.deadline
-        ):
-            self.count = first_poll
+    def reach(self, cy: int):
+        """Count up to cy >= stop, stopping where counting one node at a time
+        would (see the module docstring), else moving `stop` on."""
+        if self.stop < self.limit and time.monotonic() > self.deadline:
+            self.count = self.stop
             raise _BudgetStop
         if cy >= self.limit:
             self.count = self.limit
             raise _BudgetStop
+        self.count = cy
+        self.stop = self.limit if self.deadline is None else min(self.limit, (cy | 0xFFF) + 1)
 
     def poll(self):
         """Stop if the deadline has passed, e.g. during the context build."""
@@ -441,14 +439,13 @@ class _SearchContext:
         and cuts its children in its own loop, and counts there the leaves
         of a leaf parent none of whose leaves can complete.  The leaf level
         visits only the leaves that may complete (see the module docstring)
-        and counts the others arithmetically, in a local: it polls the
-        deadline where the count crosses a multiple of 4096, stops at the
-        limit where it falls between two visited leaves, and stores the
-        count back before each `emit`, which may run walks on the same
-        tracker, and reads it again after.  Each completion calls `emit(entries, pmask)`; a truthy
-        return stops the walk and becomes its result, otherwise the walk
-        returns None.  With `narrow`, `pmask` is the partner alphabet of the
-        completed tuple and prefixes whose partner alphabet no longer
+        and counts the others arithmetically.  Each counting site stores its
+        count in `tracker.count` and calls `reach` once the count reaches
+        `tracker.stop`; `emit` may run walks on the same tracker, so the leaf
+        level reads the count again after it.  Each completion calls `emit(entries, pmask)`;
+        a truthy return stops the walk and becomes its result, otherwise the
+        walk returns None.  With `narrow`, `pmask` is the partner alphabet of
+        the completed tuple and prefixes whose partner alphabet no longer
         generates G are cut; otherwise `pmask` is `amask`.
 
         An interior state met again whose first visit emitted nothing is
@@ -461,8 +458,7 @@ class _SearchContext:
         # fills the memo and bounds its size
         ext_memo, need_memo, agen_memo = self.ext_memo, self.need_memo, self.alpha_gen_memo
         closers_memo, lo_memo = self.closers_memo, self.lo_memo
-        tick, limit, deadline = tracker.tick, tracker.limit, tracker.deadline
-        stats = tracker.stats
+        reach, stats = tracker.reach, tracker.stats
         alist = tuple(iter_bits(amask))
         nalpha = len(alist)
         entries: list[int] = []
@@ -478,11 +474,9 @@ class _SearchContext:
             table = seen if depth + 1 < r - 2 else None
             for i in range(start if multiset else 0, nalpha):
                 y = alist[i]
-                c = tracker.count + 1
-                if c >= limit or not c & 0xFFF:
-                    tick()  # at the limit or a deadline poll
-                else:
-                    tracker.count = c
+                c = tracker.count = tracker.count + 1
+                if c >= tracker.stop:
+                    reach(c)
                 p = pmask
                 if narrow:
                     p &= compat[y]
@@ -506,10 +500,9 @@ class _SearchContext:
                         m &= (lo(piy) if lm is None else lm) & -(1 << y)
                     if not m:
                         # no leaf below can complete: count them all
-                        cy = c - (i if multiset else 0) + nalpha
-                        if cy >= limit or (deadline is not None and cy >> 12 != c >> 12):
-                            tracker.overrun(c, cy)
-                        tracker.count = cy
+                        cy = tracker.count = c - (i if multiset else 0) + nalpha
+                        if cy >= tracker.stop:
+                            reach(cy)
                         continue
                     entries.append(y)
                     res = leaves(piy, p, i if multiset else 0, m)
@@ -521,10 +514,9 @@ class _SearchContext:
                     key = (depth, piy, h, p, i if multiset else 0)
                     nodes = table.get(key)
                     if nodes is not None:
-                        cy = c + nodes
-                        if cy >= limit or (deadline is not None and cy >> 12 != c >> 12):
-                            tracker.overrun(c, cy)
-                        tracker.count = cy
+                        cy = tracker.count = c + nodes
+                        if cy >= tracker.stop:
+                            reach(cy)
                         stats.states_replayed += 1
                         continue
                     e0 = emits
@@ -543,17 +535,15 @@ class _SearchContext:
             # position i of alist is node base + i + 1
             nonlocal emits
             row = mul[pi]
-            c = tracker.count
-            base = c - first
+            base = tracker.count - first
             while m:
                 low = m & -m
                 m ^= low
                 y = low.bit_length() - 1
                 i = (amask & (low - 1)).bit_count()
-                cy = base + i + 1
-                if cy >= limit or (deadline is not None and cy >> 12 != c >> 12):
-                    tracker.overrun(c, cy)
-                c = cy
+                cy = tracker.count = base + i + 1
+                if cy >= tracker.stop:
+                    reach(cy)
                 last = inv[row[y]]
                 if not (amask >> last) & 1:
                     continue
@@ -564,21 +554,20 @@ class _SearchContext:
                         g = agen_memo.get(p)
                         if not (agen(p) if g is None else g):
                             continue
-                tracker.count = c
                 emits += 1
                 res = emit(tuple(entries) + (y, last), p)
                 if res:
                     return res
-                c = tracker.count
-                base = c - i - 1
-            cy = base + nalpha
-            if cy >= limit or (deadline is not None and cy >> 12 != c >> 12):
-                tracker.overrun(c, cy)
-            tracker.count = cy
+                base = tracker.count - i - 1
+            cy = tracker.count = base + nalpha
+            if cy >= tracker.stop:
+                reach(cy)
             return None
 
         try:
-            tick()
+            c = tracker.count = tracker.count + 1
+            if c >= tracker.stop:
+                reach(c)
             if narrow and not agen(amask) or need(self.base) > r:
                 return None
             if r > 2:
@@ -591,15 +580,13 @@ class _SearchContext:
             del rec  # rec refers to itself; free it without the cyclic collector
 
     def partner(self, amask: int, r2: int, tracker: _Tracker) -> Optional[tuple[int, ...]]:
-        """First spherical system of size r2 over the partner alphabet amask."""
-        key = (amask, r2)
-        if key in self.partner_memo:
-            return self.partner_memo[key]
+        """First spherical system of size r2 over the partner alphabet amask,
+        searched and memoized; the caller reads `partner_memo` first."""
         tracker.stats.partner_searches += 1
         res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2)
         if len(self.partner_memo) > 500_000:
             self.partner_memo.clear()  # speed cache only; bound the memory
-        self.partner_memo[key] = res
+        self.partner_memo[(amask, r2)] = res
         return res
 
 
@@ -647,11 +634,10 @@ def _search_rows(
     try:
         tracker.poll()
         for r1 in sorted(rows):
-            undecided = rows[r1]
+            undecided = sorted(rows[r1])
             _dfs_t1_row(ctx, r1, undecided, results, tracker)
-            for r2 in sorted(undecided):
+            for r2 in undecided:
                 results[(r1, r2)] = None
-            undecided.clear()
     except _BudgetStop:
         stats.exhausted = False
     stats.candidates = tracker.count
@@ -662,17 +648,21 @@ _MISSING = object()  # partner_memo stores None for a proven negative
 
 
 def _dfs_t1_row(ctx: _SearchContext, r1, undecided, results, tracker):
+    """Walk T1 of size r1 for the partner sizes in the ascending list
+    `undecided`, dropping each size from it once `results` holds a witness."""
     partner_memo = ctx.partner_memo
 
     def emit(t1, pmask):
         tracker.stats.t1_candidates += 1
-        for r2 in sorted(undecided):
+        found = len(results)
+        for r2 in undecided:
             t2 = partner_memo.get((pmask, r2), _MISSING)
             if t2 is _MISSING:
                 t2 = ctx.partner(pmask, r2, tracker)
             if t2 is not None:
                 results[(r1, r2)] = (t1, t2)
-                undecided.discard(r2)
+        if len(results) > found:
+            undecided[:] = [r2 for r2 in undecided if (r1, r2) not in results]
         return not undecided
 
     if undecided:

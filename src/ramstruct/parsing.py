@@ -38,13 +38,27 @@ from .structures import GenTuple
 
 def load_cayley_file(path: str) -> CayleyTableGroup:
     """The table group stored in a JSON file, labelled with its spec
-    "cayley:<path>"."""
+    "cayley:<path>".  The table must be a square list of integer rows, and
+    the optional names distinct non-empty strings, one per element."""
     data = json.loads(Path(path).read_text())
-    if "order" not in data or "table" not in data:
+    if not isinstance(data, dict) or "order" not in data or "table" not in data:
         raise RamError(f"cayley file {path} lacks 'order'/'table' fields")
-    if len(data["table"]) != data["order"]:
+    table, names = data["table"], data.get("names")
+    if not (
+        isinstance(table, list)
+        and all(isinstance(row, list) and len(row) == len(table) for row in table)
+        and all(type(x) is int for row in table for x in row)
+    ):
+        raise RamError(f"cayley file {path}: table is not a square list of integer rows")
+    if len(table) != data["order"]:
         raise RamError(f"cayley file {path}: table size does not match declared order")
-    return CayleyTableGroup(data["table"], data.get("names"), label=f"cayley:{path}")
+    if names is not None and not (
+        isinstance(names, list)
+        and all(isinstance(name, str) and name for name in names)
+        and len(set(names)) == len(names)
+    ):
+        raise RamError(f"cayley file {path}: names are not distinct non-empty strings")
+    return CayleyTableGroup(table, names, label=f"cayley:{path}")
 
 
 class _Cursor:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ramstruct.catalog import bundled_cayley_path
@@ -38,6 +40,25 @@ def d4():
 @pytest.fixture(scope="session")
 def s3():
     return load_cayley_file(str(bundled_cayley_path("s3")))
+
+
+# Cayley files that once loaded with a traceback, loaded a group that failed
+# later, or loaded a different table than they hold
+MALFORMED_CAYLEY = {
+    "table-not-a-list": {"order": 2, "table": 5},
+    "names-not-a-list": {"order": 2, "table": [[0, 1], [1, 0]], "names": 5},
+    "integer-names": {"order": 2, "table": [[0, 1], [1, 0]], "names": [0, 1]},
+    "float-entry": {"order": 2, "table": [[0, 1], [1.9, 0]]},
+    "duplicate-names": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["a", "a"]},
+}
+
+
+@pytest.fixture(params=list(MALFORMED_CAYLEY))
+def malformed_cayley(request, tmp_path):
+    """The path of one malformed Cayley file."""
+    path = tmp_path / f"{request.param}.json"
+    path.write_text(json.dumps(MALFORMED_CAYLEY[request.param]))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -218,6 +218,19 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+def test_malformed_cayley_file_exit_code(capsys, malformed_cayley):
+    spec = f"cayley:{malformed_cayley}"
+    for argv in (
+        ("invariants", "--group", spec),
+        ("check", "--group", spec, "--t1", "[#1; #1]", "--t2", "[a; a]"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.err, argv
+        payload = json.loads(captured.out)
+        assert payload["error"] == "RamError" and "cayley file" in payload["message"]
+
+
 def test_request_builds_its_group_once(capsys, monkeypatch):
     # the spec is parsed once (one cursor; these commands parse no tuples)
     # and its table file is loaded once, output field included

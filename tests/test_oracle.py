@@ -327,6 +327,46 @@ def test_deadline_polled_inside_leaf_level():
     assert tracker.count == 4096
 
 
+def _count_one_by_one(count, cy, limit, expired):
+    """Where counting the nodes count+1..cy one at a time stops: at the limit,
+    or at a multiple of 4096 polled once the deadline has passed; None if it
+    reaches cy."""
+    for n in range(count + 1, cy + 1):
+        if n >= limit or expired and not n % 4096:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("clock", ["no-deadline", "running", "passed", "passes"])
+@pytest.mark.parametrize("limit", [1, 100, 4095, 4096, 4097, 8192, 12_289, 60_000, 10**12])
+def test_tracker_reach_matches_counting_one_by_one(monkeypatch, limit, clock):
+    # jumps of one node, within a block of 4096, onto a poll and across
+    # several polls; the clock is read once per jump, as the walk counts a
+    # jump in no time
+    now = 0.0
+    monkeypatch.setattr(time, "monotonic", lambda: now)
+    budget = SearchBudget(max_candidates=limit, max_millis=None if clock == "no-deadline" else 1000)
+    tracker = oracle._Tracker(budget, oracle.SearchStats())
+    jumps = [1, 1, 4093, 1, 1, 5000, 4096, 3, 12_288, 1, 20_000, 7, 4095, 40_000, 1]
+    for k, jump in enumerate(jumps):
+        if clock == "passed" or clock == "passes" and k == 5:
+            now = 2.0
+        count, cy = tracker.count, tracker.count + jump
+        expected = _count_one_by_one(count, cy, limit, now > 1.0)
+        tracker.count = cy
+        if cy < tracker.stop:
+            assert expected is None, k
+            continue
+        try:
+            tracker.reach(cy)
+        except oracle._BudgetStop:
+            assert tracker.count == expected, k
+            return
+        assert expected is None and tracker.count == cy, k
+        assert cy < tracker.stop <= limit
+    assert limit == 10**12 and clock in ("no-deadline", "running")
+
+
 @pytest.mark.parametrize(
     "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C3xC3", "C6xC6", "heis(3)", "q8", "d4", "s3"]
 )
@@ -603,6 +643,71 @@ def test_replay_keeps_budget_stops(monkeypatch, forgetful):
 
     with_table, plain, replayed = _replay_runs(monkeypatch, forgetful, run)
     assert with_table == plain
+    assert replayed > 1000
+
+
+def test_replay_finds_stop_at_the_first_poll_past_the_deadline(monkeypatch):
+    # a clock that expires at the first count stored at or past T, for each
+    # multiple T of 4096 below 65,536 and below the search's own total: it
+    # must be read at that very store, and the search stops at T exactly as a
+    # node limit of T does, with and without the repeat table.  On C2xC4xC4
+    # these stops fall at an interior child, an empty leaf parent, a replayed
+    # state, a visited leaf and (without the table) the leaf tail.  A jump
+    # reads the clock once, at its end, so with T inside a block a jump that
+    # crosses the block's poll and reaches T stops at that poll, before T.
+    live = []
+    deadline_at = 0
+    slot = oracle._Tracker.count
+
+    class FakeClockTracker(oracle._Tracker):
+        __slots__ = ("reached",)
+
+        def __init__(self, *args):
+            live.clear()
+            self.reached = None
+            super().__init__(*args)
+            live.append(self)
+
+        @property
+        def count(self):
+            return slot.__get__(self)
+
+        @count.setter
+        def count(self, value):
+            if self.reached is None and value >= deadline_at:
+                self.reached = value
+            slot.__set__(self, value)
+
+    def clock():
+        if not live or live[0].reached is None:
+            return 0.0
+        assert live[0].count == live[0].reached, "the clock was read late"
+        return 1.0
+
+    monkeypatch.setattr(oracle, "_Tracker", FakeClockTracker)
+    monkeypatch.setattr(time, "monotonic", clock)
+
+    def run():
+        nonlocal deadline_at
+        out, replayed = {}, 0
+        for spec, size, _ in REPLAY_FINDS:
+            deadline_at = 10**12
+            total = find_structure(build_group(spec), *size, SearchBudget(cap=8)).stats.candidates
+            for deadline_at in range(4096, min(total, 65_536), 4096):
+                timed = find_structure(build_group(spec), *size, SearchBudget(max_millis=1, cap=8))
+                limited = find_structure(
+                    build_group(spec), *size, SearchBudget(max_candidates=deadline_at, cap=8)
+                )
+                assert timed.status == "budget", (spec, deadline_at)
+                assert _counts(timed.stats) == _counts(limited.stats), (spec, deadline_at)
+                assert timed.stats.candidates == deadline_at
+                out[spec, deadline_at] = _counts(timed.stats)
+                replayed += timed.stats.states_replayed
+        return out, replayed
+
+    with_table, plain, replayed = _replay_runs(monkeypatch, False, run)
+    assert with_table == plain
+    assert len(with_table) == 13 + 15
     assert replayed > 1000
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from ramstruct.catalog import builtin_catalog, bundled_cayley_path
-from ramstruct.errors import InvalidOrder, InvalidPrime, OutOfRange, ParseError
+from ramstruct.errors import InvalidOrder, InvalidPrime, OutOfRange, ParseError, RamError
 from ramstruct.groups import AbelianGroup, DirectProductGroup, HeisenbergGroup
 from ramstruct.parsing import (
     build_group,
@@ -56,6 +56,11 @@ def test_group_spec_errors():
         with pytest.raises(error) as info:
             build_group(text)
         assert info.value.pos == pos, text
+
+
+def test_malformed_cayley_file_is_an_input_error(malformed_cayley):
+    with pytest.raises(RamError):
+        build_group(f"cayley:{malformed_cayley}")
 
 
 def test_describe_round_trip():
