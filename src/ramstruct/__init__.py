@@ -83,6 +83,7 @@ from .theory import (
     predict_exponent_p,
     predict_nilpotent,
     predict_semi_abelian_pgroup,
+    semi_abelian_clauses,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ class ElementSet:
     """Immutable set of element indices of one group, backed by an int bitmask.
 
     Bit i is set iff element i belongs to the set; the universe size is the
-    group order, so complements are well defined.
+    group order.
     """
 
     __slots__ = ("mask", "universe")
@@ -35,14 +35,6 @@ class ElementSet:
     @classmethod
     def from_indices(cls, indices, universe: int) -> "ElementSet":
         return cls(mask_of(indices), universe)
-
-    @classmethod
-    def empty(cls, universe: int) -> "ElementSet":
-        return cls(0, universe)
-
-    @classmethod
-    def full(cls, universe: int) -> "ElementSet":
-        return cls((1 << universe) - 1, universe)
 
     @property
     def cardinality(self) -> int:
@@ -75,9 +67,6 @@ class ElementSet:
 
     def __sub__(self, other: "ElementSet") -> "ElementSet":
         return ElementSet(self.mask & ~other.mask, self.universe)
-
-    def complement(self) -> "ElementSet":
-        return ElementSet(((1 << self.universe) - 1) & ~self.mask, self.universe)
 
     def issubset(self, other: "ElementSet") -> bool:
         return self.mask & ~other.mask == 0

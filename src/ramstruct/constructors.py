@@ -48,7 +48,6 @@ from .invariants import (
     exponent_exponent,
     frattini,
     generators_missing,
-    is_semi_abelian,
     min_generators,
     omega,
     pgroup_prime,
@@ -61,6 +60,8 @@ from .theory import (
     predict_elementary_abelian,
     predict_nilpotent,
     predict_semi_abelian_pgroup,
+    semi_abelian_clauses,
+    semi_abelian_exponent,
 )
 from . import oracle
 
@@ -105,7 +106,7 @@ def omega_context(G: FiniteGroup) -> QuotientView:
     """G modulo the subgroup of elements of order below the exponent level
     (the kernel used by the projection/lift pair)."""
     _, e = exponent_exponent(G)
-    return quotient(G, omega(G, max(e - 1, 0)))
+    return quotient(G, omega(G, e - 1))
 
 
 def _same_table_group(A: FiniteGroup, B: FiniteGroup) -> bool:
@@ -343,21 +344,11 @@ def exponent_p_structure(G: FiniteGroup, r1: int, r2: int) -> RamStructure:
 # -- quotient projection and lifting at the top power level --------------------
 
 
-def _semi_abelian_exponent(G: FiniteGroup) -> tuple[int, int]:
-    """(p, e) with exp(G) = p^e, for a p-group that is semi-p^(e-1)-abelian;
-    raises HypothesisViolated with a witness pair otherwise."""
-    p, e = exponent_exponent(G)
-    ok, witness = is_semi_abelian(G, e - 1)
-    if not ok:
-        raise HypothesisViolated(f"not semi-{p}^{e - 1}-abelian; witness {witness}")
-    return p, e
-
-
 def project_mod_omega(G: FiniteGroup, S: RamStructure) -> RamStructure:
     """Project a structure onto the quotient by the order-below-exponent
     subgroup, deleting entries with trivial image; needs the semi-abelian
     hypothesis, which is what keeps the projected tuples disjoint."""
-    _, e = _semi_abelian_exponent(G)
+    _, e = semi_abelian_exponent(G)
     if S.group is not G:
         raise PreconditionViolated("structure does not live on the given group")
     if e == 1:
@@ -374,7 +365,7 @@ def lift_structure_mod_omega(
     """Lift a structure on G modulo the order-below-exponent subgroup back to
     G; disjointness is guaranteed by the semi-abelian hypothesis but is
     re-verified, and a failure there reports an internal contradiction."""
-    _, e = _semi_abelian_exponent(G)
+    _, e = semi_abelian_exponent(G)
     if e == 1:
         if U.group is not G:
             raise PreconditionViolated("structure does not live on the given group")
@@ -502,15 +493,16 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     """
     if pgroup_prime(G) != 2:
         raise NotAPGroup("the odd-odd construction applies to 2-groups")
-    _, e = _semi_abelian_exponent(G)
+    _, e = semi_abelian_exponent(G)
     X = power_image(G, e - 1)
     if e < 2 or X.cardinality != 8:
         raise HypothesisViolated("needs exponent >= 4 and exactly 8 top-level powers")
     if r1 % 2 == 0 or r2 % 2 == 0:
         raise PreconditionViolated("both sizes must be odd")
     d = min_generators(G)
-    if r1 < 5 or r2 < 5 or (r1, r2) == (5, 5) or r1 < d + 1 or r2 < d + 1:
-        raise InadmissibleSize(predict_semi_abelian_pgroup(G).violated_clause(r1, r2))
+    clause = semi_abelian_clauses(2, e, 8, d).violated_clause(r1, r2)
+    if clause is not None:
+        raise InadmissibleSize(clause)
     if d == 3:
         raise DegenerateRank("rank 3 leaves no generators for n; fall back to search")
 

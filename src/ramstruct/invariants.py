@@ -261,7 +261,7 @@ def classify_pgroup(G: FiniteGroup) -> PGroupClassification:
         p_central = omega(G, 1).issubset(series[level])
     else:
         p_central = omega(G, 2).issubset(series[min(1, len(series) - 1)])
-    semi = abelian or is_semi_abelian(G, max(e - 1, 0))[0]
+    semi = abelian or is_semi_abelian(G, e - 1)[0]
     return PGroupClassification(abelian, powerful, p_central, semi)
 
 

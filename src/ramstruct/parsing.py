@@ -39,7 +39,9 @@ from .structures import GenTuple
 def load_cayley_file(path: str) -> CayleyTableGroup:
     """The table group stored in a JSON file, labelled with its spec
     "cayley:<path>".  The table must be a square list of integer rows, and
-    the optional names distinct non-empty strings, one per element."""
+    the optional names distinct non-empty strings, one per element, that read
+    back as themselves in element and tuple literals: none starts with '#' or
+    holds whitespace, ';', '[', ']' or '|'."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "order" not in data or "table" not in data:
         raise RamError(f"cayley file {path} lacks 'order'/'table' fields")
@@ -58,6 +60,9 @@ def load_cayley_file(path: str) -> CayleyTableGroup:
         and len(set(names)) == len(names)
     ):
         raise RamError(f"cayley file {path}: names are not distinct non-empty strings")
+    for name in names or ():
+        if name.startswith("#") or any(ch.isspace() or ch in ";[]|" for ch in name):
+            raise RamError(f"cayley file {path}: element name {name!r} cannot be parsed back")
     return CayleyTableGroup(table, names, label=f"cayley:{path}")
 
 

@@ -1,5 +1,12 @@
 """Closed-form characterizations of the admissible size pairs, as finite
-constraint records: a minimum size, a finite exclusion set, and a parity flag."""
+constraint records: a minimum size, a finite exclusion set, and a parity flag.
+
+The theorem's size clauses live in one function, `semi_abelian_clauses`, of
+four invariants: p, e with exp(G) = p^e, |X| for X the set of p^(e-1)-th
+powers, and d(G).  Elementary abelian groups are its e = 1 case.  Its
+hypothesis, that G is semi-p^(e-1)-abelian, is checked in one place,
+`semi_abelian_exponent`; the predictors for groups and the constructors go
+through both, and a nilpotent group combines its Sylow factors' records."""
 
 from __future__ import annotations
 
@@ -7,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import HypothesisViolated, NotExponentP
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _is_prime
 from .invariants import (
-    exponent,
     exponent_exponent,
     is_semi_abelian,
     min_generators,
@@ -62,52 +68,9 @@ class SizeConstraintSet:
         }
 
 
-def predict_elementary_abelian(p: int, d: int) -> SizeConstraintSet:
-    """Admissible sizes for the elementary abelian group of rank d over p."""
-    if d < 1:
-        raise ValueError("rank must be >= 1")
-    prov = []
-    if p == 2:
-        if d < 3:
-            return SizeConstraintSet(False, provenance=("p=2 requires rank >= 3",))
-        floor = 5
-        prov.append("p=2 requires r1,r2 >= 5")
-    else:
-        if d < 2:
-            return SizeConstraintSet(False, provenance=("odd p requires rank >= 2",))
-        floor = 4 if p == 3 else 3
-        if p == 3:
-            prov.append("p=3 requires r1,r2 >= 4")
-    m = max(d + 1, floor)
-    prov.append(f"generation requires r1,r2 >= d+1 = {d + 1}")
-    forbid = p == 2 and d == 3
-    if forbid:
-        prov.append("rank-3 case over p=2 bars both sizes odd")
-    return SizeConstraintSet(True, m, frozenset(), forbid, tuple(prov))
-
-
-def predict_exponent_p(G: FiniteGroup) -> SizeConstraintSet:
-    """A group of prime exponent p has the same admissible sizes as its
-    maximal elementary abelian quotient."""
-    p, e = exponent_exponent(G)
-    if e != 1:
-        raise NotExponentP(f"exponent is {p}^{e}, not {p}")
-    return predict_elementary_abelian(p, min_generators(G))
-
-
-def predict_semi_abelian_pgroup(G: FiniteGroup) -> SizeConstraintSet:
-    """Admissible sizes for a semi-abelian p-group, driven by the cardinality of
-    the set X of p^(e-1)-th powers."""
-    p, e = exponent_exponent(G)
-    ok, witness = is_semi_abelian(G, e - 1) if e >= 1 else (True, None)
-    if not ok:
-        raise HypothesisViolated(
-            f"group is not semi-{p}^{e - 1}-abelian; witness pair {witness}"
-        )
-    if e == 0:
-        return SizeConstraintSet(False, provenance=("trivial group",))
-    x_size = power_image(G, e - 1).cardinality
-    d = min_generators(G)
+def semi_abelian_clauses(p: int, e: int, x_size: int, d: int) -> SizeConstraintSet:
+    """Admissible sizes of a semi-p^(e-1)-abelian p-group of exponent p^e with
+    d(G) = d, whose set X of p^(e-1)-th powers has x_size elements."""
     prov = [f"|X| = {x_size} with X the set of {p}^{e - 1}-th powers"]
     if p >= 3:
         if x_size < p * p:
@@ -135,6 +98,44 @@ def predict_semi_abelian_pgroup(G: FiniteGroup) -> SizeConstraintSet:
     return SizeConstraintSet(True, m, excluded, forbid, tuple(prov))
 
 
+def semi_abelian_exponent(G: FiniteGroup) -> tuple[int, int]:
+    """(p, e) with exp(G) = p^e, for a p-group that is semi-p^(e-1)-abelian;
+    raises HypothesisViolated with a witness pair otherwise."""
+    p, e = exponent_exponent(G)
+    ok, witness = is_semi_abelian(G, e - 1)
+    if not ok:
+        raise HypothesisViolated(
+            f"group is not semi-{p}^{e - 1}-abelian; witness pair {witness}"
+        )
+    return p, e
+
+
+def predict_elementary_abelian(p: int, d: int) -> SizeConstraintSet:
+    """Admissible sizes for the elementary abelian group of rank d over p: the
+    e = 1 case of `semi_abelian_clauses`, whose X is the whole group."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+    if d < 1:
+        raise ValueError("rank must be >= 1")
+    return semi_abelian_clauses(p, 1, p**d, d)
+
+
+def predict_exponent_p(G: FiniteGroup) -> SizeConstraintSet:
+    """A group of prime exponent p has the same admissible sizes as its
+    maximal elementary abelian quotient."""
+    p, e = exponent_exponent(G)
+    if e != 1:
+        raise NotExponentP(f"exponent is {p}^{e}, not {p}")
+    return predict_elementary_abelian(p, min_generators(G))
+
+
+def predict_semi_abelian_pgroup(G: FiniteGroup) -> SizeConstraintSet:
+    """Admissible sizes for a semi-abelian p-group, driven by the cardinality of
+    the set X of p^(e-1)-th powers."""
+    p, e = semi_abelian_exponent(G)
+    return semi_abelian_clauses(p, e, power_image(G, e - 1).cardinality, min_generators(G))
+
+
 def predict_nilpotent(G: FiniteGroup) -> SizeConstraintSet:
     """Admissible sizes for a nilpotent group whose Sylow factors are all
     semi-abelian at their top power level.
@@ -160,7 +161,7 @@ def predict_nilpotent(G: FiniteGroup) -> SizeConstraintSet:
         m = max(m, scs.min_size)
         excluded |= scs.excluded_pairs
         prov.append(f"Sylow {p}-factor: min {scs.min_size}")
-    is_c2_cubed = G.order == 8 and exponent(G) == 2
+    is_c2_cubed = len(factors) == 1 and scs.forbid_both_odd
     if excluded:
         prov.append("a Sylow 2-factor with |X| = 8 excludes (5,5)")
     if is_c2_cubed:

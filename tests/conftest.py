@@ -50,6 +50,14 @@ MALFORMED_CAYLEY = {
     "integer-names": {"order": 2, "table": [[0, 1], [1, 0]], "names": [0, 1]},
     "float-entry": {"order": 2, "table": [[0, 1], [1.9, 0]]},
     "duplicate-names": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["a", "a"]},
+    # names that render but parse back as another element or not at all
+    "hash-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["#1", "e"]},
+    "leading-space-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", " a"]},
+    "inner-tab-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a\tb"]},
+    "semicolon-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a;b"]},
+    "open-bracket-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "[a"]},
+    "close-bracket-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a]"]},
+    "bar-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a|b"]},
 }
 
 

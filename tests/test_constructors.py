@@ -36,7 +36,7 @@ from ramstruct.structures import (
     sigma,
     validated,
 )
-from ramstruct.theory import predict_elementary_abelian
+from ramstruct.theory import predict_elementary_abelian, predict_semi_abelian_pgroup
 
 
 def test_lift_tuple_spherical(c2c4cubed):
@@ -180,6 +180,12 @@ def test_elementary_abelian_inadmissible():
         elementary_abelian_structure(2, 3, 7, 9)  # both odd at rank 3
     with pytest.raises(InadmissibleSize):
         elementary_abelian_structure(2, 2, 5, 6)  # rank too small
+    # p must be prime: 1 once built a structure on C2xC2xC2, and 4 failed
+    # inside the construction
+    with pytest.raises(ValueError):
+        elementary_abelian_structure(1, 3, 4, 4)
+    with pytest.raises(ValueError):
+        elementary_abelian_structure(4, 2, 3, 3)
 
 
 def test_elementary_abelian_totality_small():
@@ -356,8 +362,15 @@ def test_odd_odd_construction(c2c4cubed):
     assert S.size == (7, 7)
     S = semi_abelian_2group_odd_odd(c2c4cubed, 7, 5)
     assert S.size == (7, 5)
-    with pytest.raises(InadmissibleSize):
-        semi_abelian_2group_odd_odd(c2c4cubed, 5, 5)
+    # every odd pair the predictor excludes is refused with its clause
+    for G in (c2c4cubed, AbelianGroup([2, 2, 4, 4, 4])):
+        scs = predict_semi_abelian_pgroup(G)
+        for r1 in range(3, 10, 2):
+            for r2 in range(3, 10, 2):
+                if not scs.membership(r1, r2):
+                    with pytest.raises(InadmissibleSize) as info:
+                        semi_abelian_2group_odd_odd(G, r1, r2)
+                    assert str(info.value) == scs.violated_clause(r1, r2)
     with pytest.raises(PreconditionViolated):
         semi_abelian_2group_odd_odd(c2c4cubed, 6, 7)
     with pytest.raises(DegenerateRank):

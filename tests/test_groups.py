@@ -160,7 +160,7 @@ def test_quotient_examples(c2c4cubed, heis3):
     assert view.group.order == 8
     assert all(view.group.order_of(g) <= 2 for g in view.group.elements())
 
-    full = ElementSet.full(heis3.order)
+    full = ElementSet((1 << heis3.order) - 1, heis3.order)
     assert quotient(heis3, full).group.order == 1
 
     center = derived_subgroup(heis3)

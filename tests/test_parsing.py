@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ramstruct.catalog import builtin_catalog, bundled_cayley_path
@@ -10,6 +12,7 @@ from ramstruct.parsing import (
     render_element,
     render_tuple,
 )
+from ramstruct.structures import GenTuple
 
 
 def test_group_spec_chain():
@@ -150,3 +153,16 @@ def test_render_tuple_round_trip(c2c4cubed):
     again = parse_tuple(G, text)
     assert again.entries == T.entries
     assert render_tuple(again) == text
+
+
+def test_table_names_round_trip():
+    # every named element of the bundled tables reads back as itself alone,
+    # in a tuple literal, and on either side of a product with another table
+    tables = [f"cayley:{bundled_cayley_path(name)}" for name in ("d4", "q8", "s3")]
+    specs = tables + [f"prod({a},{b})" for a, b in itertools.permutations(tables, 2)]
+    for spec in specs:
+        G = build_group(spec)
+        for a in G.elements():
+            assert parse_element(G, render_element(G, a)) == a, (spec, a)
+        T = GenTuple(G, tuple(G.elements()))
+        assert parse_tuple(G, render_tuple(T)) == T, spec

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ramstruct"
@@ -77,14 +78,15 @@ def test_no_unused_locals():
 DEMOS = SRC.parent.parent / "demos"
 
 
-def _referenced_names(tree: ast.AST) -> set[str]:
-    """Names a piece of code reads, as names, attributes or imports."""
-    out = set()
+def _references(tree: ast.AST) -> Counter:
+    """How often a piece of code reads each name, as a name, an attribute or
+    an import."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
     return out
@@ -100,8 +102,30 @@ def test_every_module_level_definition_is_used():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if path.parent == SRC:
                     defined.append((path.name, node.name))
-                used |= _referenced_names(node) - {node.name}
+                used |= _references(node).keys() - {node.name}
             else:
-                used |= _referenced_names(node)
+                used |= _references(node).keys()
     assert defined
     assert [f"{module} {name}" for module, name in defined if name not in used] == []
+
+
+def test_every_public_method_is_used():
+    # a public method of a package class must be read by the package or a
+    # demo outside its own body; `_` and dunder methods are skipped
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees.update((path, ast.parse(path.read_text())) for path in sorted(DEMOS.glob("*.py")))
+    reads = Counter()
+    for tree in trees.values():
+        reads += _references(tree)
+    unused = [
+        f"{path.name} {cls.name}.{fn.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and reads[fn.name] == _references(fn)[fn.name]
+    ]
+    assert unused == []
