@@ -117,9 +117,21 @@ which takes the mask so that `closers` and `lo` are read once per leaf
 parent.  The root is counted and tested on entry to `walk`, and computes its
 own mask when it is itself a leaf parent (r = 2).  The checks run in the
 order a child would run them itself, so every count and budget stop is
-unchanged.  The loops read memo hits (the node count, closures, `need`,
-alphabet tests, leaf masks) inline and call the memo's method only on a
-miss, so each memo's bound and clear stay in one place.
+unchanged.
+
+The loops read two row tables, not the memos.  The step row of a closed set
+H holds in slot y the triple (<H, y>, need(<H, y>), closers(<H, y>)); the
+alphabet row of a partner alphabet P holds in slot y the alphabet
+P & compat[y], or 0 when that no longer generates G.  A call reads its
+parent's rows once and one slot of each per child, so a child costs list
+reads rather than dict reads hashed on |G|-bit keys, and walks reach few
+closures and alphabets (15 and 92 on C4xC4xC4 at cap 7), so rows are few.
+A leaf's partner alphabet is its parent's row at y, then that alphabet's row
+at the forced last entry.  An empty slot is filled by `step` or `alpha` from
+the memoized `extend_closure`, `need`, `closers` and `alphabet_generates`.
+The rows are a speed cache: a table is cleared before it would hold more
+than ROW_SLOTS slots (rows times |G|), as each memo is at its bound, and a
+row a clear detaches serves on, unshared, the call that holds it.
 
 Every walk replays repeated interior states.  Until it emits, the walk of
 the subtree below a prefix depends only on the prefix's state: depth,
@@ -149,6 +161,10 @@ from .invariants import frattini, generators_missing
 from .structures import GenTuple, RamStructure, _cyc_masks, validated
 
 ORACLE_ORDER_LIMIT = 512
+
+# The walk's row tables hold at most this many slots (rows times |G|); a table
+# that would pass it is cleared, since the rows are a speed cache only.
+ROW_SLOTS = 1 << 20
 
 # Part of every catalog cache key: raise it with any change that can alter a
 # decision, a witness or a counter, so that records of older code are not served.
@@ -246,6 +262,22 @@ class _Tracker:
             raise _BudgetStop
 
 
+class _Rows(dict):
+    """Rows of one slot per element, keyed by a mask, each slot None until
+    filled; a missing row is made on first use, and the table is cleared
+    before it would hold more than ROW_SLOTS slots."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key: int) -> list:
+        if (len(self) + 1) * self.n > ROW_SLOTS:
+            self.clear()  # speed cache only; bound the memory
+        row = self[key] = [None] * self.n
+        return row
+
+
 class _SearchContext:
     """Per-group tables and memoized machinery shared by all searches."""
 
@@ -268,6 +300,8 @@ class _SearchContext:
         self.need_memo: dict[int, int] = {}
         self.closers_memo: dict[int, int] = {}
         self.lo_memo: list[Optional[int]] = [None] * n
+        self.step_rows = _Rows(n)  # H -> [(<H, y>, need, closers) per y]
+        self.alpha_rows = _Rows(n)  # partner alphabet P -> [P & compat[y] or 0 per y]
         self.all_nontrivial = self.full & ~1
         self.compat = self._compat_masks(G)
         self._setup_generation_bound(G)
@@ -338,13 +372,23 @@ class _SearchContext:
             if len(self.alpha_gen_memo) > 1_000_000:
                 self.alpha_gen_memo.clear()  # speed cache only; bound the memory
             hmask = self.base
-            for y in iter_bits(amask):
-                hmask = self.extend_closure(hmask, y)
+            rest = amask & ~hmask
+            while rest:
+                hmask = self.extend_closure(hmask, (rest & -rest).bit_length() - 1)
                 if hmask == self.full:
                     break
+                rest &= ~hmask
             r = amask != 0 and hmask == self.full
             self.alpha_gen_memo[amask] = r
         return r
+
+    def alpha(self, row: list, pmask: int, y: int) -> int:
+        """Fill slot y of the alphabet row of pmask: the partner alphabet
+        pmask & compat[y] once y joins the tuple, or 0 when it no longer
+        generates G."""
+        q = pmask & self.compat[y]
+        q = row[y] = q if self.alphabet_generates(q) else 0
+        return q
 
     # -- generation-feasibility bound -------------------------------------------
 
@@ -404,6 +448,13 @@ class _SearchContext:
             self.closers_memo[hmask] = r
         return r
 
+    def step(self, row: list, hmask: int, y: int) -> tuple[int, int, int]:
+        """Fill slot y of the step row of the closed set H: the closure
+        <H, y>, its `need` and its `closers`."""
+        h = self.extend_closure(hmask, y)
+        s = row[y] = (h, self.need(h), self.closers(h))
+        return s
+
     def lo(self, pi: int) -> int:
         """Mask of all y with inv(pi*y) >= y: the entries after a prefix with
         product pi whose forced last entry keeps a multiset nondecreasing.
@@ -442,22 +493,21 @@ class _SearchContext:
         and counts the others arithmetically.  Each counting site stores its
         count in `tracker.count` and calls `reach` once the count reaches
         `tracker.stop`; `emit` may run walks on the same tracker, so the leaf
-        level reads the count again after it.  Each completion calls `emit(entries, pmask)`;
-        a truthy return stops the walk and becomes its result, otherwise the
-        walk returns None.  With `narrow`, `pmask` is the partner alphabet of
+        level reads the count again after it.  A call reads its parent's step
+        row and, with `narrow`, its alphabet row once, then one slot of each
+        per child; each table is cleared at ROW_SLOTS slots (see the module
+        docstring).  Each completion calls `emit(entries, pmask)`; a truthy
+        return stops the walk and becomes its result, otherwise the walk
+        returns None.  With `narrow`, `pmask` is the partner alphabet of
         the completed tuple and prefixes whose partner alphabet no longer
         generates G are cut; otherwise `pmask` is `amask`.
 
         An interior state met again whose first visit emitted nothing is
         replayed from that visit's node count rather than walked (see the
         module docstring); `repeats=False` walks every subtree."""
-        mul, inv, compat = self.mul, self.inv, self.compat
-        extend, need, agen = self.extend_closure, self.need, self.alphabet_generates
-        closers, lo = self.closers, self.lo
-        # memo hits are read inline; a miss falls back to the method, which
-        # fills the memo and bounds its size
-        ext_memo, need_memo, agen_memo = self.ext_memo, self.need_memo, self.alpha_gen_memo
-        closers_memo, lo_memo = self.closers_memo, self.lo_memo
+        mul, inv, lo, lo_memo = self.mul, self.inv, self.lo, self.lo_memo
+        # an empty slot is filled by its table's method
+        step_rows, step, alpha_rows, alpha = self.step_rows, self.step, self.alpha_rows, self.alpha
         reach, stats = tracker.reach, tracker.stats
         alist = tuple(iter_bits(amask))
         nalpha = len(alist)
@@ -468,7 +518,8 @@ class _SearchContext:
         seen: Optional[dict[tuple, int]] = {} if repeats else None
 
         def rec(depth: int, pi: int, hmask: int, pmask: int, start: int):
-            row = mul[pi]
+            row, srow = mul[pi], step_rows[hmask]
+            arow = alpha_rows[pmask] if narrow else None
             slack = r - depth - 1
             leaf_parents = depth + 1 == r - 2
             table = seen if depth + 1 < r - 2 else None
@@ -479,22 +530,20 @@ class _SearchContext:
                     reach(c)
                 p = pmask
                 if narrow:
-                    p &= compat[y]
-                    if p != pmask:
-                        g = agen_memo.get(p)
-                        if not (agen(p) if g is None else g):
-                            continue
-                if (hmask >> y) & 1:
-                    h = hmask
-                else:
-                    h = ext_memo.get((hmask, y)) or extend(hmask, y)
-                nd = need_memo.get(h)
-                if (need(h) if nd is None else nd) > slack:
+                    p = arow[y]
+                    if p is None:
+                        p = alpha(arow, pmask, y)
+                    if not p:
+                        continue
+                s = srow[y]
+                if s is None:
+                    s = step(srow, hmask, y)
+                h, nd, m = s
+                if nd > slack:
                     continue
                 piy = row[y]
                 if leaf_parents:
-                    m = closers_memo.get(h)
-                    m = (closers(h) if m is None else m) & amask
+                    m &= amask
                     if multiset:
                         lm = lo_memo[piy]
                         m &= (lo(piy) if lm is None else lm) & -(1 << y)
@@ -535,6 +584,7 @@ class _SearchContext:
             # position i of alist is node base + i + 1
             nonlocal emits
             row = mul[pi]
+            arow = alpha_rows[pmask] if narrow else None
             base = tracker.count - first
             while m:
                 low = m & -m
@@ -549,11 +599,17 @@ class _SearchContext:
                     continue
                 p = pmask
                 if narrow:
-                    p &= compat[y] & compat[last]
-                    if p != pmask:
-                        g = agen_memo.get(p)
-                        if not (agen(p) if g is None else g):
-                            continue
+                    q = arow[y]
+                    if q is None:
+                        q = alpha(arow, pmask, y)
+                    if not q:
+                        continue
+                    qrow = alpha_rows[q]
+                    p = qrow[last]
+                    if p is None:
+                        p = alpha(qrow, q, last)
+                    if not p:
+                        continue
                 emits += 1
                 res = emit(tuple(entries) + (y, last), p)
                 if res:
@@ -568,11 +624,11 @@ class _SearchContext:
             c = tracker.count = tracker.count + 1
             if c >= tracker.stop:
                 reach(c)
-            if narrow and not agen(amask) or need(self.base) > r:
+            if narrow and not self.alphabet_generates(amask) or self.need(self.base) > r:
                 return None
             if r > 2:
                 return rec(0, 0, self.base, amask, 0)
-            m = closers(self.base) & amask
+            m = self.closers(self.base) & amask
             if multiset:
                 m &= lo(0)
             return leaves(0, amask, 0, m)

@@ -40,8 +40,10 @@ def load_cayley_file(path: str) -> CayleyTableGroup:
     """The table group stored in a JSON file, labelled with its spec
     "cayley:<path>".  The table must be a square list of integer rows, and
     the optional names distinct non-empty strings, one per element, that read
-    back as themselves in element and tuple literals: none starts with '#' or
-    holds whitespace, ';', '[', ']' or '|'."""
+    back as themselves in element, tuple and product literals: none starts
+    with '#' or holds whitespace, ';', '[', ']' or '|', and none is another
+    name followed by one or more ')', which would read as that name where
+    product literals close after it."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "order" not in data or "table" not in data:
         raise RamError(f"cayley file {path} lacks 'order'/'table' fields")
@@ -60,8 +62,13 @@ def load_cayley_file(path: str) -> CayleyTableGroup:
         and len(set(names)) == len(names)
     ):
         raise RamError(f"cayley file {path}: names are not distinct non-empty strings")
+    taken = set(names or ())
     for name in names or ():
-        if name.startswith("#") or any(ch.isspace() or ch in ";[]|" for ch in name):
+        if (
+            name.startswith("#")
+            or any(ch.isspace() or ch in ";[]|" for ch in name)
+            or any(name[:k] in taken for k in range(len(name.rstrip(")")), len(name)))
+        ):
             raise RamError(f"cayley file {path}: element name {name!r} cannot be parsed back")
     return CayleyTableGroup(table, names, label=f"cayley:{path}")
 

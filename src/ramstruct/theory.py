@@ -121,12 +121,12 @@ def predict_elementary_abelian(p: int, d: int) -> SizeConstraintSet:
 
 
 def predict_exponent_p(G: FiniteGroup) -> SizeConstraintSet:
-    """A group of prime exponent p has the same admissible sizes as its
-    maximal elementary abelian quotient."""
+    """Admissible sizes for a group of prime exponent p: every such group is
+    semi-p^0-abelian, so this is its semi-abelian record, whose X is G."""
     p, e = exponent_exponent(G)
     if e != 1:
         raise NotExponentP(f"exponent is {p}^{e}, not {p}")
-    return predict_elementary_abelian(p, min_generators(G))
+    return predict_semi_abelian_pgroup(G)
 
 
 def predict_semi_abelian_pgroup(G: FiniteGroup) -> SizeConstraintSet:

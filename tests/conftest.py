@@ -58,6 +58,10 @@ MALFORMED_CAYLEY = {
     "open-bracket-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "[a"]},
     "close-bracket-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a]"]},
     "bar-name": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a|b"]},
+    # "(1|r)" in a product would read as the name "r)", then lack its ')',
+    # and "(1|(1|r))" likewise as "r))"
+    "name-plus-paren": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["r", "r)"]},
+    "name-plus-parens": {"order": 2, "table": [[0, 1], [1, 0]], "names": ["r", "r))"]},
 }
 
 

@@ -527,6 +527,65 @@ def test_walk_closures_stay_few_on_c4_cubed():
     assert len(_context(G).ext_memo) < 1000
 
 
+# -- the walk's row tables ----------------------------------------------------
+
+
+def test_row_slots_match_their_definitions():
+    filled = 0
+    for entry in builtin_catalog(16):
+        G = build_group(entry.spec)
+        size_set_up_to(G, 5)
+        ctx = _context(G)
+        for H, row in ctx.step_rows.items():
+            for y, slot in enumerate(row):
+                if slot is not None:
+                    h = ctx.extend_closure(H, y)
+                    assert slot == (h, ctx.need(h), ctx.closers(h))
+                    filled += 1
+        for P, row in ctx.alpha_rows.items():
+            for y, slot in enumerate(row):
+                if slot is not None:
+                    q = P & ctx.compat[y]
+                    assert slot == (q if ctx.alphabet_generates(q) else 0)
+                    filled += 1
+    assert filled > 1000
+
+
+@pytest.mark.parametrize("spec", ["C2xC4xC4", "C2xC2xC2xC4"])
+def test_row_tables_keep_to_their_bound(spec, monkeypatch):
+    # a table is cleared before it would pass ROW_SLOTS; walks over the
+    # cleared tables (and over rows a clear detached) find the same answers
+    def run():
+        result = size_set_up_to(build_group(spec), 6)
+        witnesses = {p: (S.t1.entries, S.t2.entries) for p, S in result.witnesses.items()}
+        return sorted(result.pairs), witnesses, result.stats.counters(), result.exhaustive
+
+    unbounded = run()
+    largest, made = 0, 0
+    missing = oracle._Rows.__missing__
+
+    def watched(self, key):
+        nonlocal largest, made
+        row = missing(self, key)
+        largest, made = max(largest, len(self)), made + 1
+        return row
+
+    monkeypatch.setattr(oracle, "ROW_SLOTS", 3 * build_group(spec).order)
+    monkeypatch.setattr(oracle._Rows, "__missing__", watched)
+    assert run() == unbounded
+    assert largest == 3
+    assert made > 100
+
+
+def test_walk_rows_stay_few_on_c4_cubed():
+    # C4xC4xC4 at cap 7 reaches 15 closures and 92 partner alphabets
+    G = AbelianGroup([4, 4, 4])
+    size_set_up_to(G, 7)
+    ctx = _context(G)
+    assert len(ctx.step_rows) <= 15
+    assert len(ctx.alpha_rows) < 200
+
+
 @pytest.mark.parametrize("spec", ["x".join(["C2"] * 9), "C8xC8xC8", "heis(7)"])
 def test_context_build_reads_the_group_arithmetic(spec, monkeypatch):
     # the build reads the table from the group's arithmetic, not |G|^2 calls

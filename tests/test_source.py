@@ -129,3 +129,14 @@ def test_every_public_method_is_used():
         and reads[fn.name] == _references(fn)[fn.name]
     ]
     assert unused == []
+
+
+def test_walk_reads_rows_not_memos():
+    # the walk reads its per-closure and per-alphabet rows; the memos behind
+    # them are read only by the methods that fill a row's slots
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    (ctx,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SearchContext"]
+    (walk,) = [n for n in ctx.body if isinstance(n, ast.FunctionDef) and n.name == "walk"]
+    reads = _references(walk)
+    assert {"ext_memo", "need_memo", "closers_memo", "alpha_gen_memo"} & reads.keys() == set()
+    assert {"step_rows", "alpha_rows"} <= reads.keys()

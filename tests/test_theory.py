@@ -46,6 +46,14 @@ def test_exponent_p_predictions(heis3, heis5):
         predict_exponent_p(AbelianGroup([4]))
 
 
+def test_exponent_p_record_states_the_groups_own_x(heis3):
+    # X is the set of 3^0-th powers of heis(3) itself, not of its Frattini
+    # quotient C3xC3, whose X has 9 elements
+    scs = predict_exponent_p(heis3)
+    assert scs.provenance[0] == "|X| = 27 with X the set of 3^0-th powers"
+    assert scs == predict_semi_abelian_pgroup(heis3)
+
+
 def test_semi_abelian_pgroup_predictions(c2c4cubed, q8):
     scs = predict_semi_abelian_pgroup(c2c4cubed)
     assert scs.admits and scs.min_size == 5
