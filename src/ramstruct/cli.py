@@ -78,7 +78,7 @@ def cmd_check(args, G: FiniteGroup) -> tuple[dict, int]:
 def cmd_search(args, G: FiniteGroup) -> tuple[dict, int]:
     r1, r2 = _parse_size(args.size)
     budget = _budget(args, max(r1, r2))
-    if args.all and args.all > 1:
+    if args.all is not None and args.all != 1:  # enumerate_structures refuses N < 1
         structures, stats = enumerate_structures(G, r1, r2, args.all, budget)
         payload = {
             "status": "found" if structures else ("none" if stats.exhausted else "budget"),

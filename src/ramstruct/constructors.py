@@ -550,7 +550,7 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
     yz = OQ.mul(yq, zq)
     xz = OQ.mul(xq, zq)
     xyz = OQ.mul(xy, zq)
-    u1 = (xy, yz, xz, xyz, xyz) + (xy,) * (a - 5)
+    u1 = _pad(OQ, (xy, yz, xz, xyz, xyz), a)
     T1 = lift_tuple(view, GenTuple(OQ, u1))
 
     counts = _balanced_template(d, b - 1)

@@ -82,7 +82,7 @@ closure H visits only the set bits of
 entry in the alphabet and, when narrowing, its partner alphabet:
 
 * pi lies in H, so the forced last entry (pi*y)^-1 lies in <H, y>, and the
-  leaf closes to G exactly when <H, y> = G; `closers(H)` is the mask of those
+  leaf closes to G exactly when <H, y> = G; closers(H) is the mask of those
   y. Since <H, y> = <H, yh> for every h in H, it is a union of cosets yH and
   takes one closure per coset; when `need(H)` > 1 it is empty.
 * `lo(pi)` is the mask of y with (pi*y)^-1 >= y, memoized per pi.
@@ -113,25 +113,40 @@ groups), none of its leaves can complete, and the parent adds them all at
 once, `len(alphabet) - first`, by the same rule.
 Only a child with leaves to visit, or one above the leaf parents, is called:
 interior prefixes by the interior loop, leaf parents by the one leaf loop,
-which takes the mask so that `closers` and `lo` are read once per leaf
+which takes the mask so that closers(H) and `lo` are read once per leaf
 parent.  The root is counted and tested on entry to `walk`, and computes its
 own mask when it is itself a leaf parent (r = 2).  The checks run in the
 order a child would run them itself, so every count and budget stop is
 unchanged.
 
 The loops read two row tables, not the memos.  The step row of a closed set
-H holds in slot y the triple (<H, y>, need(<H, y>), closers(<H, y>)); the
-alphabet row of a partner alphabet P holds in slot y the alphabet
-P & compat[y], or 0 when that no longer generates G.  A call reads its
-parent's rows once and one slot of each per child, so a child costs list
-reads rather than dict reads hashed on |G|-bit keys, and walks reach few
-closures and alphabets (15 and 92 on C4xC4xC4 at cap 7), so rows are few.
-A leaf's partner alphabet is its parent's row at y, then that alphabet's row
-at the forced last entry.  An empty slot is filled by `step` or `alpha` from
-the memoized `extend_closure`, `need`, `closers` and `alphabet_generates`.
-The rows are a speed cache: a table is cleared before it would hold more
-than ROW_SLOTS slots (rows times |G|), as each memo is at its bound, and a
-row a clear detaches serves on, unshared, the call that holds it.
+H holds in slot y the record (K, need(K), closers(K)) of K = <H, y>, one
+tuple per closed set shared by every slot that reaches it; the alphabet row
+of a partner alphabet P holds in slot y the alphabet P & compat[y], or 0
+when that no longer generates G.  A call reads its parent's rows once and
+one slot of each per child, so a child costs list reads rather than dict
+reads hashed on |G|-bit keys, and walks reach few closures and alphabets
+(15 and 92 on C4xC4xC4 at cap 7), so rows are few.  A leaf's partner
+alphabet is its parent's row at y, then that alphabet's row at the forced
+last entry.  An empty slot is filled by `step` or `alpha` from the memoized
+`extend_closure`, `closed` and `alphabet_generates`.  `need` is a few bit
+counts and is not memoized; the root reads need(base), and closers(base)
+only when r = 2.
+
+One bound holds the caches that grow with the closures and alphabets a walk
+reaches: the rows, the records of `closed` and the answers of
+`alphabet_generates` are stored through `_Bounded.put`, which counts |G|
+slots per entry and clears its table before it would hold more than
+ROW_SLOTS slots.  They are speed caches, so a clear changes no answer or
+count, and a row a clear detaches serves on, unshared, the call that holds
+it.  The other caches keep their own policy.  `partner_memo` is cleared at
+its own entry bound and the replay table below lives for one walk, because
+their misses are counted: a cleared partner entry is walked again, adding
+nodes and `partner_searches`, and a lost replay state changes
+`states_replayed`.  `gens_for` is never cleared, since a closed set a live
+row holds is still extended through it; `ext_memo` holds one closure per
+closed set and element it was asked about, few since walks carry HPhi; and
+`lo_memo` holds at most |G| masks.
 
 Every walk replays repeated interior states.  Until it emits, the walk of
 the subtree below a prefix depends only on the prefix's state: depth,
@@ -162,8 +177,8 @@ from .structures import GenTuple, RamStructure, _cyc_masks, validated
 
 ORACLE_ORDER_LIMIT = 512
 
-# The walk's row tables hold at most this many slots (rows times |G|); a table
-# that would pass it is cleared, since the rows are a speed cache only.
+# A bounded cache counts |G| slots per entry and holds at most this many; one
+# that would pass it is cleared, since it is a speed cache only.
 ROW_SLOTS = 1 << 20
 
 # Part of every catalog cache key: raise it with any change that can alter a
@@ -262,20 +277,28 @@ class _Tracker:
             raise _BudgetStop
 
 
-class _Rows(dict):
-    """Rows of one slot per element, keyed by a mask, each slot None until
-    filled; a missing row is made on first use, and the table is cleared
-    before it would hold more than ROW_SLOTS slots."""
+class _Bounded(dict):
+    """A speed cache keyed by a mask, counting |G| slots per entry: `put`
+    stores an entry, first clearing the table if it would hold more than
+    ROW_SLOTS slots."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
 
-    def __missing__(self, key: int) -> list:
+    def put(self, key: int, value):
         if (len(self) + 1) * self.n > ROW_SLOTS:
             self.clear()  # speed cache only; bound the memory
-        row = self[key] = [None] * self.n
-        return row
+        self[key] = value
+        return value
+
+
+class _Rows(_Bounded):
+    """Rows of one slot per element, each slot None until filled; a missing
+    row is made on first use."""
+
+    def __missing__(self, key: int) -> list:
+        return self.put(key, [None] * self.n)
 
 
 class _SearchContext:
@@ -295,10 +318,9 @@ class _SearchContext:
         self.abelian = G.is_abelian
         self.gens_for: dict[int, tuple[int, ...]] = {1: ()}
         self.ext_memo: dict[tuple[int, int], int] = {}
-        self.alpha_gen_memo: dict[int, bool] = {}
+        self.alpha_gen_memo = _Bounded(n)  # alphabet -> whether it generates G
         self.partner_memo: dict[tuple[int, int], Optional[tuple]] = {}  # (amask, r2) -> T2
-        self.need_memo: dict[int, int] = {}
-        self.closers_memo: dict[int, int] = {}
+        self.closed_memo = _Bounded(n)  # closed set H -> (H, need(H), closers(H))
         self.lo_memo: list[Optional[int]] = [None] * n
         self.step_rows = _Rows(n)  # H -> [(<H, y>, need, closers) per y]
         self.alpha_rows = _Rows(n)  # partner alphabet P -> [P & compat[y] or 0 per y]
@@ -369,8 +391,6 @@ class _SearchContext:
         many times over, so answers are memoized."""
         r = self.alpha_gen_memo.get(amask)
         if r is None:
-            if len(self.alpha_gen_memo) > 1_000_000:
-                self.alpha_gen_memo.clear()  # speed cache only; bound the memory
             hmask = self.base
             rest = amask & ~hmask
             while rest:
@@ -378,8 +398,7 @@ class _SearchContext:
                 if hmask == self.full:
                     break
                 rest &= ~hmask
-            r = amask != 0 and hmask == self.full
-            self.alpha_gen_memo[amask] = r
+            r = self.alpha_gen_memo.put(amask, amask != 0 and hmask == self.full)
         return r
 
     def alpha(self, row: list, pmask: int, y: int) -> int:
@@ -409,32 +428,28 @@ class _SearchContext:
     def need(self, hmask: int) -> int:
         """Lower bound on how many further elements must be adjoined to the
         subgroup H before the whole group can be generated: exact for
-        nilpotent G (`generators_missing`), and 1 for any proper H otherwise."""
-        r = self.need_memo.get(hmask)
-        if r is None:
-            if hmask == self.full:
-                r = 0
-            elif self.phi is None:
-                r = 1
-            else:
-                r = generators_missing(self.n, self.phi, hmask)
-            self.need_memo[hmask] = r
-        return r
+        nilpotent G (`generators_missing`), and 1 for any proper H otherwise.
+        It costs a few bit counts, so it is not memoized."""
+        if hmask == self.full:
+            return 0
+        if self.phi is None:
+            return 1
+        return generators_missing(self.n, self.phi, hmask)
 
     # -- leaf masks -------------------------------------------------------------
 
-    def closers(self, hmask: int) -> int:
-        """Mask of all y with <H, y> = G, for the closed set H.  Since
-        <H, y> = <H, yh> for every h in H, the mask is a union of cosets yH,
+    def closed(self, hmask: int) -> tuple[int, int, int]:
+        """The record (H, need(H), closers(H)) of the closed set H, memoized,
+        where closers(H) is the mask of all y with <H, y> = G.  Since
+        <H, y> = <H, yh> for every h in H, that mask is a union of cosets yH,
         and one closure decides a whole coset."""
-        r = self.closers_memo.get(hmask)
-        if r is None:
-            if len(self.closers_memo) > 100_000:
-                self.closers_memo.clear()  # speed cache only; bound the memory
+        s = self.closed_memo.get(hmask)
+        if s is None:
             full = self.full
-            r = full if hmask == full else 0
+            nd = self.need(hmask)
+            m = full if hmask == full else 0
             # need 0 means H = G; need > 1 means no single y closes H to G
-            rest = full & ~hmask if self.need(hmask) == 1 else 0
+            rest = full & ~hmask if nd == 1 else 0
             hs = tuple(iter_bits(hmask))
             while rest:
                 y = (rest & -rest).bit_length() - 1
@@ -444,15 +459,14 @@ class _SearchContext:
                     coset |= 1 << row[h]
                 rest &= ~coset
                 if self.extend_closure(hmask, y) == full:
-                    r |= coset
-            self.closers_memo[hmask] = r
-        return r
+                    m |= coset
+            s = self.closed_memo.put(hmask, (hmask, nd, m))
+        return s
 
     def step(self, row: list, hmask: int, y: int) -> tuple[int, int, int]:
-        """Fill slot y of the step row of the closed set H: the closure
-        <H, y>, its `need` and its `closers`."""
-        h = self.extend_closure(hmask, y)
-        s = row[y] = (h, self.need(h), self.closers(h))
+        """Fill slot y of the step row of the closed set H with the record
+        of its closure <H, y>, shared by every slot that reaches it."""
+        s = row[y] = self.closed(self.extend_closure(hmask, y))
         return s
 
     def lo(self, pi: int) -> int:
@@ -495,12 +509,14 @@ class _SearchContext:
         `tracker.stop`; `emit` may run walks on the same tracker, so the leaf
         level reads the count again after it.  A call reads its parent's step
         row and, with `narrow`, its alphabet row once, then one slot of each
-        per child; each table is cleared at ROW_SLOTS slots (see the module
-        docstring).  Each completion calls `emit(entries, pmask)`; a truthy
-        return stops the walk and becomes its result, otherwise the walk
-        returns None.  With `narrow`, `pmask` is the partner alphabet of
-        the completed tuple and prefixes whose partner alphabet no longer
-        generates G are cut; otherwise `pmask` is `amask`.
+        per child; the rows and the memos that fill their slots share one
+        bound of ROW_SLOTS slots per table (see the module docstring).  The
+        root reads need(base), and closers(base) only when r = 2.  Each
+        completion calls `emit(entries, pmask)`; a truthy return stops the
+        walk and becomes its result, otherwise the walk returns None.  With
+        `narrow`, `pmask` is the partner alphabet of the completed tuple and
+        prefixes whose partner alphabet no longer generates G are cut;
+        otherwise `pmask` is `amask`.
 
         An interior state met again whose first visit emitted nothing is
         replayed from that visit's node count rather than walked (see the
@@ -628,7 +644,7 @@ class _SearchContext:
                 return None
             if r > 2:
                 return rec(0, 0, self.base, amask, 0)
-            m = self.closers(self.base) & amask
+            m = self.closed(self.base)[2] & amask
             if multiset:
                 m &= lo(0)
             return leaves(0, amask, 0, m)
@@ -725,6 +741,11 @@ def _dfs_t1_row(ctx: _SearchContext, r1, undecided, results, tracker):
         ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
 
 
+def _check_cap(size: int, budget: SearchBudget) -> None:
+    if size > budget.cap:
+        raise ValueError(f"requested size exceeds budget cap {budget.cap}")
+
+
 @dataclass
 class FindOutcome:
     """Tri-state search result: found / none exists / budget exhausted."""
@@ -746,8 +767,7 @@ def find_structure(
     if r1 < 3 or r2 < 3:
         raise ValueError("structure sizes must be >= 3")
     budget = budget or SearchBudget()
-    if max(r1, r2) > budget.cap:
-        raise ValueError(f"requested size exceeds budget cap {budget.cap}")
+    _check_cap(max(r1, r2), budget)
     stats = SearchStats()
     a, b = min(r1, r2), max(r1, r2)
     res = _search_rows(G, [(a, b)], budget, stats)
@@ -782,6 +802,7 @@ def size_set_up_to(
     if cap < 3:
         raise ValueError("cap must be >= 3")
     budget = budget or SearchBudget(cap=cap)
+    _check_cap(cap, budget)
     stats = SearchStats()
     pairs = [(r1, r2) for r1 in range(3, cap + 1) for r2 in range(r1, cap + 1)]
     res = _search_rows(G, pairs, budget, stats)
@@ -808,6 +829,7 @@ def enumerate_structures(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     budget = budget or SearchBudget()
+    _check_cap(max(r1, r2), budget)
     stats = SearchStats()
     tracker = _Tracker(budget, stats)
     a, b = min(r1, r2), max(r1, r2)

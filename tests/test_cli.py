@@ -79,6 +79,20 @@ def test_search_all(capsys):
         capsys, "search", "--group", "heis(3)", "--size", "4,4", "--all", "3"
     )
     assert code == 0 and len(payload["witnesses"]) == 3
+    # --all 1 answers as the single find does
+    answers = []
+    for extra in ((), ("--all", "1")):
+        code, payload, _ = run(capsys, "search", "--group", "heis(3)", "--size", "4,4", *extra)
+        del payload["elapsed_ms"]
+        answers.append((code, payload))
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_search_all_below_one_exit_code(capsys, n):
+    code, payload, _ = run(capsys, "search", "--group", "heis(3)", "--size", "4,4", "--all", n)
+    assert code == 1
+    assert payload["error"] == "ValueError" and payload["message"]
 
 
 def test_sizes_command(capsys):

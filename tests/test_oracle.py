@@ -224,17 +224,23 @@ def test_groups_freed_by_refcount():
     ]
     was_enabled = gc.isenabled()
     gc.disable()
+    contexts = 0
     try:
         for search in searches:
             for make in (lambda: AbelianGroup([3, 3]), lambda: HeisenbergGroup(3)):
                 G = make()
                 ref = weakref.ref(G)
                 search(G)
-                del G
+                ctx = G._cache().get("oracle_ctx")
+                ctx_ref = None if ctx is None else weakref.ref(ctx)
+                contexts += ctx is not None
+                del G, ctx
                 assert ref() is None
+                assert ctx_ref is None or ctx_ref() is None
     finally:
         if was_enabled:
             gc.enable()
+    assert contexts == 10
 
 
 def test_budget_cap_guard():
@@ -242,6 +248,19 @@ def test_budget_cap_guard():
         find_structure(AbelianGroup([2, 2, 2]), 5, 9, SearchBudget(cap=8))
     with pytest.raises(ValueError):
         find_structure(AbelianGroup([2, 2, 2]), 2, 5)
+    # every budgeted search refuses sizes past its cap, before it searches
+    G, budget = AbelianGroup([3, 3]), SearchBudget(cap=4)
+    for search in (
+        lambda: find_structure(G, 6, 6, budget),
+        lambda: size_set_up_to(G, 7, budget),
+        lambda: enumerate_structures(G, 6, 6, 2, budget),
+    ):
+        with pytest.raises(ValueError, match="budget cap 4"):
+            search()
+    assert "oracle_ctx" not in G._cache()
+    # sizes up to the cap are searched
+    assert size_set_up_to(G, 4, budget).pairs == {(4, 4)}
+    assert len(enumerate_structures(G, 4, 4, 2, budget)[0]) == 2
 
 
 def test_enumerate_structures_capped(heis3):
@@ -410,7 +429,7 @@ def test_leaf_masks_match_brute_force(spec, bfs_closure):
     ctx = _context(G)
     # the closure of every prefix the walk reached (only the trivial group in
     # q8, whose partner alphabets are empty), and every 2-generated subgroup
-    subgroups = set(ctx.need_memo)
+    subgroups = set(ctx.closed_memo) | {ctx.base}
     ext = ctx.extend_closure
     subgroups |= {ext(ext(1, x), y) for x in range(G.order) for y in range(x)}
     # the least number of elements that, adjoined to H, generate G
@@ -430,7 +449,7 @@ def test_leaf_masks_match_brute_force(spec, bfs_closure):
             assert ctx.need(H) == (0 if H == ctx.full else 1)
         gens = list(iter_bits(H))
         closers = [y for y in range(G.order) if bfs_closure(G.mul, gens + [y]) == ctx.full]
-        assert ctx.closers(H) == sum(1 << y for y in closers)
+        assert ctx.closed(H) == (H, ctx.need(H), sum(1 << y for y in closers))
     for pi in range(G.order):
         lo = [y for y in range(G.order) if G.inv(G.mul(pi, y)) >= y]
         assert ctx.lo(pi) == sum(1 << y for y in lo)
@@ -540,7 +559,9 @@ def test_row_slots_match_their_definitions():
             for y, slot in enumerate(row):
                 if slot is not None:
                     h = ctx.extend_closure(H, y)
-                    assert slot == (h, ctx.need(h), ctx.closers(h))
+                    assert slot == (h, ctx.need(h), ctx.closed(h)[2])
+                    # every slot that reaches h shares its one record
+                    assert slot is ctx.closed_memo[h]
                     filled += 1
         for P, row in ctx.alpha_rows.items():
             for y, slot in enumerate(row):
@@ -575,6 +596,28 @@ def test_row_tables_keep_to_their_bound(spec, monkeypatch):
     assert run() == unbounded
     assert largest == 3
     assert made > 100
+
+
+@pytest.mark.parametrize("spec", ["C2xC4xC4", "C6xC6"])
+def test_caches_keep_to_the_one_bound(spec, monkeypatch):
+    # the per-closure records and the alphabet answers share the rows' bound:
+    # at 3 rows' worth of slots no table keeps more than 3 entries, and the
+    # walk finds the same answers as with the tables unbounded
+    def run():
+        G = build_group(spec)
+        result = size_set_up_to(G, 6)
+        witnesses = {p: (S.t1.entries, S.t2.entries) for p, S in result.witnesses.items()}
+        ctx = _context(G)
+        tables = (ctx.step_rows, ctx.alpha_rows, ctx.closed_memo, ctx.alpha_gen_memo)
+        answers = sorted(result.pairs), witnesses, result.stats.counters(), result.exhaustive
+        return [len(t) for t in tables], answers
+
+    sizes, unbounded = run()
+    assert min(sizes) > 3
+    monkeypatch.setattr(oracle, "ROW_SLOTS", 3 * build_group(spec).order)
+    sizes, bounded = run()
+    assert bounded == unbounded
+    assert all(0 < size <= 3 for size in sizes)
 
 
 def test_walk_rows_stay_few_on_c4_cubed():

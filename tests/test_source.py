@@ -138,5 +138,28 @@ def test_walk_reads_rows_not_memos():
     (ctx,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SearchContext"]
     (walk,) = [n for n in ctx.body if isinstance(n, ast.FunctionDef) and n.name == "walk"]
     reads = _references(walk)
-    assert {"ext_memo", "need_memo", "closers_memo", "alpha_gen_memo"} & reads.keys() == set()
+    assert {"ext_memo", "closed_memo", "alpha_gen_memo"} & reads.keys() == set()
     assert {"step_rows", "alpha_rows"} <= reads.keys()
+
+
+def _clears(node: ast.AST) -> int:
+    return sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "clear"
+        for n in ast.walk(node)
+    )
+
+
+def test_caches_are_cleared_only_by_the_one_bound():
+    # the speed caches that grow with a walk's reach share the bound in
+    # `_Bounded.put`; only `partner` keeps its own, since its misses are
+    # counted, so no cache brings back a literal bound of its own
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    owners = {
+        f"{cls.name}.{fn.name}": _clears(fn)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and _clears(fn)
+    }
+    assert owners == {"_Bounded.put": 1, "_SearchContext.partner": 1}
+    assert _clears(tree) == 2
