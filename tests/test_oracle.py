@@ -427,8 +427,8 @@ def test_leaf_masks_match_brute_force(spec, bfs_closure):
     G = build_group(spec)
     size_set_up_to(G, 5)
     ctx = _context(G)
-    # the closure of every prefix the walk reached (only the trivial group in
-    # q8, whose partner alphabets are empty), and every 2-generated subgroup
+    # the base, the closure of every prefix the walk reached (none in q8,
+    # whose partner alphabets are empty), and every 2-generated subgroup
     subgroups = set(ctx.closed_memo) | {ctx.base}
     ext = ctx.extend_closure
     subgroups |= {ext(ext(1, x), y) for x in range(G.order) for y in range(x)}
