@@ -96,28 +96,37 @@ the budget: the leaf at alphabet position i is node c + (i - first) + 1,
 where c is the count at its parent and `first` the parent's first allowed
 position, so the skipped leaves are added arithmetically.
 
-Wherever the walk counts, one node or many at once, it stores the count
-and calls `_Tracker.reach` once the count reaches `stop`: the node limit or,
-with a deadline, the next multiple of 4096, where the clock is polled.  All
+The walk has one loop per level.  `rec` takes the prefixes shorter than
+r-3, whose children are interior; `parents` the prefixes of length r-3,
+whose children are leaf parents; and `leaves` a leaf parent with leaves to
+visit.  `rec` hands a child on to `parents` or to itself by its depth, and
+the root, counted and tested on entry to `walk`, goes to the loop of its own
+length (to `parents` when r = 3, and when r = 2 it computes its own leaf
+mask).  Each loop counts and cuts its children itself: a child is one node,
+then it is cut if its partner alphabet shrank and no longer generates G, or
+if `need` of its closure exceeds the slots left, two in `parents`.  There a
+leaf parent that passes both has its leaf mask computed; when the mask is
+empty (78-88% of leaf parents on the larger abelian groups), none of its
+leaves can complete, and it is counted with all its leaves at once,
+1 + len(alphabet) - first nodes.  Only a leaf parent with leaves to visit is
+called, and `leaves` takes its mask, so closers(H) and `lo` are read once
+per leaf parent.  The checks run in the order a child would run them itself.
+
+A loop keeps the node count and `stop` in locals: `stop` is the node limit
+or, with a deadline, the next multiple of 4096, where the clock is polled.
+It stores the count in `tracker.count` in three places only: just before it
+calls `_Tracker.reach`, once the count reaches `stop`; just before it calls
+out, to a loop or to `emit`, whose walks count on the same tracker; and when
+it returns.  After a call it reads the count and `stop` back.  Every count
+is checked against `stop` before anything else is stored, so the first
+stored count at or past a poll is the one `reach` reads the clock at.  All
 counts since the last `reach` lie in one block of 4096, so `stop` is the
 first poll a jump crosses; `reach` stops there if the deadline has passed,
 else at the limit if the count reached it, just as counting one node at a
-time would, and otherwise moves `stop` on.
-
-Above the leaf level a parent counts and cuts its children in its own loop:
-each child is one node, then it is cut if its partner alphabet shrank and no
-longer generates G, or if `need` of its closure exceeds the slots left.  A
-child that passes both and is a leaf parent has its leaf mask computed there
-too; when the mask is empty (78-88% of leaf parents on the larger abelian
-groups), none of its leaves can complete, and the parent adds them all at
-once, `len(alphabet) - first`, by the same rule.
-Only a child with leaves to visit, or one above the leaf parents, is called:
-interior prefixes by the interior loop, leaf parents by the one leaf loop,
-which takes the mask so that closers(H) and `lo` are read once per leaf
-parent.  The root is counted and tested on entry to `walk`, and computes its
-own mask when it is itself a leaf parent (r = 2).  The checks run in the
-order a child would run them itself, so every count and budget stop is
-unchanged.
+time would, and otherwise moves `stop` on.  Every count and budget stop is
+therefore the same as when each node is stored.  `leaves` finds a leaf's
+position only to store it: it compares the entry with the first entry whose
+count reaches `stop`.
 
 The loops read two row tables, not the memos.  The step row of a closed set
 H holds in slot y the record (K, need(K), closers(K)) of K = <H, y>, one
@@ -128,7 +137,10 @@ one slot of each per child, so a child costs list reads rather than dict
 reads hashed on |G|-bit keys, and walks reach few closures and alphabets
 (15 and 92 on C4xC4xC4 at cap 7), so rows are few.  A leaf's partner
 alphabet is its parent's row at y, then that alphabet's row at the forced
-last entry.  An empty slot is filled by `step` or `alpha` from the memoized
+last entry; where the parent's slot at y is still empty, the leaf tests its
+own alphabet P & compat[y] & compat[last] directly and leaves the slot
+empty: the larger alphabet generates G whenever that one does, so a leaf
+tests one alphabet, not two.  An empty slot is filled by `step` or `alpha` from the memoized
 `extend_closure`, `closed` and `alphabet_generates`.  `need` is a few bit
 counts and is not memoized; the root reads need(base), and closers(base)
 only when r = 2.
@@ -322,6 +334,7 @@ class _SearchContext:
         self.partner_memo: dict[tuple[int, int], Optional[tuple]] = {}  # (amask, r2) -> T2
         self.closed_memo = _Bounded(n)  # closed set H -> (H, need(H), closers(H))
         self.lo_memo: list[Optional[int]] = [None] * n
+        self.at_least = [-(1 << y) for y in range(n)]  # y -> mask of the indices >= y
         self.step_rows = _Rows(n)  # H -> [(<H, y>, need, closers) per y]
         self.alpha_rows = _Rows(n)  # partner alphabet P -> [P & compat[y] or 0 per y]
         self.all_nontrivial = self.full & ~1
@@ -500,19 +513,22 @@ class _SearchContext:
         alphabet indices (nondecreasing under `multiset`).
 
         `tracker` counts one node per visited prefix, before any pruning, and
-        raises `_BudgetStop` at its node limit or deadline.  A parent counts
-        and cuts its children in its own loop, and counts there the leaves
-        of a leaf parent none of whose leaves can complete.  The leaf level
-        visits only the leaves that may complete (see the module docstring)
-        and counts the others arithmetically.  Each counting site stores its
-        count in `tracker.count` and calls `reach` once the count reaches
-        `tracker.stop`; `emit` may run walks on the same tracker, so the leaf
-        level reads the count again after it.  A call reads its parent's step
-        row and, with `narrow`, its alphabet row once, then one slot of each
-        per child; the rows and the memos that fill their slots share one
-        bound of ROW_SLOTS slots per table (see the module docstring).  The
-        root reads need(base), and closers(base) only when r = 2.  Each
-        completion calls `emit(entries, pmask)`; a truthy return stops the
+        raises `_BudgetStop` at its node limit or deadline.  One loop walks
+        each level: `rec` the prefixes shorter than r-3, `parents` those of
+        length r-3, whose children are leaf parents, and `leaves` a leaf
+        parent's leaves that may complete (see the module docstring).  Each
+        loop counts and cuts its children itself; `parents` counts a leaf
+        parent none of whose leaves can complete together with its leaves,
+        and `leaves` counts the leaves it skips arithmetically.  A loop
+        counts in a local and stores it in `tracker.count` only just before
+        `reach`, just before a call out and on return; `emit` may run walks
+        on the same tracker, so after each call the loop reads the count and
+        `tracker.stop` back.  A call reads its parent's step row and, with
+        `narrow`, its alphabet row once, then one slot of each per child;
+        the rows and the memos that fill their slots share one bound of
+        ROW_SLOTS slots per table (see the module docstring).  The root reads
+        need(base), and closers(base) only when r = 2.  Each completion
+        calls `emit(entries, pmask)`; a truthy return stops the
         walk and becomes its result, otherwise the walk returns None.  With
         `narrow`, `pmask` is the partner alphabet of the completed tuple and
         prefixes whose partner alphabet no longer generates G are cut;
@@ -521,12 +537,14 @@ class _SearchContext:
         An interior state met again whose first visit emitted nothing is
         replayed from that visit's node count rather than walked (see the
         module docstring); `repeats=False` walks every subtree."""
-        mul, inv, lo, lo_memo = self.mul, self.inv, self.lo, self.lo_memo
+        mul, inv, lo, lo_memo, at_least = self.mul, self.inv, self.lo, self.lo_memo, self.at_least
         # an empty slot is filled by its table's method
         step_rows, step, alpha_rows, alpha = self.step_rows, self.step, self.alpha_rows, self.alpha
         reach, stats = tracker.reach, tracker.stats
+        compat, generates = self.compat, self.alphabet_generates
         alist = tuple(iter_bits(amask))
         nalpha = len(alist)
+        n = self.n
         entries: list[int] = []
         emits = 0
         # an interior child's state (its parent's depth, pi, hmask, pmask,
@@ -534,16 +552,19 @@ class _SearchContext:
         seen: Optional[dict[tuple, int]] = {} if repeats else None
 
         def rec(depth: int, pi: int, hmask: int, pmask: int, start: int):
+            # prefixes shorter than r-3: every child is interior
             row, srow = mul[pi], step_rows[hmask]
             arow = alpha_rows[pmask] if narrow else None
             slack = r - depth - 1
-            leaf_parents = depth + 1 == r - 2
-            table = seen if depth + 1 < r - 2 else None
+            down = parents if depth + 1 == r - 3 else rec
+            c, stop = tracker.count, tracker.stop
             for i in range(start if multiset else 0, nalpha):
                 y = alist[i]
-                c = tracker.count = tracker.count + 1
-                if c >= tracker.stop:
+                c += 1
+                if c >= stop:
+                    tracker.count = c
                     reach(c)
+                    stop = tracker.stop
                 p = pmask
                 if narrow:
                     p = arow[y]
@@ -554,44 +575,87 @@ class _SearchContext:
                 s = srow[y]
                 if s is None:
                     s = step(srow, hmask, y)
-                h, nd, m = s
+                h, nd, _ = s
                 if nd > slack:
                     continue
                 piy = row[y]
-                if leaf_parents:
-                    m &= amask
-                    if multiset:
-                        lm = lo_memo[piy]
-                        m &= (lo(piy) if lm is None else lm) & -(1 << y)
-                    if not m:
-                        # no leaf below can complete: count them all
-                        cy = tracker.count = c - (i if multiset else 0) + nalpha
-                        if cy >= tracker.stop:
-                            reach(cy)
-                        continue
-                    entries.append(y)
-                    res = leaves(piy, p, i if multiset else 0, m)
-                    entries.pop()
-                    if res:
-                        return res
-                    continue
-                if table is not None:
+                if seen is not None:
                     key = (depth, piy, h, p, i if multiset else 0)
-                    nodes = table.get(key)
+                    nodes = seen.get(key)
                     if nodes is not None:
-                        cy = tracker.count = c + nodes
-                        if cy >= tracker.stop:
-                            reach(cy)
+                        c += nodes
+                        if c >= stop:
+                            tracker.count = c
+                            reach(c)
+                            stop = tracker.stop
                         stats.states_replayed += 1
                         continue
                     e0 = emits
                 entries.append(y)
-                res = rec(depth + 1, piy, h, p, i)
+                tracker.count = c
+                res = down(depth + 1, piy, h, p, i)
                 entries.pop()
                 if res:
                     return res
-                if table is not None and emits == e0:
-                    table[key] = tracker.count - c
+                cy, stop = tracker.count, tracker.stop
+                if seen is not None and emits == e0:
+                    seen[key] = cy - c
+                c = cy
+            tracker.count = c
+            return None
+
+        def parents(depth: int, pi: int, hmask: int, pmask: int, start: int):
+            # prefixes of length `depth` = r-3 (unused; the signature is rec's):
+            # every child is a leaf parent, cut once `need` of its closure
+            # exceeds the two slots left, and counted with all its leaves
+            # when its leaf mask is empty
+            row, srow = mul[pi], step_rows[hmask]
+            arow = alpha_rows[pmask] if narrow else None
+            c, stop = tracker.count, tracker.stop
+            for i in range(start if multiset else 0, nalpha):
+                y = alist[i]
+                c += 1
+                if c >= stop:
+                    tracker.count = c
+                    reach(c)
+                    stop = tracker.stop
+                p = pmask
+                if narrow:
+                    p = arow[y]
+                    if p is None:
+                        p = alpha(arow, pmask, y)
+                    if not p:
+                        continue
+                s = srow[y]
+                if s is None:
+                    s = step(srow, hmask, y)
+                _, nd, m = s
+                if nd > 2:
+                    continue
+                first = 0
+                if multiset:
+                    first = i
+                    if m:
+                        piy = row[y]
+                        lm = lo_memo[piy]
+                        m &= (lo(piy) if lm is None else lm) & at_least[y]
+                m &= amask
+                if not m:
+                    # no leaf below can complete: count them all
+                    c += nalpha - first
+                    if c >= stop:
+                        tracker.count = c
+                        reach(c)
+                        stop = tracker.stop
+                    continue
+                entries.append(y)
+                tracker.count = c
+                res = leaves(row[y], p, first, m)
+                entries.pop()
+                if res:
+                    return res
+                c, stop = tracker.count, tracker.stop
+            tracker.count = c
             return None
 
         def leaves(pi: int, pmask: int, first: int, m: int):
@@ -601,15 +665,21 @@ class _SearchContext:
             nonlocal emits
             row = mul[pi]
             arow = alpha_rows[pmask] if narrow else None
-            base = tracker.count - first
+            base, stop = tracker.count - first, tracker.stop
+            # the first entry whose leaf count base + i + 1 reaches `stop`
+            k = stop - base - 1
+            ystop = alist[k] if k < nalpha else n
             while m:
                 low = m & -m
                 m ^= low
                 y = low.bit_length() - 1
-                i = (amask & (low - 1)).bit_count()
-                cy = tracker.count = base + i + 1
-                if cy >= tracker.stop:
+                if y >= ystop:
+                    cy = base + (amask & (low - 1)).bit_count() + 1
+                    tracker.count = cy
                     reach(cy)
+                    stop = tracker.stop
+                    k = stop - base - 1
+                    ystop = alist[k] if k < nalpha else n
                 last = inv[row[y]]
                 if not (amask >> last) & 1:
                     continue
@@ -617,22 +687,31 @@ class _SearchContext:
                 if narrow:
                     q = arow[y]
                     if q is None:
-                        q = alpha(arow, pmask, y)
-                    if not q:
+                        # the leaf's own alphabet decides alone: the larger
+                        # one before its last entry generates G if it does
+                        p = pmask & compat[y] & compat[last]
+                        if not generates(p):
+                            continue
+                    elif not q:
                         continue
-                    qrow = alpha_rows[q]
-                    p = qrow[last]
-                    if p is None:
-                        p = alpha(qrow, q, last)
-                    if not p:
-                        continue
+                    else:
+                        qrow = alpha_rows[q]
+                        p = qrow[last]
+                        if p is None:
+                            p = alpha(qrow, q, last)
+                        if not p:
+                            continue
                 emits += 1
+                i = (amask & (low - 1)).bit_count()
+                tracker.count = base + i + 1
                 res = emit(tuple(entries) + (y, last), p)
                 if res:
                     return res
-                base = tracker.count - i - 1
+                base, stop = tracker.count - i - 1, tracker.stop
+                k = stop - base - 1
+                ystop = alist[k] if k < nalpha else n
             cy = tracker.count = base + nalpha
-            if cy >= tracker.stop:
+            if cy >= stop:
                 reach(cy)
             return None
 
@@ -640,10 +719,12 @@ class _SearchContext:
             c = tracker.count = tracker.count + 1
             if c >= tracker.stop:
                 reach(c)
-            if narrow and not self.alphabet_generates(amask) or self.need(self.base) > r:
+            if narrow and not generates(amask) or self.need(self.base) > r:
                 return None
-            if r > 2:
+            if r > 3:
                 return rec(0, 0, self.base, amask, 0)
+            if r == 3:
+                return parents(0, 0, self.base, amask, 0)
             m = self.closed(self.base)[2] & amask
             if multiset:
                 m &= lo(0)

@@ -210,6 +210,95 @@ def test_budget_stops_pinned(case):
         assert stats.exhausted == (out.status == "found")
 
 
+def _find_one_by_one(G, r1, r2):
+    """find_structure(G, r1, r2), r1 <= r2, unbounded, by a plain recursion
+    that counts every node one at a time: the final count, the witness or
+    None, and the counts at which each T1 completion and each partner walk
+    began.  No leaf masks, no arithmetic counting and no replay."""
+    ctx = oracle._SearchContext(G)
+    multiset = ctx.abelian
+    count = 0
+    t1_at, partner_at, memo = [], [], {}
+
+    def walk(r, amask, narrow, complete):
+        nonlocal count
+        alist = [y for y in range(ctx.n) if (amask >> y) & 1]
+        count += 1
+        if narrow and not ctx.alphabet_generates(amask) or ctx.need(1) > r:
+            return None
+
+        def visit(depth, pi, hmask, pmask, start, entries):
+            nonlocal count
+            for i in range(start, len(alist)):
+                y = alist[i]
+                count += 1
+                piy = ctx.mul[pi][y]
+                h = ctx.extend_closure(hmask, y)
+                p = pmask & ctx.compat[y] if narrow else pmask
+                if depth + 1 == r - 1:
+                    # a leaf: its last entry is forced
+                    last = ctx.inv[piy]
+                    if not (amask >> last) & 1 or multiset and last < y or h != ctx.full:
+                        continue
+                    if narrow:
+                        p &= ctx.compat[last]
+                        if not ctx.alphabet_generates(p):
+                            continue
+                    res = complete(entries + (y, last), p)
+                elif narrow and not ctx.alphabet_generates(p) or ctx.need(h) > r - depth - 1:
+                    continue
+                else:
+                    res = visit(depth + 1, piy, h, p, i if multiset else 0, entries + (y,))
+                if res:
+                    return res
+            return None
+
+        return visit(0, 0, 1, amask, 0, ())
+
+    def complete_t1(t1, pmask):
+        t1_at.append(count)
+        if pmask not in memo:
+            partner_at.append(count)
+            memo[pmask] = walk(r2, pmask, False, lambda t2, _: t2)
+        return memo[pmask] and (t1, memo[pmask])
+
+    witness = walk(r1, ctx.all_nontrivial, True, complete_t1)
+    return count, witness, t1_at, partner_at
+
+
+# an r = 3 root; stops inside a partner walk; interior levels above the leaf
+# parents, with 28 partner walks; and a group without the multiset rule
+NODE_LIMIT_SWEEPS = [("C3xC3", (3, 3)), ("C3xC3", (4, 4)), ("C2xC2xC2", (5, 5)), ("d4", (4, 4))]
+
+
+@pytest.mark.parametrize(
+    "spec,size", NODE_LIMIT_SWEEPS, ids=[f"{spec}-{a}-{b}" for spec, (a, b) in NODE_LIMIT_SWEEPS]
+)
+def test_every_node_limit_stops_where_counting_one_by_one_does(spec, size):
+    # a search under node limit L stops at the L-th node of the unbounded
+    # search, with the T1 completions and partner walks begun before it, or
+    # ends as the unbounded search does when L exceeds its total
+    if spec == "d4":
+        spec = f"cayley:{bundled_cayley_path(spec)}"
+    total, witness, t1_at, partner_at = _find_one_by_one(build_group(spec), *size)
+    unbounded = find_structure(build_group(spec), *size, SearchBudget(cap=8))
+    S = unbounded.structure
+    assert (S and (S.t1.entries, S.t2.entries)) == witness
+    assert unbounded.status == ("found" if witness else "none")
+    for limit in range(1, total + 2):
+        out = find_structure(build_group(spec), *size, SearchBudget(max_candidates=limit, cap=8))
+        stats = out.stats
+        got = (out.status, stats.candidates, stats.t1_candidates, stats.partner_searches)
+        if limit <= total:
+            before = lambda at: sum(k < limit for k in at)
+            assert got == ("budget", limit, before(t1_at), before(partner_at)), limit
+            assert out.structure is None and not stats.exhausted
+        else:
+            assert got == (unbounded.status, total, len(t1_at), len(partner_at)), limit
+            assert (out.structure and out.structure.t1.entries) == (S and S.t1.entries)
+            assert (out.structure and out.structure.t2.entries) == (S and S.t2.entries)
+
+
 def test_groups_freed_by_refcount():
     # a group, its search context and its memos must not wait for the cyclic
     # collector: searches on large groups would otherwise pile them up
@@ -520,7 +609,9 @@ def test_walk_counts_one_node_per_prefix(walk_nodes, multiset, narrow):
 
 def test_walk_calls_once_per_interior_prefix_and_open_leaf_parent():
     # a leaf parent none of whose leaves can complete is counted in its
-    # parent's loop without a call; calling each one made 7,086 calls here
+    # parent's loop without a call; calling each one made 7,086 calls here.
+    # The 1,564 prefixes called are split by level: `parents` takes those
+    # whose children are leaf parents, `rec` those above them
     G = build_group("C2xC4xC4")
     calls = Counter()
 
@@ -535,7 +626,7 @@ def test_walk_calls_once_per_interior_prefix_and_open_leaf_parent():
     finally:
         sys.setprofile(None)
     assert result.stats.candidates == 71_241
-    assert calls == {"rec": 1_564, "leaves": 1_040}
+    assert calls == {"rec": 318, "parents": 1_246, "leaves": 1_040}
 
 
 def test_walk_closures_stay_few_on_c4_cubed():

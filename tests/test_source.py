@@ -163,3 +163,69 @@ def test_caches_are_cleared_only_by_the_one_bound():
     }
     assert owners == {"_Bounded.put": 1, "_SearchContext.partner": 1}
     assert _clears(tree) == 2
+
+
+# the calls after which a walk loop may read `tracker.count` back, and before
+# which it stores it: the budget check, the three walk levels and `emit`
+WALK_CALLS = {"reach", "rec", "parents", "down", "leaves", "emit"}
+
+
+def _touches_count(node: ast.AST, ctx: type) -> bool:
+    return any(
+        isinstance(n, ast.Attribute)
+        and n.attr == "count"
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "tracker"
+        and isinstance(n.ctx, ctx)
+        for n in ast.walk(node)
+    )
+
+
+def _is_call_out(stmt: ast.stmt) -> bool:
+    return (
+        isinstance(stmt, (ast.Expr, ast.Assign))
+        and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Name)
+        and stmt.value.func.id in WALK_CALLS
+    )
+
+
+def _blocks(stmts: list):
+    """A statement list and every statement list nested in it."""
+    yield stmts
+    for stmt in stmts:
+        for name in ("body", "orelse", "finalbody"):
+            inner = getattr(stmt, name, None)
+            if isinstance(inner, list) and inner and isinstance(inner[0], ast.stmt):
+                yield from _blocks(inner)
+        for handler in getattr(stmt, "handlers", []):
+            yield from _blocks(handler.body)
+
+
+def test_walk_loops_keep_the_node_count_in_a_local():
+    # per child, the walk's loops count in a local: `tracker.count` is stored
+    # only in the statement just before a call out (`reach`, a walk level or
+    # `emit`) and read only after a call out in the same block, so a child
+    # that is counted, cut or skipped touches no attribute
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    (ctx,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SearchContext"]
+    (walk,) = [n for n in ctx.body if isinstance(n, ast.FunctionDef) and n.name == "walk"]
+    loops = [n for n in ast.walk(walk) if isinstance(n, (ast.For, ast.While))]
+    assert loops
+    bad = []
+    for loop in loops:
+        for block in _blocks(loop.body):
+            for k, stmt in enumerate(block):
+                if isinstance(stmt, (ast.If, ast.While)):
+                    header = stmt.test
+                elif isinstance(stmt, ast.For):
+                    header = stmt.iter
+                else:
+                    header = stmt
+                if _touches_count(header, ast.Store) and not (
+                    k + 1 < len(block) and _is_call_out(block[k + 1])
+                ):
+                    bad.append(f"store at line {stmt.lineno}")
+                if _touches_count(header, ast.Load) and not any(map(_is_call_out, block[:k])):
+                    bad.append(f"read at line {stmt.lineno}")
+    assert bad == []

@@ -1,0 +1,126 @@
+"""Write the outputs of one checkout as canonical JSON.
+
+    python3 tools/dump_outputs.py --out outputs.json [--root CHECKOUT] [--limit N]
+
+Runs the ramstruct source of CHECKOUT (by default the checkout that holds
+this script) on:
+
+- the 40 `deep_search` operations of `perfbench/workloads.py`: decided
+  pairs, witnesses, the four search counters and exhaustiveness;
+- node-limit stops: fixed searches under a fixed grid of `max_candidates`;
+- the 59 records of `run_catalog(32, 8, use_cache=False)`;
+- the 100 `cold_requests` CLI requests: exit codes and stdout.
+
+Timing fields (`elapsed_ms`) are dropped and `cayley:` paths reduced to
+their file name, so two checkouts that compute the same outputs write the
+same bytes, and one `cmp` of their dumps compares every decision, witness,
+counter and budget stop.  `--limit N` keeps the first N items of each
+section, for a quick run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import re
+import sys
+from pathlib import Path
+
+# (kind, spec, arguments) searched under each node limit of LIMITS: finds
+# (r1, r2), size sets (cap) and capped enumerations (r1, r2, limit)
+LIMIT_SEARCHES = [
+    ("find", "C3xC3", (3, 3)),
+    ("find", "C3xC3", (4, 4)),
+    ("find", "C6xC6xC2", (6, 6)),
+    ("find", "C2xC4xC4xC4", (7, 5)),
+    ("find", "heis(3)", (4, 8)),
+    ("sizes", "C2xC2xC4xC4", (6,)),
+    ("sizes", "prod(heis(3),C2)", (5,)),
+    ("enumerate", "C6xC6xC2", (5, 7, 5)),
+]
+LIMITS = [1, 2, 3, 17, 100, 1000, 4095, 4096, 4097, 10_000, 65_536, 200_001, 10**6]
+
+_CAYLEY_PATH = re.compile(r"cayley:[^,)\"]*?([^/,)\"]+\.json)")
+
+
+def canonical(value):
+    """`value` without `elapsed_ms` fields and with `cayley:` paths reduced
+    to their file name."""
+    if isinstance(value, dict):
+        return {k: canonical(v) for k, v in value.items() if k != "elapsed_ms"}
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    if isinstance(value, str):
+        return _CAYLEY_PATH.sub(r"cayley:\1", value)
+    return value
+
+
+def _stats(stats) -> dict:
+    return {**stats.counters(), "exhaustive": stats.exhausted}
+
+
+def _pair(rs, S) -> list[str]:
+    return [rs.render_tuple(S.t1), rs.render_tuple(S.t2)]
+
+
+def _search(rs, kind: str, spec: str, args: tuple, budget) -> dict:
+    """The observation of one search on a fresh group."""
+    G = rs.build_group(spec)
+    if kind == "sizes":
+        result = rs.size_set_up_to(G, *args, budget)
+        witnesses = {f"{a},{b}": _pair(rs, S) for (a, b), S in sorted(result.witnesses.items())}
+        return {"pairs": sorted(result.pairs), "witnesses": witnesses, **_stats(result.stats)}
+    if kind == "find":
+        found = rs.find_structure(G, *args, budget)
+        witness = found.structure and _pair(rs, found.structure)
+        return {"status": found.status, "witness": witness, **_stats(found.stats)}
+    structures, stats = rs.enumerate_structures(G, *args, budget)
+    return {"witnesses": [_pair(rs, S) for S in structures], **_stats(stats)}
+
+
+def dump(root: Path, limit: int | None = None) -> dict:
+    """Every section's outputs for the checkout at `root`."""
+    sys.path[:0] = [str(root / "src"), str(root)]
+    import ramstruct as rs
+    from perfbench import workloads
+    from ramstruct import catalog, cli
+
+    def first(items):
+        return list(itertools.islice(items, limit))
+
+    deep = [("sizes", spec, (cap,)) for spec, cap in workloads.DEEP_SIZES]
+    deep += [("find", spec, (r1, r2)) for spec, r1, r2 in workloads.DEEP_FINDS]
+    deep += [("enumerate", spec, (r1, r2, n)) for spec, r1, r2, n in workloads.DEEP_ENUMS]
+    out: dict = {"deep_search": {}, "node_limits": {}, "catalog": [], "cold_requests": []}
+    for kind, spec, args in first(deep):
+        budget = rs.SearchBudget(cap=max(args[:2]))
+        out["deep_search"][f"{kind} {spec} {args}"] = _search(rs, kind, spec, args, budget)
+    for (kind, spec, args), n in first(itertools.product(LIMIT_SEARCHES, LIMITS)):
+        budget = rs.SearchBudget(max_candidates=n)
+        out["node_limits"][f"{kind} {spec} {args} {n}"] = _search(rs, kind, spec, args, budget)
+    out["catalog"] = first(catalog.run_catalog(32, 8, use_cache=False))
+    for argv in first(workloads.cold_argvs()):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        out["cold_requests"].append({"argv": argv, "code": code, "stdout": lines})
+    return canonical(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
+    parser.add_argument("--limit", type=int, default=None, help="first N items per section")
+    args = parser.parse_args(argv)
+    data = dump(Path(args.root).resolve(), args.limit)
+    Path(args.out).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
