@@ -4,28 +4,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
-# From this universe size on, a mask is packed from a boolean array: each
-# `m |= 1 << i` copies the whole int, so the loop costs O(|S| |G| / 64) word
-# operations.  Below it the loop is as fast or faster (the packed build has
-# a fixed cost of a few microseconds, and sparse sets of 2048 elements tie).
-PACKED_UNIVERSE = 4096
-
 
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
         m |= 1 << i
     return m
-
-
-def packed_mask_of(indices, universe: int) -> int:
-    """`mask_of(indices)` for indices below `universe`, in one conversion:
-    a boolean array, packed to little-endian bytes, read as one int."""
-    bits = np.zeros(universe, dtype=bool)
-    bits[np.fromiter(indices, dtype=np.intp)] = True
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -50,8 +34,6 @@ class ElementSet:
 
     @classmethod
     def from_indices(cls, indices, universe: int) -> "ElementSet":
-        if universe >= PACKED_UNIVERSE:
-            return cls(packed_mask_of(indices, universe), universe)
         return cls(mask_of(indices), universe)
 
     @property

@@ -114,19 +114,19 @@ per leaf parent.  The checks run in the order a child would run them itself.
 
 A loop keeps the node count and `stop` in locals: `stop` is the node limit
 or, with a deadline, the next multiple of 4096, where the clock is polled.
-It stores the count in `tracker.count` in three places only: just before it
-calls `_Tracker.reach`, once the count reaches `stop`; just before it calls
-out, to a loop or to `emit`, whose walks count on the same tracker; and when
-it returns.  After a call it reads the count and `stop` back.  Every count
-is checked against `stop` before anything else is stored, so the first
-stored count at or past a poll is the one `reach` reads the clock at.  All
-counts since the last `reach` lie in one block of 4096, so `stop` is the
-first poll a jump crosses; `reach` stops there if the deadline has passed,
-else at the limit if the count reached it, just as counting one node at a
-time would, and otherwise moves `stop` on.  Every count and budget stop is
-therefore the same as when each node is stored.  `leaves` finds a leaf's
-position only to store it: it compares the entry with the first entry whose
-count reaches `stop`.
+Once the count reaches `stop` it calls `_Tracker.reach` with it, which
+stores the count before it reads the clock.  Otherwise it stores the count
+in `tracker.count` in two places only: just before it calls out, to a loop
+or to `emit`, whose walks count on the same tracker, and when it returns.
+After a call it reads the count and `stop` back.  Every count is checked
+against `stop` before it is stored or handed on, so the first stored count
+at or past a poll is the one `reach` reads the clock at.  All counts since the last `reach` lie in one block of
+4096, so `stop` is the first poll a jump crosses; `reach` stops there if
+the deadline has passed, else at the limit if the count reached it, just as
+counting one node at a time would, and otherwise moves `stop` on.  Every
+count and budget stop is therefore the same as when each node is stored.
+`leaves` finds a leaf's position only to store it or hand it to `reach`: it
+compares the entry with the first entry whose count reaches `stop`.
 
 The loops read two row tables, not the memos.  The step row of a closed set
 H holds in slot y the record (K, need(K), closers(K)) of K = <H, y>, one
@@ -137,10 +137,7 @@ one slot of each per child, so a child costs list reads rather than dict
 reads hashed on |G|-bit keys, and walks reach few closures and alphabets
 (15 and 92 on C4xC4xC4 at cap 7), so rows are few.  A leaf's partner
 alphabet is its parent's row at y, then that alphabet's row at the forced
-last entry; where the parent's slot at y is still empty, the leaf tests its
-own alphabet P & compat[y] & compat[last] directly and leaves the slot
-empty: the larger alphabet generates G whenever that one does, so a leaf
-tests one alphabet, not two.  An empty slot is filled by `step` or `alpha` from the memoized
+last entry.  An empty slot is filled by `step` or `alpha` from the memoized
 `extend_closure`, `closed` and `alphabet_generates`.  `need` is a few bit
 counts and is not memoized; the root reads need(base), and closers(base)
 only when r = 2.
@@ -273,14 +270,15 @@ class _Tracker:
 
     def reach(self, cy: int):
         """Count up to cy >= stop, stopping where counting one node at a time
-        would (see the module docstring), else moving `stop` on."""
+        would (see the module docstring), else moving `stop` on.  The count
+        is stored before the clock is read."""
+        self.count = cy
         if self.stop < self.limit and time.monotonic() > self.deadline:
             self.count = self.stop
             raise _BudgetStop
         if cy >= self.limit:
             self.count = self.limit
             raise _BudgetStop
-        self.count = cy
         self.stop = self.limit if self.deadline is None else min(self.limit, (cy | 0xFFF) + 1)
 
     def poll(self):
@@ -520,10 +518,10 @@ class _SearchContext:
         loop counts and cuts its children itself; `parents` counts a leaf
         parent none of whose leaves can complete together with its leaves,
         and `leaves` counts the leaves it skips arithmetically.  A loop
-        counts in a local and stores it in `tracker.count` only just before
-        `reach`, just before a call out and on return; `emit` may run walks
-        on the same tracker, so after each call the loop reads the count and
-        `tracker.stop` back.  A call reads its parent's step row and, with
+        counts in a local, hands it to `reach` at `stop` and stores it in
+        `tracker.count` only just before a call out and on return; `emit`
+        may run walks on the same tracker, so after each call the loop reads
+        the count and `tracker.stop` back.  A call reads its parent's step row and, with
         `narrow`, its alphabet row once, then one slot of each per child;
         the rows and the memos that fill their slots share one bound of
         ROW_SLOTS slots per table (see the module docstring).  The root reads
@@ -541,7 +539,6 @@ class _SearchContext:
         # an empty slot is filled by its table's method
         step_rows, step, alpha_rows, alpha = self.step_rows, self.step, self.alpha_rows, self.alpha
         reach, stats = tracker.reach, tracker.stats
-        compat, generates = self.compat, self.alphabet_generates
         alist = tuple(iter_bits(amask))
         nalpha = len(alist)
         n = self.n
@@ -562,7 +559,6 @@ class _SearchContext:
                 y = alist[i]
                 c += 1
                 if c >= stop:
-                    tracker.count = c
                     reach(c)
                     stop = tracker.stop
                 p = pmask
@@ -585,7 +581,6 @@ class _SearchContext:
                     if nodes is not None:
                         c += nodes
                         if c >= stop:
-                            tracker.count = c
                             reach(c)
                             stop = tracker.stop
                         stats.states_replayed += 1
@@ -616,7 +611,6 @@ class _SearchContext:
                 y = alist[i]
                 c += 1
                 if c >= stop:
-                    tracker.count = c
                     reach(c)
                     stop = tracker.stop
                 p = pmask
@@ -644,7 +638,6 @@ class _SearchContext:
                     # no leaf below can complete: count them all
                     c += nalpha - first
                     if c >= stop:
-                        tracker.count = c
                         reach(c)
                         stop = tracker.stop
                     continue
@@ -675,7 +668,6 @@ class _SearchContext:
                 y = low.bit_length() - 1
                 if y >= ystop:
                     cy = base + (amask & (low - 1)).bit_count() + 1
-                    tracker.count = cy
                     reach(cy)
                     stop = tracker.stop
                     k = stop - base - 1
@@ -687,20 +679,15 @@ class _SearchContext:
                 if narrow:
                     q = arow[y]
                     if q is None:
-                        # the leaf's own alphabet decides alone: the larger
-                        # one before its last entry generates G if it does
-                        p = pmask & compat[y] & compat[last]
-                        if not generates(p):
-                            continue
-                    elif not q:
+                        q = alpha(arow, pmask, y)
+                    if not q:
                         continue
-                    else:
-                        qrow = alpha_rows[q]
-                        p = qrow[last]
-                        if p is None:
-                            p = alpha(qrow, q, last)
-                        if not p:
-                            continue
+                    qrow = alpha_rows[q]
+                    p = qrow[last]
+                    if p is None:
+                        p = alpha(qrow, q, last)
+                    if not p:
+                        continue
                 emits += 1
                 i = (amask & (low - 1)).bit_count()
                 tracker.count = base + i + 1
@@ -719,7 +706,7 @@ class _SearchContext:
             c = tracker.count = tracker.count + 1
             if c >= tracker.stop:
                 reach(c)
-            if narrow and not generates(amask) or self.need(self.base) > r:
+            if narrow and not self.alphabet_generates(amask) or self.need(self.base) > r:
                 return None
             if r > 3:
                 return rec(0, 0, self.base, amask, 0)

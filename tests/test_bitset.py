@@ -1,9 +1,6 @@
-import random
-
 import pytest
 
-from ramstruct import bitset
-from ramstruct.bitset import ElementSet, iter_bits, mask_of, packed_mask_of
+from ramstruct.bitset import ElementSet, iter_bits, mask_of
 from ramstruct.groups import AbelianGroup
 
 
@@ -41,23 +38,3 @@ def test_index_validation():
         G.check_index(-1)
     with pytest.raises(IndexError):
         G.order_of(11)
-
-
-def test_packed_mask_matches_the_loop():
-    rng = random.Random(7)
-    for universe in (1, 8, 63, 64, 65, 4095, 4096, 5000):
-        for density in (0.0, 0.1, 1.0):
-            indices = [i for i in range(universe) if rng.random() < density]
-            assert packed_mask_of(indices, universe) == mask_of(indices)
-            # repeated indices and any iterable, as a power image passes them
-            assert packed_mask_of(iter(indices * 2), universe) == mask_of(indices)
-
-
-def test_large_sets_are_packed(monkeypatch):
-    # only universes from PACKED_UNIVERSE on take the packed build
-    calls = []
-    monkeypatch.setattr(bitset, "packed_mask_of", lambda *a: calls.append(a) or 0)
-    ElementSet.from_indices([1, 2], bitset.PACKED_UNIVERSE - 1)
-    assert calls == []
-    ElementSet.from_indices([1, 2], bitset.PACKED_UNIVERSE)
-    assert calls == [([1, 2], bitset.PACKED_UNIVERSE)]

@@ -166,8 +166,9 @@ def test_caches_are_cleared_only_by_the_one_bound():
 
 
 # the calls after which a walk loop may read `tracker.count` back, and before
-# which it stores it: the budget check, the three walk levels and `emit`
-WALK_CALLS = {"reach", "rec", "parents", "down", "leaves", "emit"}
+# which it stores it: the three walk levels and `emit` (`reach` stores the
+# count itself)
+WALK_CALLS = {"rec", "parents", "down", "leaves", "emit"}
 
 
 def _touches_count(node: ast.AST, ctx: type) -> bool:
@@ -204,8 +205,8 @@ def _blocks(stmts: list):
 
 def test_walk_loops_keep_the_node_count_in_a_local():
     # per child, the walk's loops count in a local: `tracker.count` is stored
-    # only in the statement just before a call out (`reach`, a walk level or
-    # `emit`) and read only after a call out in the same block, so a child
+    # only in the statement just before a call out (a walk level or `emit`)
+    # and read only after a call out in the same block, so a child
     # that is counted, cut or skipped touches no attribute
     tree = ast.parse((SRC / "oracle.py").read_text())
     (ctx,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SearchContext"]
