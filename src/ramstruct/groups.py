@@ -271,7 +271,7 @@ class HeisenbergGroup(FiniteGroup):
 
     def __init__(self, p: int):
         p = int(p)
-        if p < 3 or not _is_prime(p):
+        if p < 3 or prime_factorization(p) != {p: 1}:
             raise RamError(f"Heisenberg realization requires an odd prime, got {p}")
         self.p = p
         self.order = p**3
@@ -525,21 +525,6 @@ def quotient(G: FiniteGroup, N: ElementSet) -> QuotientView:
         trusted=True,
     )
     return QuotientView(G, N, qgroup, coset_of, tuple(reps))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_factorization(n: int) -> dict[int, int]:

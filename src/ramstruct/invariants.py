@@ -70,10 +70,13 @@ def power_map(G: FiniteGroup, k: int) -> list[int]:
 
 
 def _level(G: FiniteGroup, i: int) -> int:
-    """p^i for the p-group G; a level below 0 is a ValueError."""
+    """p^min(i, e) for the p-group G of exponent p^e: for i >= e every
+    element order divides p^i, so the p^i-th power map is the p^e-th one.
+    A level below 0 is a ValueError."""
     if i < 0:
         raise ValueError(f"power level must be >= 0, got {i}")
-    return pgroup_prime(G) ** i
+    p, e = exponent_exponent(G)
+    return p ** min(i, e)
 
 
 def torsion_set(G: FiniteGroup, i: int) -> ElementSet:

@@ -174,6 +174,7 @@ saved time.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -189,6 +190,10 @@ ORACLE_ORDER_LIMIT = 512
 # A bounded cache counts |G| slots per entry and holds at most this many; one
 # that would pass it is cleared, since it is a speed cache only.
 ROW_SLOTS = 1 << 20
+
+# Frames of the recursion limit that a search leaves to its caller and to its
+# own fixed frames; the sizes of one search may sum to the rest.
+STACK_RESERVE = 200
 
 # Part of every catalog cache key: raise it with any change that can alter a
 # decision, a witness or a counter, so that records of older code are not served.
@@ -738,18 +743,52 @@ def _context(G: FiniteGroup) -> _SearchContext:
     return ctx
 
 
+def _guard(sizes: tuple[int, ...], least: int, what: str, budget: Optional[SearchBudget]) -> None:
+    """Refuse sizes before any context is built: one below `least` (`what`
+    says so), one past the budget's cap, or a sum the walk cannot recurse
+    through.  The walk holds about one frame per tuple entry and a partner
+    walk runs inside its T1 walk, so the sum must leave STACK_RESERVE frames
+    of `sys.getrecursionlimit()` for the fixed frames and the caller's."""
+    if min(sizes) < least:
+        raise ValueError(what)
+    if budget is not None and max(sizes) > budget.cap:
+        raise ValueError(f"requested size exceeds budget cap {budget.cap}")
+    deepest = sys.getrecursionlimit() - STACK_RESERVE
+    if sum(sizes) > deepest:
+        raise ValueError(f"requested sizes sum to {sum(sizes)}; the recursion limit allows {deepest}")
+
+
+def _run(G: FiniteGroup, budget: SearchBudget, stats: SearchStats, search) -> None:
+    """Run `search(ctx, tracker)` on G's cached context under the budget.
+    The budget's clock starts before the context is built, so the build is
+    charged; a budget stop clears `stats.exhausted`, and `stats.candidates`
+    is the node count either way."""
+    tracker = _Tracker(budget, stats)
+    ctx = _context(G)
+    try:
+        tracker.poll()
+        search(ctx, tracker)
+    except _BudgetStop:
+        stats.exhausted = False
+    stats.candidates = tracker.count
+
+
 def enumerate_spherical(G: FiniteGroup, r: int) -> list[GenTuple]:
     """The list of all spherical systems of size r, in lexicographic order of
     the first r-1 entries over nontrivial elements; the last entry is forced
     as the inverse of the prefix product.  The walk runs to the end before
     this returns."""
-    if r < 2:
-        raise ValueError("spherical systems need size >= 2")
-    ctx = _context(G)
+    _guard((r,), 2, "spherical systems need size >= 2", None)
     out: list[GenTuple] = []
-    unbounded = _Tracker(SearchBudget(), SearchStats())
-    ctx.walk(r, ctx.all_nontrivial, False, unbounded, lambda t, _: out.append(GenTuple(G, t)))
+
+    def search(ctx, tracker):
+        ctx.walk(r, ctx.all_nontrivial, False, tracker, lambda t, _: out.append(GenTuple(G, t)))
+
+    _run(G, SearchBudget(), SearchStats(), search)
     return out
+
+
+_MISSING = object()  # partner_memo stores None for a proven negative
 
 
 def _search_rows(
@@ -760,58 +799,37 @@ def _search_rows(
 ) -> dict[tuple[int, int], Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Decide each (r1, r2) pair (r1 <= r2): a witness tuple pair, or None for
     proven nonexistence. Pairs left undecided on budget exhaustion are absent
-    from the result and stats.exhausted is cleared.  The budget's clock
-    starts before the search context is built, so the build is charged."""
-    tracker = _Tracker(budget, stats)
-    ctx = _context(G)
+    from the result and stats.exhausted is cleared.  Each row r1 is one T1
+    walk for its ascending list of partner sizes, from which a size is
+    dropped once `results` holds a witness for it."""
     results: dict[tuple[int, int], Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    rows: dict[int, set[int]] = {}
-    for r1, r2 in pairs:
-        if r1 > r2:
-            raise ValueError("rows expect r1 <= r2")
-        rows.setdefault(r1, set()).add(r2)
+    rows: dict[int, list[int]] = {}
+    for r1, r2 in sorted(pairs):
+        rows.setdefault(r1, []).append(r2)
 
-    try:
-        tracker.poll()
-        for r1 in sorted(rows):
-            undecided = sorted(rows[r1])
-            _dfs_t1_row(ctx, r1, undecided, results, tracker)
+    def search(ctx, tracker):
+        partner_memo = ctx.partner_memo
+        for r1, undecided in rows.items():
+
+            def emit(t1, pmask):
+                stats.t1_candidates += 1
+                found = len(results)
+                for r2 in undecided:
+                    t2 = partner_memo.get((pmask, r2), _MISSING)
+                    if t2 is _MISSING:
+                        t2 = ctx.partner(pmask, r2, tracker)
+                    if t2 is not None:
+                        results[(r1, r2)] = (t1, t2)
+                if len(results) > found:
+                    undecided[:] = [r2 for r2 in undecided if (r1, r2) not in results]
+                return not undecided
+
+            ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
             for r2 in undecided:
                 results[(r1, r2)] = None
-    except _BudgetStop:
-        stats.exhausted = False
-    stats.candidates = tracker.count
+
+    _run(G, budget, stats, search)
     return results
-
-
-_MISSING = object()  # partner_memo stores None for a proven negative
-
-
-def _dfs_t1_row(ctx: _SearchContext, r1, undecided, results, tracker):
-    """Walk T1 of size r1 for the partner sizes in the ascending list
-    `undecided`, dropping each size from it once `results` holds a witness."""
-    partner_memo = ctx.partner_memo
-
-    def emit(t1, pmask):
-        tracker.stats.t1_candidates += 1
-        found = len(results)
-        for r2 in undecided:
-            t2 = partner_memo.get((pmask, r2), _MISSING)
-            if t2 is _MISSING:
-                t2 = ctx.partner(pmask, r2, tracker)
-            if t2 is not None:
-                results[(r1, r2)] = (t1, t2)
-        if len(results) > found:
-            undecided[:] = [r2 for r2 in undecided if (r1, r2) not in results]
-        return not undecided
-
-    if undecided:
-        ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
-
-
-def _check_cap(size: int, budget: SearchBudget) -> None:
-    if size > budget.cap:
-        raise ValueError(f"requested size exceeds budget cap {budget.cap}")
 
 
 @dataclass
@@ -832,10 +850,8 @@ def find_structure(
 ) -> FindOutcome:
     """First ramification structure of size (r1, r2) in deterministic order, or
     proof of nonexistence, or budget exhaustion."""
-    if r1 < 3 or r2 < 3:
-        raise ValueError("structure sizes must be >= 3")
     budget = budget or SearchBudget()
-    _check_cap(max(r1, r2), budget)
+    _guard((r1, r2), 3, "structure sizes must be >= 3", budget)
     stats = SearchStats()
     a, b = min(r1, r2), max(r1, r2)
     res = _search_rows(G, [(a, b)], budget, stats)
@@ -867,10 +883,8 @@ def size_set_up_to(
 ) -> SizeSetResult:
     """All admissible size pairs with 3 <= r1 <= r2 <= cap; symmetric closure is
     implied since swapping the two systems swaps the size components."""
-    if cap < 3:
-        raise ValueError("cap must be >= 3")
+    _guard((cap, cap), 3, "cap must be >= 3", budget)
     budget = budget or SearchBudget(cap=cap)
-    _check_cap(cap, budget)
     stats = SearchStats()
     pairs = [(r1, r2) for r1 in range(3, cap + 1) for r2 in range(r1, cap + 1)]
     res = _search_rows(G, pairs, budget, stats)
@@ -892,33 +906,26 @@ def enumerate_structures(
 ) -> tuple[list[RamStructure], SearchStats]:
     """Up to `limit` distinct ramification structures of size (r1, r2), in
     deterministic search order (capped enumeration; no partner memoization)."""
-    if r1 < 3 or r2 < 3:
-        raise ValueError("structure sizes must be >= 3")
     if limit < 1:
         raise ValueError("limit must be >= 1")
     budget = budget or SearchBudget()
-    _check_cap(max(r1, r2), budget)
+    _guard((r1, r2), 3, "structure sizes must be >= 3", budget)
     stats = SearchStats()
-    tracker = _Tracker(budget, stats)
     a, b = min(r1, r2), max(r1, r2)
-    ctx = _context(G)
     out: list[RamStructure] = []
 
-    def emit(t1, pmask):
-        stats.t1_candidates += 1
+    def search(ctx, tracker):
+        def emit(t1, pmask):
+            stats.t1_candidates += 1
 
-        def emit_partner(t2, _):
-            structure = validated(G, t1, t2)
-            out.append(structure if (r1, r2) == (a, b) else structure.swapped())
-            return len(out) >= limit
+            def emit_partner(t2, _):
+                structure = validated(G, t1, t2)
+                out.append(structure if (r1, r2) == (a, b) else structure.swapped())
+                return len(out) >= limit
 
-        return ctx.walk(b, pmask, ctx.abelian, tracker, emit_partner)
+            return ctx.walk(b, pmask, ctx.abelian, tracker, emit_partner)
 
-    try:
-        tracker.poll()
         ctx.walk(a, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
-    except _BudgetStop:
-        stats.exhausted = False
-    stats.candidates = tracker.count
-    return out, stats
 
+    _run(G, budget, stats, search)
+    return out, stats

@@ -27,8 +27,8 @@ from .groups import (
     DirectProductGroup,
     FiniteGroup,
     HeisenbergGroup,
-    _is_prime,
     direct_product,
+    prime_factorization,
 )
 from .structures import GenTuple
 
@@ -139,7 +139,7 @@ def _parse_spec(cur: _Cursor) -> FiniteGroup:
         cur.expect("(")
         at = cur.pos
         p = cur.integer()
-        if p < 3 or not _is_prime(p):
+        if p < 3 or prime_factorization(p) != {p: 1}:
             raise InvalidPrime(f"heis needs an odd prime, got {p}", cur.text, at)
         cur.expect(")")
         return HeisenbergGroup(p)
@@ -269,13 +269,19 @@ def _looks_like_vector(cur: _Cursor) -> bool:
     return False
 
 
-def _abelian_vector(cur: _Cursor, G: AbelianGroup) -> int:
+def _coordinates(cur: _Cursor) -> list[int]:
+    """A signed coordinate list: "(" int ("," int)* ")"."""
     cur.expect("(")
     coords = [cur.integer(signed=True)]
     while cur.peek() == ",":
         cur.expect(",")
         coords.append(cur.integer(signed=True))
     cur.expect(")")
+    return coords
+
+
+def _abelian_vector(cur: _Cursor, G: AbelianGroup) -> int:
+    coords = _coordinates(cur)
     if len(coords) != len(G.orders):
         raise cur.error(f"vector needs {len(G.orders)} coordinates")
     for e, m in zip(coords, G.orders):
@@ -285,12 +291,7 @@ def _abelian_vector(cur: _Cursor, G: AbelianGroup) -> int:
 
 
 def _heisenberg_triple(cur: _Cursor, G: HeisenbergGroup) -> int:
-    cur.expect("(")
-    coords = [cur.integer(signed=True)]
-    while cur.peek() == ",":
-        cur.expect(",")
-        coords.append(cur.integer(signed=True))
-    cur.expect(")")
+    coords = _coordinates(cur)
     if len(coords) != 3:
         raise cur.error("Heisenberg elements are triples")
     return G.index_of(coords)

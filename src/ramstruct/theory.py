@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import HypothesisViolated, NotExponentP
-from .groups import FiniteGroup, _is_prime
+from .groups import FiniteGroup, prime_factorization
 from .invariants import (
     exponent_exponent,
     is_semi_abelian,
@@ -113,7 +113,7 @@ def semi_abelian_exponent(G: FiniteGroup) -> tuple[int, int]:
 def predict_elementary_abelian(p: int, d: int) -> SizeConstraintSet:
     """Admissible sizes for the elementary abelian group of rank d over p: the
     e = 1 case of `semi_abelian_clauses`, whose X is the whole group."""
-    if not _is_prime(p):
+    if prime_factorization(p) != {p: 1}:
         raise ValueError(f"{p} is not a prime")
     if d < 1:
         raise ValueError("rank must be >= 1")

@@ -95,6 +95,14 @@ def test_search_all_below_one_exit_code(capsys, n):
     assert payload["error"] == "ValueError" and payload["message"]
 
 
+def test_search_too_deep_exit_code(capsys):
+    # sizes too deep for the walk's recursion are an input error with a
+    # reason, not a RecursionError traceback
+    code, payload, _ = run(capsys, "search", "--group", "C3xC3", "--size", "4,1000")
+    assert code == 1
+    assert payload["error"] == "ValueError" and "recursion limit" in payload["message"]
+
+
 def test_sizes_command(capsys):
     code, payload, _ = run(capsys, "sizes", "--group", "C3xC3", "--cap", "5")
     assert code == 0
@@ -296,13 +304,13 @@ def test_usage_error_exit_code(capsys):
         assert exc.value.code == 0
 
 
-def _fresh_process(*argv):
+def _fresh_process(*argv, timeout=120):
     """`ram` run in a new interpreter, as a shell user runs it."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "ramstruct.cli", *argv],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        cwd=root, env=env, capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
 
@@ -328,3 +336,13 @@ def test_parser_reused_across_requests(capsys):
     assert capsys.readouterr().out.strip() == __version__
     code, payload, _ = run(capsys, "sizes", "--group", "C2xC2", "--cap", "4")
     assert code == 0 and payload["pairs"] == []
+
+
+def test_huge_power_level_answers_at_once():
+    # a level past e is read as e, so p^i is never formed for a huge i; a
+    # new process, so that a hang fails on the timeout
+    code, payload = _fresh_process(
+        "semiabelian", "--group", "C3xC3", "--level", "100000000", timeout=30
+    )
+    assert code == 0
+    assert payload["levels"] == [{"i": 100000000, "holds": True, "trivial": False}]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ramstruct.bitset import iter_bits
@@ -373,6 +378,21 @@ def test_negative_power_level_is_an_input_error(heis3):
         for fn in (torsion_set, omega, agemo, power_image, is_semi_abelian):
             with pytest.raises(ValueError):
                 fn(G, -1)
+
+
+def test_power_levels_past_the_exponent_read_as_the_exponent():
+    # for i >= e the p^i-th power map is the p^e-th one, so level 10^8 answers
+    # as level e, at once; a new process, so that a hang fails on the timeout
+    script = """
+from ramstruct.groups import AbelianGroup, HeisenbergGroup
+from ramstruct.invariants import exponent_exponent, power_image, torsion_set
+for G in (AbelianGroup([3, 3]), AbelianGroup([2, 8]), HeisenbergGroup(3)):
+    e = exponent_exponent(G)[1]
+    for f in (torsion_set, power_image):
+        assert f(G, 10**8).mask == f(G, e).mask, (G.describe(), f.__name__)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
 
 
 class _CountingMaps(dict):

@@ -352,6 +352,25 @@ def test_budget_cap_guard():
     assert len(enumerate_structures(G, 4, 4, 2, budget)[0]) == 2
 
 
+def test_sizes_past_the_recursion_bound_are_refused():
+    # the walk recurses once per entry and a partner walk runs inside its T1
+    # walk, so sizes whose sum leaves less than STACK_RESERVE frames of the
+    # recursion limit are refused, before any context is built
+    deepest = sys.getrecursionlimit() - oracle.STACK_RESERVE
+    G, r2 = AbelianGroup([3, 3]), deepest - 4
+    for search in (
+        lambda: find_structure(G, 4, r2 + 1, SearchBudget(cap=r2 + 1)),
+        lambda: enumerate_structures(G, r2 + 1, 4, 1, SearchBudget(cap=r2 + 1)),
+        lambda: size_set_up_to(G, deepest // 2 + 1),
+        lambda: enumerate_spherical(G, deepest + 1),
+    ):
+        with pytest.raises(ValueError, match="recursion limit"):
+            search()
+    assert "oracle_ctx" not in G._cache()
+    # just inside the bound, the search answers
+    assert find_structure(G, 4, r2, SearchBudget(cap=r2)).status == "found"
+
+
 def test_enumerate_structures_capped(heis3):
     # the abelian case walks partners as multisets
     for G, size in ((heis3, (4, 4)), (AbelianGroup([2, 2, 2]), (5, 6))):

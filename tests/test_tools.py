@@ -47,10 +47,13 @@ def test_dump_outputs_smoke(tmp_path):
         "node_limits": 1,
         "catalog": 1,
         "cold_requests": 1,
+        "input_errors": 1,
     }
     (deep,) = data["deep_search"].values()
     assert deep["exhaustive"] and {"candidates_examined", "states_replayed"} <= deep.keys()
     (stop,) = data["node_limits"].values()
     assert (stop["status"], stop["candidates_examined"], stop["exhaustive"]) == ("budget", 1, False)
     assert data["cold_requests"][0]["code"] == 0
+    (error,) = data["input_errors"][0]["stdout"]
+    assert data["input_errors"][0]["code"] == 1 and error["error"] == "ValueError"
     assert "elapsed_ms" not in outs[0].read_text()

@@ -9,7 +9,8 @@ this script) on:
   pairs, witnesses, the four search counters and exhaustiveness;
 - node-limit stops: fixed searches under a fixed grid of `max_candidates`;
 - the 59 records of `run_catalog(32, 8, use_cache=False)`;
-- the 100 `cold_requests` CLI requests: exit codes and stdout.
+- the 100 `cold_requests` CLI requests: exit codes and stdout;
+- input errors: exit codes and stdout of malformed CLI requests.
 
 Timing fields (`elapsed_ms`) are dropped and `cayley:` paths reduced to
 their file name, so two checkouts that compute the same outputs write the
@@ -42,6 +43,17 @@ LIMIT_SEARCHES = [
     ("enumerate", "C6xC6xC2", (5, 7, 5)),
 ]
 LIMITS = [1, 2, 3, 17, 100, 1000, 4095, 4096, 4097, 10_000, 65_536, 200_001, 10**6]
+
+# malformed `ram` requests, each an input error (exit code 1 and a reason)
+INPUT_ERRORS = [
+    ["search", "--group", "C3xC3", "--size", "2,5"],
+    ["sizes", "--group", "C3xC3", "--cap", "2"],
+    ["search", "--group", "C3xC3", "--size", "3,3", "--all", "0"],
+    ["search", "--group", "C3xC3", "--size", "3,3", "--budget-ms", "0"],
+    ["semiabelian", "--group", "C3xC3", "--level", "-1"],
+    ["search", "--group", "C1024", "--size", "3,3"],
+    ["check", "--group", "C3xC3", "--t1", "[]", "--t2", "[x1; x1^-1]"],
+]
 
 _CAYLEY_PATH = re.compile(r"cayley:[^,)\"]*?([^/,)\"]+\.json)")
 
@@ -81,6 +93,15 @@ def _search(rs, kind: str, spec: str, args: tuple, budget) -> dict:
     return {"witnesses": [_pair(rs, S) for S in structures], **_stats(stats)}
 
 
+def _request(cli, argv: list[str]) -> dict:
+    """The exit code and the JSON lines on stdout of one `ram` request."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    return {"argv": argv, "code": code, "stdout": lines}
+
+
 def dump(root: Path, limit: int | None = None) -> dict:
     """Every section's outputs for the checkout at `root`."""
     sys.path[:0] = [str(root / "src"), str(root)]
@@ -94,7 +115,7 @@ def dump(root: Path, limit: int | None = None) -> dict:
     deep = [("sizes", spec, (cap,)) for spec, cap in workloads.DEEP_SIZES]
     deep += [("find", spec, (r1, r2)) for spec, r1, r2 in workloads.DEEP_FINDS]
     deep += [("enumerate", spec, (r1, r2, n)) for spec, r1, r2, n in workloads.DEEP_ENUMS]
-    out: dict = {"deep_search": {}, "node_limits": {}, "catalog": [], "cold_requests": []}
+    out: dict = {"deep_search": {}, "node_limits": {}}
     for kind, spec, args in first(deep):
         budget = rs.SearchBudget(cap=max(args[:2]))
         out["deep_search"][f"{kind} {spec} {args}"] = _search(rs, kind, spec, args, budget)
@@ -102,12 +123,8 @@ def dump(root: Path, limit: int | None = None) -> dict:
         budget = rs.SearchBudget(max_candidates=n)
         out["node_limits"][f"{kind} {spec} {args} {n}"] = _search(rs, kind, spec, args, budget)
     out["catalog"] = first(catalog.run_catalog(32, 8, use_cache=False))
-    for argv in first(workloads.cold_argvs()):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(argv)
-        lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        out["cold_requests"].append({"argv": argv, "code": code, "stdout": lines})
+    out["cold_requests"] = [_request(cli, argv) for argv in first(workloads.cold_argvs())]
+    out["input_errors"] = [_request(cli, argv) for argv in first(INPUT_ERRORS)]
     return canonical(out)
 
 
