@@ -31,7 +31,6 @@ from .errors import (
     NotNilpotent,
     PaddingImpossible,
     PreconditionViolated,
-    RamError,
 )
 from .groups import (
     AbelianGroup,
@@ -687,7 +686,9 @@ def construct_any(
 ) -> ConstructResult:
     """Dispatch: theory-backed constructions where the characterizations apply
     (elementary abelian, prime exponent, semi-abelian p-groups, nilpotent
-    assemblies), exhaustive search otherwise or on the degenerate rank case."""
+    assemblies), exhaustive search otherwise or on the degenerate rank case.
+    An input the search refuses (a group past its order limit, sizes past
+    its guard) raises, as `find_structure` does; it is not an unknown."""
     if method not in ("auto", "theorem", "search"):
         raise ValueError("method must be auto, theorem, or search")
     if r1 < 3 or r2 < 3:
@@ -708,10 +709,7 @@ def construct_any(
                 "unknown", reason="no implemented characterization covers this group"
             )
 
-    try:
-        found = oracle.find_structure(G, r1, r2, budget)
-    except (RamError, ValueError) as exc:
-        return ConstructResult("unknown", reason=str(exc))
+    found = oracle.find_structure(G, r1, r2, budget)
     if found.status == "found":
         return ConstructResult("ok", found.structure, method="search", stats=found.stats)
     if found.status == "none":

@@ -76,15 +76,22 @@ forced last entry), so the leaf level is decided by masks rather than one
 leaf at a time.  A leaf parent (a prefix of length r-2) with product pi and
 closure H visits only the set bits of
 
-    closers(H) & alphabet & lo(pi) & (bits >= its first allowed entry)
+    closers(H) & last(pi) & lo(pi) & (bits >= its first allowed entry)
 
-(`lo` only under the multiset rule), and checks each for its forced last
-entry in the alphabet and, when narrowing, its partner alphabet:
+(`lo` only under the multiset rule), so every leaf it visits completes a
+tuple; when narrowing, it checks each leaf for its partner alphabet:
 
 * pi lies in H, so the forced last entry (pi*y)^-1 lies in <H, y>, and the
   leaf closes to G exactly when <H, y> = G; closers(H) is the mask of those
   y. Since <H, y> = <H, yh> for every h in H, it is a union of cosets yH and
   takes one closure per coset; when `need(H)` > 1 it is empty.
+* `last(pi)` is the mask of the y in the alphabet A whose forced last entry
+  (pi*y)^-1 lies in A as well, A & pi^-1 A^-1.  It is slot pi of A's
+  forced-last row, filled on first use from the inverses of A's elements
+  or, when fewer, of the others' (left multiplication by pi^-1 maps those
+  onto the complement), so a slot of the full T1 alphabet costs one
+  product.  A partner walk therefore visits a leaf parent only if a leaf
+  below it completes, and then its first visited leaf ends the walk.
 * `lo(pi)` is the mask of y with (pi*y)^-1 >= y, memoized per pi.
 * A leaf's own partner alphabet generates G whenever the smaller alphabet
   left after the forced last entry does, since generation is monotone in the
@@ -128,7 +135,7 @@ count and budget stop is therefore the same as when each node is stored.
 `leaves` finds a leaf's position only to store it or hand it to `reach`: it
 compares the entry with the first entry whose count reaches `stop`.
 
-The loops read two row tables, not the memos.  The step row of a closed set
+The loops read three row tables, not the memos.  The step row of a closed set
 H holds in slot y the record (K, need(K), closers(K)) of K = <H, y>, one
 tuple per closed set shared by every slot that reaches it; the alphabet row
 of a partner alphabet P holds in slot y the alphabet P & compat[y], or 0
@@ -137,10 +144,13 @@ one slot of each per child, so a child costs list reads rather than dict
 reads hashed on |G|-bit keys, and walks reach few closures and alphabets
 (15 and 92 on C4xC4xC4 at cap 7), so rows are few.  A leaf's partner
 alphabet is its parent's row at y, then that alphabet's row at the forced
-last entry.  An empty slot is filled by `step` or `alpha` from the memoized
-`extend_closure`, `closed` and `alphabet_generates`.  `need` is a few bit
-counts and is not memoized; the root reads need(base), and closers(base)
-only when r = 2.
+last entry.  The forced-last row of the walk's alphabet (above) is read in
+`parents` at the leaf parent's product; a walk fetches it once, made by
+`last_row` with the elements its slots are filled from.  An empty step or
+alphabet slot is filled by `step` or `alpha` from the memoized
+`extend_closure`, `closed` and `alphabet_generates`, a forced-last slot by
+`last`.  `need` is a few bit counts and is not memoized; the root reads
+need(base), and closers(base) and last at the identity only when r = 2.
 
 One bound holds the caches that grow with the closures and alphabets a walk
 reaches: the rows, the records of `closed` and the answers of
@@ -149,7 +159,8 @@ slots per entry and clears its table before it would hold more than
 ROW_SLOTS slots.  They are speed caches, so a clear changes no answer or
 count, and a row a clear detaches serves on, unshared, the call that holds
 it.  The other caches keep their own policy.  `partner_memo` is cleared at
-its own entry bound and the replay table below lives for one walk, because
+its own bound of PARTNER_ENTRIES entries, together with the refuted
+alphabets below, and the replay table below lives for one walk, because
 their misses are counted: a cleared partner entry is walked again, adding
 nodes and `partner_searches`, and a lost replay state changes
 `states_replayed`.  `gens_for` is never cleared, since a closed set a live
@@ -170,6 +181,20 @@ count instead of being walked, by the same rule.  Every count, budget stop
 and completion is therefore the same as without the table.  Leaf-parent
 states are not tabled: there the table grew by far more memory than it
 saved time.
+
+A pair search skips the T1 completions whose partner alphabet is already
+refuted.  Many completions share few partner alphabets (64,514 completions
+and 30 alphabets in `size_set_up_to(C4xC4xC4, 7)`), and once `emit` has
+found no partner on an alphabet P for any size still undecided in its row,
+every later completion on P would find the same memoized Nones.  So P joins
+the row's set `refuted`, and from then on `leaves` counts a completion on P
+itself, as one emission and one `t1_candidates`, and builds no tuple and
+calls no `emit`.  That call would have read the memo and run no walk, so
+every node count, budget stop and counter is the same; the emission still
+keeps the subtree out of the replay table.  A row's undecided sizes only
+shrink, so P stays refuted for the row.  Each row starts a new set, the
+partner memo's clear empties it, and P joins it only while the memo holds
+all its refutations, so a lost refutation is walked again as before.
 """
 
 from __future__ import annotations
@@ -190,6 +215,10 @@ ORACLE_ORDER_LIMIT = 512
 # A bounded cache counts |G| slots per entry and holds at most this many; one
 # that would pass it is cleared, since it is a speed cache only.
 ROW_SLOTS = 1 << 20
+
+# The partner memo is cleared before it would hold more entries than this.
+# Its misses are counted, so a clear walks the lost partners again.
+PARTNER_ENTRIES = 500_000
 
 # Frames of the recursion limit that a search leaves to its caller and to its
 # own fixed frames; the sizes of one search may sum to the rest.
@@ -221,9 +250,11 @@ class SearchStats:
     """Search counters. `candidates` counts visited prefixes of T1 and partner
     walks (search nodes, the unit of `SearchBudget.max_candidates`), not
     candidate tuples; `t1_candidates` counts completed T1 tuples whose partner
-    alphabet still generates G; `partner_searches` counts partner walks run
-    (memo misses); `states_replayed` counts repeated walk states whose
-    subtrees were counted from their first visit instead of walked."""
+    alphabet still generates G, whether emitted or, in a pair search, counted
+    by the walk itself because that alphabet is already refuted for the
+    row; `partner_searches` counts partner walks run (memo misses);
+    `states_replayed` counts repeated walk states whose subtrees were
+    counted from their first visit instead of walked."""
 
     candidates: int = 0
     t1_candidates: int = 0
@@ -335,11 +366,15 @@ class _SearchContext:
         self.ext_memo: dict[tuple[int, int], int] = {}
         self.alpha_gen_memo = _Bounded(n)  # alphabet -> whether it generates G
         self.partner_memo: dict[tuple[int, int], Optional[tuple]] = {}  # (amask, r2) -> T2
+        # the partner alphabets of the running T1 row that partner_memo
+        # refutes at every size still undecided there
+        self.refuted: set[int] = set()
         self.closed_memo = _Bounded(n)  # closed set H -> (H, need(H), closers(H))
         self.lo_memo: list[Optional[int]] = [None] * n
         self.at_least = [-(1 << y) for y in range(n)]  # y -> mask of the indices >= y
         self.step_rows = _Rows(n)  # H -> [(<H, y>, need, closers) per y]
         self.alpha_rows = _Rows(n)  # partner alphabet P -> [P & compat[y] or 0 per y]
+        self.last_rows = _Bounded(n)  # walk alphabet A -> its forced-last row
         self.all_nontrivial = self.full & ~1
         self.compat = self._compat_masks(G)
         self._setup_generation_bound(G)
@@ -499,6 +534,29 @@ class _SearchContext:
             self.lo_memo[pi] = r
         return r
 
+    def last_row(self, amask: int) -> tuple[list, tuple[int, ...], bool]:
+        """Make the forced-last row of the alphabet amask: its slots, each
+        None until `last` fills it, and what they are filled from, the
+        inverses of amask's elements or, flagged, of all other elements,
+        whichever are fewer."""
+        flip = 2 * amask.bit_count() > self.n
+        src = tuple(self.inv[a] for a in iter_bits(self.full & ~amask if flip else amask))
+        return self.last_rows.put(amask, ([None] * self.n, src, flip))
+
+    def last(self, row: list, amask: int, pi: int, src: tuple[int, ...], flip: bool) -> int:
+        """Fill slot pi of the forced-last row `row, src, flip` of the
+        alphabet amask: the mask of the z in amask whose forced last entry
+        (pi*z)^-1 also lies in amask, that is amask & pi^-1 amask^-1.  Left
+        multiplication by pi^-1 is a bijection, so with `flip` it maps src
+        onto the complement of pi^-1 amask^-1.  On the full T1 alphabet
+        that is one product per slot."""
+        prow = self.mul[self.inv[pi]]
+        m = 0
+        for b in src:
+            m |= 1 << prow[b]
+        m = row[pi] = amask & (~m if flip else m)
+        return m
+
     # -- the prefix walk --------------------------------------------------------
 
     def walk(
@@ -510,6 +568,7 @@ class _SearchContext:
         emit,
         narrow: bool = False,
         repeats: bool = True,
+        dead=(),
     ):
         """Depth-first walk over the spherical systems of size r >= 2 whose
         entries lie in the alphabet `amask`, in lexicographic order of
@@ -526,16 +585,20 @@ class _SearchContext:
         counts in a local, hands it to `reach` at `stop` and stores it in
         `tracker.count` only just before a call out and on return; `emit`
         may run walks on the same tracker, so after each call the loop reads
-        the count and `tracker.stop` back.  A call reads its parent's step row and, with
-        `narrow`, its alphabet row once, then one slot of each per child;
-        the rows and the memos that fill their slots share one bound of
-        ROW_SLOTS slots per table (see the module docstring).  The root reads
-        need(base), and closers(base) only when r = 2.  Each completion
+        the count and `tracker.stop` back.  A call reads its parent's step
+        row and, with `narrow`, its alphabet row once, then one slot of each
+        per child; `parents` also reads one slot of the forced-last row of
+        `amask` per leaf parent.  The rows and the memos that fill their
+        slots share one bound of ROW_SLOTS slots per table (see the module
+        docstring).  The root reads need(base), and closers(base) and the
+        identity's forced-last slot only when r = 2.  Each completion
         calls `emit(entries, pmask)`; a truthy return stops the
         walk and becomes its result, otherwise the walk returns None.  With
         `narrow`, `pmask` is the partner alphabet of the completed tuple and
         prefixes whose partner alphabet no longer generates G are cut;
-        otherwise `pmask` is `amask`.
+        otherwise `pmask` is `amask`.  A completion whose `pmask` lies in
+        `dead` is counted as an emission and in `stats.t1_candidates`
+        instead of emitted.
 
         An interior state met again whose first visit emitted nothing is
         replayed from that visit's node count rather than walked (see the
@@ -547,6 +610,8 @@ class _SearchContext:
         alist = tuple(iter_bits(amask))
         nalpha = len(alist)
         n = self.n
+        frow, src, flip = self.last_rows.get(amask) or self.last_row(amask)
+        last = self.last
         entries: list[int] = []
         emits = 0
         # an interior child's state (its parent's depth, pi, hmask, pmask,
@@ -631,14 +696,14 @@ class _SearchContext:
                 _, nd, m = s
                 if nd > 2:
                     continue
-                first = 0
-                if multiset:
-                    first = i
-                    if m:
-                        piy = row[y]
+                first = i if multiset else 0
+                if m:
+                    piy = row[y]
+                    f = frow[piy]
+                    m &= last(frow, amask, piy, src, flip) if f is None else f
+                    if multiset and m:
                         lm = lo_memo[piy]
                         m &= (lo(piy) if lm is None else lm) & at_least[y]
-                m &= amask
                 if not m:
                     # no leaf below can complete: count them all
                     c += nalpha - first
@@ -657,8 +722,9 @@ class _SearchContext:
             return None
 
         def leaves(pi: int, pmask: int, first: int, m: int):
-            # the children are leaves, one node each; only those in `m` can
-            # complete, and the others are counted arithmetically: the leaf at
+            # the children are leaves, one node each; those in `m` complete
+            # (when narrowing, if their partner alphabet still generates G),
+            # and the others are counted arithmetically: the leaf at
             # position i of alist is node base + i + 1
             nonlocal emits
             row = mul[pi]
@@ -677,9 +743,7 @@ class _SearchContext:
                     stop = tracker.stop
                     k = stop - base - 1
                     ystop = alist[k] if k < nalpha else n
-                last = inv[row[y]]
-                if not (amask >> last) & 1:
-                    continue
+                z = inv[row[y]]
                 p = pmask
                 if narrow:
                     q = arow[y]
@@ -688,15 +752,19 @@ class _SearchContext:
                     if not q:
                         continue
                     qrow = alpha_rows[q]
-                    p = qrow[last]
+                    p = qrow[z]
                     if p is None:
-                        p = alpha(qrow, q, last)
+                        p = alpha(qrow, q, z)
                     if not p:
                         continue
                 emits += 1
+                if p in dead:
+                    # a refuted partner alphabet: counted, not emitted
+                    stats.t1_candidates += 1
+                    continue
                 i = (amask & (low - 1)).bit_count()
                 tracker.count = base + i + 1
-                res = emit(tuple(entries) + (y, last), p)
+                res = emit(tuple(entries) + (y, z), p)
                 if res:
                     return res
                 base, stop = tracker.count - i - 1, tracker.stop
@@ -717,7 +785,7 @@ class _SearchContext:
                 return rec(0, 0, self.base, amask, 0)
             if r == 3:
                 return parents(0, 0, self.base, amask, 0)
-            m = self.closed(self.base)[2] & amask
+            m = self.closed(self.base)[2] & last(frow, amask, 0, src, flip)
             if multiset:
                 m &= lo(0)
             return leaves(0, amask, 0, m)
@@ -729,8 +797,9 @@ class _SearchContext:
         searched and memoized; the caller reads `partner_memo` first."""
         tracker.stats.partner_searches += 1
         res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2)
-        if len(self.partner_memo) > 500_000:
+        if len(self.partner_memo) > PARTNER_ENTRIES:
             self.partner_memo.clear()  # speed cache only; bound the memory
+            self.refuted.clear()  # their refutations went with it
         self.partner_memo[(amask, r2)] = res
         return res
 
@@ -810,6 +879,7 @@ def _search_rows(
     def search(ctx, tracker):
         partner_memo = ctx.partner_memo
         for r1, undecided in rows.items():
+            refuted = ctx.refuted = set()
 
             def emit(t1, pmask):
                 stats.t1_candidates += 1
@@ -822,9 +892,14 @@ def _search_rows(
                         results[(r1, r2)] = (t1, t2)
                 if len(results) > found:
                     undecided[:] = [r2 for r2 in undecided if (r1, r2) not in results]
+                # pmask has no partner at any size still undecided; unless a
+                # clear lost one, the memo holds each refutation, and the
+                # walk counts later completions on pmask itself
+                if all((pmask, r2) in partner_memo for r2 in undecided):
+                    refuted.add(pmask)
                 return not undecided
 
-            ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
+            ctx.walk(r1, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True, dead=refuted)
             for r2 in undecided:
                 results[(r1, r2)] = None
 

@@ -103,6 +103,23 @@ def test_search_too_deep_exit_code(capsys):
     assert payload["error"] == "ValueError" and "recursion limit" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "group, size, error, words",
+    [
+        ("C2xC512", "3,3", "RamError", "orders up to 512"),
+        ("C3xC3", "4,1000", "ValueError", "recursion limit"),
+    ],
+)
+def test_construct_search_input_error_exit_code(capsys, group, size, error, words):
+    # an input the search refuses is an input error with a reason, as for
+    # `search`, not an unknown answer with the exit code of a spent budget
+    code, payload, _ = run(
+        capsys, "construct", "--group", group, "--size", size, "--method", "search"
+    )
+    assert code == 1
+    assert payload["error"] == error and words in payload["message"]
+
+
 def test_sizes_command(capsys):
     code, payload, _ = run(capsys, "sizes", "--group", "C3xC3", "--cap", "5")
     assert code == 0

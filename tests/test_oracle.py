@@ -563,6 +563,44 @@ def test_leaf_masks_match_brute_force(spec, bfs_closure):
         assert ctx.lo(pi) == sum(1 << y for y in lo)
 
 
+@pytest.mark.parametrize(
+    "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C3xC3", "C6xC6", "heis(3)", "q8", "s3"]
+)
+def test_forced_last_rows_match_brute_force(spec):
+    # slot pi of an alphabet's forced-last row holds the z in the alphabet
+    # whose forced last entry (pi*z)^-1 lies in it too: every slot a size set
+    # and a spherical enumeration filled (q8 has no partner alphabets), and
+    # every product over the full alphabet, the partner alphabets of single
+    # entries and random alphabets with gaps
+    if spec in ("q8", "s3"):
+        spec = f"cayley:{bundled_cayley_path(spec)}"
+    G = build_group(spec)
+    size_set_up_to(G, 5)
+    enumerate_spherical(G, 3)
+    ctx = _context(G)
+
+    def brute(A, pi):
+        return sum(1 << z for z in iter_bits(A) if (A >> G.inv(G.mul(pi, z))) & 1)
+
+    filled = 0
+    for A, (row, _, _) in ctx.last_rows.items():
+        for pi, slot in enumerate(row):
+            if slot is not None:
+                assert slot == brute(A, pi)
+                filled += 1
+    assert filled > 0
+    rng = random.Random(spec)
+    alphabets = {ctx.all_nontrivial, *ctx.compat[1:]}
+    alphabets |= {rng.getrandbits(ctx.n) & ctx.all_nontrivial for _ in range(20)}
+    flips = set()
+    for A in alphabets:
+        row, src, flip = ctx.last_row(A)
+        flips.add(flip)
+        for pi in range(ctx.n):
+            assert ctx.last(row, A, pi, src, flip) == brute(A, pi) == row[pi]
+    assert flips == {False, True}
+
+
 def test_compat_buckets_match_pairwise_definition(table_groups):
     # compat, read off prime-order subgroup buckets, is the pairwise
     # definition: nontrivial y whose conjugate cyclic set meets that of x
@@ -646,6 +684,78 @@ def test_walk_calls_once_per_interior_prefix_and_open_leaf_parent():
         sys.setprofile(None)
     assert result.stats.candidates == 71_241
     assert calls == {"rec": 318, "parents": 1_246, "leaves": 1_040}
+
+
+def test_refuted_alphabets_skip_emit_and_open_no_dead_leaf_parent(monkeypatch):
+    # C4xC4xC4 at cap 7 completes 64,514 T1 tuples on 30 partner alphabets:
+    # `emit` runs once per row and alphabet (it ran 64,514 times when every
+    # completion was emitted), and a partner walk calls `leaves` only where a
+    # leaf completes, so only in its 2 walks that find a partner (it made
+    # 16,852 calls when the forced last entry was tested per leaf)
+    walk, partner = oracle._SearchContext.walk, oracle._SearchContext.partner
+    emitted = Counter()
+    inside, leaves_in_partners, found = 0, 0, 0
+
+    def counted_walk(self, r, amask, multiset, tracker, emit, **kwargs):
+        if kwargs.get("narrow"):
+            t1_emit = emit
+
+            def emit(t1, pmask):
+                emitted[r, pmask] += 1
+                return t1_emit(t1, pmask)
+
+        return walk(self, r, amask, multiset, tracker, emit, **kwargs)
+
+    def counted_partner(self, *args):
+        nonlocal inside, found
+        inside += 1
+        try:
+            res = partner(self, *args)
+        finally:
+            inside -= 1
+        found += res is not None
+        return res
+
+    def count_leaves(frame, event, arg):
+        nonlocal leaves_in_partners
+        if event == "call" and inside and frame.f_code.co_qualname.endswith(".<locals>.leaves"):
+            leaves_in_partners += 1
+
+    monkeypatch.setattr(oracle._SearchContext, "walk", counted_walk)
+    monkeypatch.setattr(oracle._SearchContext, "partner", counted_partner)
+    sys.setprofile(count_leaves)
+    try:
+        result = size_set_up_to(AbelianGroup([4, 4, 4]), 7)
+    finally:
+        sys.setprofile(None)
+    stats = result.stats
+    assert result.pairs == {(5, 6), (5, 7), (6, 6), (6, 7), (7, 7)} and result.exhaustive
+    assert (stats.candidates, stats.t1_candidates, stats.partner_searches) == (1_700_620, 64_514, 30)
+    assert set(emitted.values()) == {1} and len(emitted) == 30
+    assert found == 2 and leaves_in_partners == found
+
+
+# size sets under a partner memo bound of PARTNER_ENTRIES, and their counters
+# as the walk that emitted every completion counted them under that bound:
+# a clear forgets the refuted alphabets with the memo, so a lost refutation
+# is walked again
+PARTNER_BOUND_COUNTS = [
+    ("C2xC2xC2", 6, 0, (1_550, 29, 30)),
+    ("heis(3)", 6, 0, (6_951, 3, 5)),
+    ("C3xC3", 6, 0, (133, 3, 5)),
+    ("C4xC4xC4", 7, 28, (2_556_830, 64_514, 59)),
+]
+
+
+@pytest.mark.parametrize("spec, cap, bound, counts", PARTNER_BOUND_COUNTS)
+def test_partner_memo_clear_forgets_refuted_alphabets(monkeypatch, spec, cap, bound, counts):
+    unbounded = size_set_up_to(build_group(spec), cap)
+    monkeypatch.setattr(oracle, "PARTNER_ENTRIES", bound)
+    result = size_set_up_to(build_group(spec), cap)
+    stats = result.stats
+    assert (stats.candidates, stats.t1_candidates, stats.partner_searches) == counts
+    assert result.pairs == unbounded.pairs and result.exhaustive
+    assert stats.states_replayed == 0
 
 
 def test_walk_closures_stay_few_on_c4_cubed():
@@ -792,16 +902,18 @@ def _without_repeats(monkeypatch):
 
 def _forgetful_partners(monkeypatch):
     """Clear the partner memo before and after every partner search, as its
-    size limit does, so that no lookup hits it: no replay may depend on what
-    the memo holds."""
+    size limit does (with the refuted alphabets read off it), so that no
+    lookup hits it: no replay may depend on what the memo holds."""
     partner = oracle._SearchContext.partner
 
     def forgetful(self, *args):
         self.partner_memo.clear()
+        self.refuted.clear()
         try:
             return partner(self, *args)
         finally:
             self.partner_memo.clear()
+            self.refuted.clear()
 
     monkeypatch.setattr(oracle._SearchContext, "partner", forgetful)
 

@@ -40,6 +40,8 @@ LIMIT_SEARCHES = [
     ("find", "heis(3)", (4, 8)),
     ("sizes", "C2xC2xC4xC4", (6,)),
     ("sizes", "prod(heis(3),C2)", (5,)),
+    ("sizes", "C4xC4xC4", (7,)),
+    ("find", "C2xC4xC4xC4", (5, 5)),
     ("enumerate", "C6xC6xC2", (5, 7, 5)),
 ]
 LIMITS = [1, 2, 3, 17, 100, 1000, 4095, 4096, 4097, 10_000, 65_536, 200_001, 10**6]
@@ -53,6 +55,8 @@ INPUT_ERRORS = [
     ["semiabelian", "--group", "C3xC3", "--level", "-1"],
     ["search", "--group", "C1024", "--size", "3,3"],
     ["check", "--group", "C3xC3", "--t1", "[]", "--t2", "[x1; x1^-1]"],
+    ["construct", "--group", "C2xC512", "--size", "3,3", "--method", "search"],
+    ["construct", "--group", "C3xC3", "--size", "4,1000", "--method", "search"],
 ]
 
 _CAYLEY_PATH = re.compile(r"cayley:[^,)\"]*?([^/,)\"]+\.json)")
