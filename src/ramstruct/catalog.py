@@ -168,11 +168,15 @@ def run_catalog(
 
     With an output path, records are persisted as JSON lines in catalog order;
     entries whose content hash is already present are served from the file
-    without invoking the oracle (the record carries "cached": true).
+    without invoking the oracle (the record carries "cached": true).  The
+    file is created, or opened without truncating it, before the first entry
+    is evaluated, so a path that cannot be written fails before the sweep.
     """
     budget = budget or SearchBudget(cap=cap)
     entries = builtin_catalog(max_order)
     cache = _load_cache(out_path) if (out_path and use_cache) else {}
+    if out_path is not None:
+        out_path.open("a").close()
     records = []
     for entry in entries:
         key = _content_hash(entry.spec, entry.effective_cap(cap), budget)

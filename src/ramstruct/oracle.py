@@ -152,21 +152,29 @@ alphabet slot is filled by `step` or `alpha` from the memoized
 `last`.  `need` is a few bit counts and is not memoized; the root reads
 need(base), and closers(base) and last at the identity only when r = 2.
 
-One bound holds the caches that grow with the closures and alphabets a walk
-reaches: the rows, the records of `closed` and the answers of
-`alphabet_generates` are stored through `_Bounded.put`, which counts |G|
+Every search builds its own context in `_run`, and nothing keeps one on a
+group, so a search is a function of its request alone: its counts, budget
+stops and witnesses do not depend on what ran on the group object before
+it, and the context build is always charged to its budget.  The caches have
+two lifetimes.  The context, with its rows, memos and partner memo, lives
+for one search, every T1 row of a size set included, and is freed when the
+search returns; the replay table below lives for one walk.
+
+Within a search, one bound holds the caches that grow with the closures and
+alphabets a walk reaches: the rows, the records of `closed` and the answers
+of `alphabet_generates` are stored through `_Bounded.put`, which counts |G|
 slots per entry and clears its table before it would hold more than
 ROW_SLOTS slots.  They are speed caches, so a clear changes no answer or
 count, and a row a clear detaches serves on, unshared, the call that holds
 it.  The other caches keep their own policy.  `partner_memo` is cleared at
 its own bound of PARTNER_ENTRIES entries, together with the refuted
-alphabets below, and the replay table below lives for one walk, because
-their misses are counted: a cleared partner entry is walked again, adding
-nodes and `partner_searches`, and a lost replay state changes
-`states_replayed`.  `gens_for` is never cleared, since a closed set a live
-row holds is still extended through it; `ext_memo` holds one closure per
-closed set and element it was asked about, few since walks carry HPhi; and
-`lo_memo` holds at most |G| masks.
+alphabets below, and the replay table has no bound, because their misses are
+counted: a cleared partner entry is walked again, adding nodes and
+`partner_searches`, and a lost replay state changes `states_replayed`.
+`gens_for` is never cleared, since a closed set a live row holds is still
+extended through it; `ext_memo` holds one closure per closed set and element
+it was asked about, few since walks carry HPhi; and `lo_memo` holds at most
+|G| masks.
 
 Every walk replays repeated interior states.  Until it emits, the walk of
 the subtree below a prefix depends only on the prefix's state: depth,
@@ -225,7 +233,8 @@ PARTNER_ENTRIES = 500_000
 STACK_RESERVE = 200
 
 # Part of every catalog cache key: raise it with any change that can alter a
-# decision, a witness or a counter, so that records of older code are not served.
+# decision, a witness or the counters of a size set, which catalog records
+# hold, so that records of older code are not served.
 ORACLE_VERSION = 2
 
 
@@ -252,9 +261,11 @@ class SearchStats:
     candidate tuples; `t1_candidates` counts completed T1 tuples whose partner
     alphabet still generates G, whether emitted or, in a pair search, counted
     by the walk itself because that alphabet is already refuted for the
-    row; `partner_searches` counts partner walks run (memo misses);
+    row; `partner_searches` counts partner walks run: a pair search's
+    partner memo misses, and every partner walk of an enumeration;
     `states_replayed` counts repeated walk states whose subtrees were
-    counted from their first visit instead of walked."""
+    counted from their first visit instead of walked.  Every counter
+    depends only on the request, not on earlier searches of the group."""
 
     candidates: int = 0
     t1_candidates: int = 0
@@ -348,7 +359,7 @@ class _Rows(_Bounded):
 
 
 class _SearchContext:
-    """Per-group tables and memoized machinery shared by all searches."""
+    """The tables and memoized machinery of one search on one group."""
 
     def __init__(self, G: FiniteGroup):
         n = G.order
@@ -366,9 +377,6 @@ class _SearchContext:
         self.ext_memo: dict[tuple[int, int], int] = {}
         self.alpha_gen_memo = _Bounded(n)  # alphabet -> whether it generates G
         self.partner_memo: dict[tuple[int, int], Optional[tuple]] = {}  # (amask, r2) -> T2
-        # the partner alphabets of the running T1 row that partner_memo
-        # refutes at every size still undecided there
-        self.refuted: set[int] = set()
         self.closed_memo = _Bounded(n)  # closed set H -> (H, need(H), closers(H))
         self.lo_memo: list[Optional[int]] = [None] * n
         self.at_least = [-(1 << y) for y in range(n)]  # y -> mask of the indices >= y
@@ -466,8 +474,8 @@ class _SearchContext:
         """The mask of Phi(G) for a nilpotent group, else None, when only the
         trivial bound (1 if proper) is available; and `base`, the closed set
         every walk and alphabet test starts from: Phi(G), or {1} without it.
-        The context keeps no reference to G, so a group and its cached
-        context are freed by reference counting."""
+        The context keeps no reference to G, so a group is freed by
+        reference counting, and so is the context once its search returns."""
         try:
             self.phi = frattini(G).mask
         except NotNilpotent:
@@ -792,24 +800,18 @@ class _SearchContext:
         finally:
             del rec  # rec refers to itself; free it without the cyclic collector
 
-    def partner(self, amask: int, r2: int, tracker: _Tracker) -> Optional[tuple[int, ...]]:
+    def partner(self, amask: int, r2: int, tracker: _Tracker, refuted: set) -> Optional[tuple]:
         """First spherical system of size r2 over the partner alphabet amask,
-        searched and memoized; the caller reads `partner_memo` first."""
+        searched and memoized; the caller reads `partner_memo` first.
+        `refuted` holds the caller's alphabets read off the memo, so a clear
+        of the memo empties it too."""
         tracker.stats.partner_searches += 1
         res = self.walk(r2, amask, self.abelian, tracker, lambda t2, _: t2)
         if len(self.partner_memo) > PARTNER_ENTRIES:
             self.partner_memo.clear()  # speed cache only; bound the memory
-            self.refuted.clear()  # their refutations went with it
+            refuted.clear()  # their refutations went with it
         self.partner_memo[(amask, r2)] = res
         return res
-
-
-def _context(G: FiniteGroup) -> _SearchContext:
-    ctx = G._cache().get("oracle_ctx")
-    if ctx is None:
-        ctx = _SearchContext(G)
-        G._cache()["oracle_ctx"] = ctx
-    return ctx
 
 
 def _guard(sizes: tuple[int, ...], least: int, what: str, budget: Optional[SearchBudget]) -> None:
@@ -828,12 +830,12 @@ def _guard(sizes: tuple[int, ...], least: int, what: str, budget: Optional[Searc
 
 
 def _run(G: FiniteGroup, budget: SearchBudget, stats: SearchStats, search) -> None:
-    """Run `search(ctx, tracker)` on G's cached context under the budget.
-    The budget's clock starts before the context is built, so the build is
-    charged; a budget stop clears `stats.exhausted`, and `stats.candidates`
-    is the node count either way."""
+    """Run `search(ctx, tracker)` on a context built for this search alone,
+    under the budget.  The budget's clock starts before the context is built,
+    so the build is charged; a budget stop clears `stats.exhausted`, and
+    `stats.candidates` is the node count either way."""
     tracker = _Tracker(budget, stats)
-    ctx = _context(G)
+    ctx = _SearchContext(G)
     try:
         tracker.poll()
         search(ctx, tracker)
@@ -879,7 +881,7 @@ def _search_rows(
     def search(ctx, tracker):
         partner_memo = ctx.partner_memo
         for r1, undecided in rows.items():
-            refuted = ctx.refuted = set()
+            refuted: set[int] = set()
 
             def emit(t1, pmask):
                 stats.t1_candidates += 1
@@ -887,7 +889,7 @@ def _search_rows(
                 for r2 in undecided:
                     t2 = partner_memo.get((pmask, r2), _MISSING)
                     if t2 is _MISSING:
-                        t2 = ctx.partner(pmask, r2, tracker)
+                        t2 = ctx.partner(pmask, r2, tracker, refuted)
                     if t2 is not None:
                         results[(r1, r2)] = (t1, t2)
                 if len(results) > found:
@@ -992,6 +994,7 @@ def enumerate_structures(
     def search(ctx, tracker):
         def emit(t1, pmask):
             stats.t1_candidates += 1
+            stats.partner_searches += 1
 
             def emit_partner(t2, _):
                 structure = validated(G, t1, t2)

@@ -248,6 +248,28 @@ def test_catalog_command(capsys, tmp_path):
     assert summary["mismatches"] == 0
 
 
+def test_catalog_unwritable_out_fails_before_the_sweep(capsys, tmp_path, monkeypatch):
+    # the output file is created before the first entry is evaluated, so a
+    # path that cannot be written is the only line printed
+    from ramstruct import catalog
+
+    evaluated = []
+    evaluate = catalog.evaluate_entry
+
+    def counted(entry, *args):
+        evaluated.append(entry.spec)
+        return evaluate(entry, *args)
+
+    monkeypatch.setattr(catalog, "evaluate_entry", counted)
+    out = tmp_path / "missing" / "x.jsonl"
+    code, payload, lines = run(
+        capsys, "catalog", "--max-order", "8", "--cap", "5", "--out", str(out)
+    )
+    assert code == 1
+    assert lines == [payload] and payload["error"] == "FileNotFoundError"
+    assert evaluated == [] and not out.exists()
+
+
 def test_parse_error_exit_code(capsys):
     code, payload, _ = run(capsys, "predict", "--group", "C1xC2")
     assert code == 1 and "error" in payload

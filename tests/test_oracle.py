@@ -19,7 +19,6 @@ from ramstruct.groups import AbelianGroup, HeisenbergGroup
 from ramstruct.invariants import frattini, min_generators
 from ramstruct.oracle import (
     SearchBudget,
-    _context,
     enumerate_spherical,
     enumerate_structures,
     find_structure,
@@ -27,6 +26,21 @@ from ramstruct.oracle import (
 )
 from ramstruct.parsing import build_group
 from ramstruct.structures import RamStructure, check_ramification
+
+
+def _record_contexts(monkeypatch, weak: bool = False) -> list:
+    """Patch a subclass over `oracle._SearchContext` that records every
+    context a search builds, or a weak reference to it, in the list
+    returned."""
+    built = []
+
+    class Recording(oracle._SearchContext):
+        def __init__(self, G):
+            super().__init__(G)
+            built.append(weakref.ref(self) if weak else self)
+
+    monkeypatch.setattr(oracle, "_SearchContext", Recording)
+    return built
 
 
 def spherical_count(G, r: int) -> int:
@@ -299,9 +313,10 @@ def test_every_node_limit_stops_where_counting_one_by_one_does(spec, size):
             assert (out.structure and out.structure.t2.entries) == (S and S.t2.entries)
 
 
-def test_groups_freed_by_refcount():
-    # a group, its search context and its memos must not wait for the cyclic
-    # collector: searches on large groups would otherwise pile them up
+def test_groups_freed_by_refcount(monkeypatch):
+    # a group, each search's context and its memos must not wait for the
+    # cyclic collector: searches on large groups would otherwise pile them up
+    contexts = _record_contexts(monkeypatch, weak=True)
     searches = [
         lambda G: size_set_up_to(G, 5),
         lambda G: find_structure(G, 4, 5),
@@ -313,26 +328,24 @@ def test_groups_freed_by_refcount():
     ]
     was_enabled = gc.isenabled()
     gc.disable()
-    contexts = 0
     try:
         for search in searches:
             for make in (lambda: AbelianGroup([3, 3]), lambda: HeisenbergGroup(3)):
                 G = make()
                 ref = weakref.ref(G)
                 search(G)
-                ctx = G._cache().get("oracle_ctx")
-                ctx_ref = None if ctx is None else weakref.ref(ctx)
-                contexts += ctx is not None
-                del G, ctx
+                # freed as the search returned, while the group is still live
+                assert all(ctx_ref() is None for ctx_ref in contexts)
+                del G
                 assert ref() is None
-                assert ctx_ref is None or ctx_ref() is None
     finally:
         if was_enabled:
             gc.enable()
-    assert contexts == 10
+    assert len(contexts) == 10
 
 
-def test_budget_cap_guard():
+def test_budget_cap_guard(monkeypatch):
+    built = _record_contexts(monkeypatch)
     with pytest.raises(ValueError):
         find_structure(AbelianGroup([2, 2, 2]), 5, 9, SearchBudget(cap=8))
     with pytest.raises(ValueError):
@@ -346,16 +359,17 @@ def test_budget_cap_guard():
     ):
         with pytest.raises(ValueError, match="budget cap 4"):
             search()
-    assert "oracle_ctx" not in G._cache()
+    assert built == []
     # sizes up to the cap are searched
     assert size_set_up_to(G, 4, budget).pairs == {(4, 4)}
     assert len(enumerate_structures(G, 4, 4, 2, budget)[0]) == 2
 
 
-def test_sizes_past_the_recursion_bound_are_refused():
+def test_sizes_past_the_recursion_bound_are_refused(monkeypatch):
     # the walk recurses once per entry and a partner walk runs inside its T1
     # walk, so sizes whose sum leaves less than STACK_RESERVE frames of the
     # recursion limit are refused, before any context is built
+    built = _record_contexts(monkeypatch)
     deepest = sys.getrecursionlimit() - oracle.STACK_RESERVE
     G, r2 = AbelianGroup([3, 3]), deepest - 4
     for search in (
@@ -366,7 +380,7 @@ def test_sizes_past_the_recursion_bound_are_refused():
     ):
         with pytest.raises(ValueError, match="recursion limit"):
             search()
-    assert "oracle_ctx" not in G._cache()
+    assert built == []
     # just inside the bound, the search answers
     assert find_structure(G, 4, r2, SearchBudget(cap=r2)).status == "found"
 
@@ -411,7 +425,6 @@ def test_search_stats_counters_and_add():
 
 
 def test_counters_pinned():
-    # fresh groups: the partner memo lives on the group and changes the counts
     def counts(stats):
         return stats.candidates, stats.t1_candidates, stats.partner_searches
 
@@ -419,12 +432,12 @@ def test_counters_pinned():
     assert counts(find_structure(HeisenbergGroup(3), 4, 5).stats) == (2063, 1, 1)
     assert counts(size_set_up_to(AbelianGroup([3, 3]), 6).stats) == (116, 3, 3)
     _, stats = enumerate_structures(HeisenbergGroup(3), 4, 4, limit=5)
-    assert counts(stats) == (2066, 1, 0)
+    assert counts(stats) == (2066, 1, 1)
 
 
 def test_counters_pinned_size_sets():
     # abelian, non-abelian nilpotent and non-nilpotent (s3) groups, each
-    # with its partner-alphabet tests; fresh groups, as above
+    # with its partner-alphabet tests
     def counts(G):
         stats = size_set_up_to(G, 6).stats
         return stats.candidates, stats.t1_candidates, stats.partner_searches
@@ -443,10 +456,61 @@ def test_counters_pinned_across_partner_walks():
     assert (stats.candidates, stats.t1_candidates, stats.partner_searches) == (1550, 29, 30)
 
 
+# per group: a find, a size set and a capped enumeration (r1, r2, limit)
+REPEATED_SEARCHES = {
+    "C2xC2xC2": {"find": (5, 5), "sizes": (6,), "enumerate": (5, 6, 5)},
+    "heis(3)": {"find": (4, 5), "sizes": (6,), "enumerate": (4, 4, 5)},
+}
+
+
+def _observe(kind, G, args, budget):
+    """Status, witnesses and the four counters of one search, with
+    exhaustiveness."""
+    if kind == "find":
+        out = find_structure(G, *args, budget)
+        S = out.structure
+        found = out.status, S and (S.t1.entries, S.t2.entries)
+        stats = out.stats
+    elif kind == "sizes":
+        result = size_set_up_to(G, *args, budget)
+        witnesses = {p: (S.t1.entries, S.t2.entries) for p, S in result.witnesses.items()}
+        found = sorted(result.pairs), witnesses
+        stats = result.stats
+    else:
+        structures, stats = enumerate_structures(G, *args, budget)
+        found = [(S.t1.entries, S.t2.entries) for S in structures]
+    return found, stats.counters(), stats.exhausted
+
+
+@pytest.mark.parametrize("spec", list(REPEATED_SEARCHES))
+def test_repeated_searches_answer_as_fresh_ones(spec):
+    # a search repeated on one group object, or run after another search on
+    # it without a limit, answers as on a fresh group: no table outlives its
+    # search, so on C2xC2xC2 a second (5,5) walks its 1,310 nodes and 28
+    # partners again, and under 500 nodes it stops on the budget again
+    searches = REPEATED_SEARCHES[spec]
+    for limit, c2_cubed_find in ((None, ("none", 1310, 28)), (500, ("budget", 500, 12))):
+        budget = SearchBudget(max_candidates=limit or 10**12, cap=8)
+        fresh = {k: _observe(k, build_group(spec), a, budget) for k, a in searches.items()}
+        if spec == "C2xC2xC2":
+            (status, _), counters, _ = fresh["find"]
+            got = status, counters["candidates_examined"], counters["partner_searches"]
+            assert got == c2_cubed_find
+        for kind, args in searches.items():
+            G = build_group(spec)
+            assert _observe(kind, G, args, budget) == fresh[kind], (kind, limit)
+            assert _observe(kind, G, args, budget) == fresh[kind], (kind, limit)
+            for other, other_args in searches.items():
+                if other != kind:
+                    G = build_group(spec)
+                    _observe(other, G, other_args, SearchBudget(cap=8))
+                    assert _observe(kind, G, args, budget) == fresh[kind], (kind, other, limit)
+
+
 def test_deadline_polled_inside_leaf_level():
     # a passed deadline stops the walk at the first multiple of 4096 nodes,
     # also where the leaf level counts that node without visiting it
-    ctx = _context(AbelianGroup([2, 4, 4, 4]))
+    ctx = oracle._SearchContext(AbelianGroup([2, 4, 4, 4]))
     tracker = oracle._Tracker(SearchBudget(max_millis=1), oracle.SearchStats())
     time.sleep(0.01)
     with pytest.raises(oracle._BudgetStop):
@@ -501,7 +565,7 @@ def test_alphabet_generates_matches_closure(spec, bfs_closure):
     if spec in ("q8", "d4", "s3"):
         spec = f"cayley:{bundled_cayley_path(spec)}"
     G = build_group(spec)
-    ctx = _context(G)
+    ctx = oracle._SearchContext(G)
     rng = random.Random(spec)
     masks = [rng.getrandbits(ctx.n) & ctx.all_nontrivial for _ in range(100)]
     masks += ctx.compat[1:]
@@ -527,14 +591,15 @@ def test_grid_witnesses_match_single_searches(heis3):
 @pytest.mark.parametrize(
     "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C6xC6", "C3xC3xC3", "heis(3)", "q8", "s3"]
 )
-def test_leaf_masks_match_brute_force(spec, bfs_closure):
+def test_leaf_masks_match_brute_force(spec, bfs_closure, monkeypatch):
     # s3 is not nilpotent, so `need` is only its trivial bound there
     nilpotent = spec != "s3"
     if spec in ("q8", "s3"):
         spec = f"cayley:{bundled_cayley_path(spec)}"
     G = build_group(spec)
+    built = _record_contexts(monkeypatch)
     size_set_up_to(G, 5)
-    ctx = _context(G)
+    (ctx,) = built
     # the base, the closure of every prefix the walk reached (none in q8,
     # whose partner alphabets are empty), and every 2-generated subgroup
     subgroups = set(ctx.closed_memo) | {ctx.base}
@@ -566,29 +631,32 @@ def test_leaf_masks_match_brute_force(spec, bfs_closure):
 @pytest.mark.parametrize(
     "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C3xC3", "C6xC6", "heis(3)", "q8", "s3"]
 )
-def test_forced_last_rows_match_brute_force(spec):
+def test_forced_last_rows_match_brute_force(spec, monkeypatch):
     # slot pi of an alphabet's forced-last row holds the z in the alphabet
     # whose forced last entry (pi*z)^-1 lies in it too: every slot a size set
-    # and a spherical enumeration filled (q8 has no partner alphabets), and
-    # every product over the full alphabet, the partner alphabets of single
-    # entries and random alphabets with gaps
+    # and a spherical enumeration filled, each in its own context (q8 has no
+    # partner alphabets), and every product over the full alphabet, the
+    # partner alphabets of single entries and random alphabets with gaps
     if spec in ("q8", "s3"):
         spec = f"cayley:{bundled_cayley_path(spec)}"
     G = build_group(spec)
+    built = _record_contexts(monkeypatch)
     size_set_up_to(G, 5)
     enumerate_spherical(G, 3)
-    ctx = _context(G)
+    assert len(built) == 2
 
     def brute(A, pi):
         return sum(1 << z for z in iter_bits(A) if (A >> G.inv(G.mul(pi, z))) & 1)
 
     filled = 0
-    for A, (row, _, _) in ctx.last_rows.items():
-        for pi, slot in enumerate(row):
-            if slot is not None:
-                assert slot == brute(A, pi)
-                filled += 1
+    for ctx in built:
+        for A, (row, _, _) in ctx.last_rows.items():
+            for pi, slot in enumerate(row):
+                if slot is not None:
+                    assert slot == brute(A, pi)
+                    filled += 1
     assert filled > 0
+    ctx = built[0]
     rng = random.Random(spec)
     alphabets = {ctx.all_nontrivial, *ctx.compat[1:]}
     alphabets |= {rng.getrandbits(ctx.n) & ctx.all_nontrivial for _ in range(20)}
@@ -758,23 +826,25 @@ def test_partner_memo_clear_forgets_refuted_alphabets(monkeypatch, spec, cap, bo
     assert stats.states_replayed == 0
 
 
-def test_walk_closures_stay_few_on_c4_cubed():
+def test_walk_closures_stay_few_on_c4_cubed(monkeypatch):
     # walking HPhi instead of H merges the prefixes' closures; closing them
     # from {1} left 4,130 memoized extensions here
-    G = AbelianGroup([4, 4, 4])
-    size_set_up_to(G, 7)
-    assert len(_context(G).ext_memo) < 1000
+    built = _record_contexts(monkeypatch)
+    size_set_up_to(AbelianGroup([4, 4, 4]), 7)
+    (ctx,) = built
+    assert len(ctx.ext_memo) < 1000
 
 
 # -- the walk's row tables ----------------------------------------------------
 
 
-def test_row_slots_match_their_definitions():
+def test_row_slots_match_their_definitions(monkeypatch):
+    built = _record_contexts(monkeypatch)
     filled = 0
     for entry in builtin_catalog(16):
-        G = build_group(entry.spec)
-        size_set_up_to(G, 5)
-        ctx = _context(G)
+        size_set_up_to(build_group(entry.spec), 5)
+        (ctx,) = built
+        built.clear()
         for H, row in ctx.step_rows.items():
             for y, slot in enumerate(row):
                 if slot is not None:
@@ -823,11 +893,13 @@ def test_caches_keep_to_the_one_bound(spec, monkeypatch):
     # the per-closure records and the alphabet answers share the rows' bound:
     # at 3 rows' worth of slots no table keeps more than 3 entries, and the
     # walk finds the same answers as with the tables unbounded
+    built = _record_contexts(monkeypatch)
+
     def run():
-        G = build_group(spec)
-        result = size_set_up_to(G, 6)
+        result = size_set_up_to(build_group(spec), 6)
         witnesses = {p: (S.t1.entries, S.t2.entries) for p, S in result.witnesses.items()}
-        ctx = _context(G)
+        (ctx,) = built
+        built.clear()
         tables = (ctx.step_rows, ctx.alpha_rows, ctx.closed_memo, ctx.alpha_gen_memo)
         answers = sorted(result.pairs), witnesses, result.stats.counters(), result.exhaustive
         return [len(t) for t in tables], answers
@@ -840,11 +912,11 @@ def test_caches_keep_to_the_one_bound(spec, monkeypatch):
     assert all(0 < size <= 3 for size in sizes)
 
 
-def test_walk_rows_stay_few_on_c4_cubed():
+def test_walk_rows_stay_few_on_c4_cubed(monkeypatch):
     # C4xC4xC4 at cap 7 reaches 15 closures and 92 partner alphabets
-    G = AbelianGroup([4, 4, 4])
-    size_set_up_to(G, 7)
-    ctx = _context(G)
+    built = _record_contexts(monkeypatch)
+    size_set_up_to(AbelianGroup([4, 4, 4]), 7)
+    (ctx,) = built
     assert len(ctx.step_rows) <= 15
     assert len(ctx.alpha_rows) < 200
 
@@ -902,18 +974,19 @@ def _without_repeats(monkeypatch):
 
 def _forgetful_partners(monkeypatch):
     """Clear the partner memo before and after every partner search, as its
-    size limit does (with the refuted alphabets read off it), so that no
-    lookup hits it: no replay may depend on what the memo holds."""
+    size limit does (with the refuted alphabets read off it, the set that
+    `partner` is given), so that no lookup hits it: no replay may depend on
+    what the memo holds."""
     partner = oracle._SearchContext.partner
 
-    def forgetful(self, *args):
+    def forgetful(self, amask, r2, tracker, refuted):
         self.partner_memo.clear()
-        self.refuted.clear()
+        refuted.clear()
         try:
-            return partner(self, *args)
+            return partner(self, amask, r2, tracker, refuted)
         finally:
             self.partner_memo.clear()
-            self.refuted.clear()
+            refuted.clear()
 
     monkeypatch.setattr(oracle._SearchContext, "partner", forgetful)
 

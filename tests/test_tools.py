@@ -48,6 +48,7 @@ def test_dump_outputs_smoke(tmp_path):
         "catalog": 1,
         "cold_requests": 1,
         "input_errors": 1,
+        "repeated": 1,
     }
     (deep,) = data["deep_search"].values()
     assert deep["exhaustive"] and {"candidates_examined", "states_replayed"} <= deep.keys()
@@ -56,4 +57,7 @@ def test_dump_outputs_smoke(tmp_path):
     assert data["cold_requests"][0]["code"] == 0
     (error,) = data["input_errors"][0]["stdout"]
     assert data["input_errors"][0]["code"] == 1 and error["error"] == "ValueError"
+    # the same bounded find before and after an unbounded one on one group
+    first, unbounded, again = data["repeated"]["C2xC2xC2"]
+    assert first == again and first["status"] == "budget" and unbounded["status"] == "none"
     assert "elapsed_ms" not in outs[0].read_text()

@@ -10,7 +10,9 @@ this script) on:
 - node-limit stops: fixed searches under a fixed grid of `max_candidates`;
 - the 59 records of `run_catalog(32, 8, use_cache=False)`;
 - the 100 `cold_requests` CLI requests: exit codes and stdout;
-- input errors: exit codes and stdout of malformed CLI requests.
+- input errors: exit codes and stdout of malformed CLI requests;
+- repeated searches: fixed sequences of searches on one group object, each
+  observed as the same search on a fresh group is.
 
 Timing fields (`elapsed_ms`) are dropped and `cayley:` paths reduced to
 their file name, so two checkouts that compute the same outputs write the
@@ -45,6 +47,14 @@ LIMIT_SEARCHES = [
     ("enumerate", "C6xC6xC2", (5, 7, 5)),
 ]
 LIMITS = [1, 2, 3, 17, 100, 1000, 4095, 4096, 4097, 10_000, 65_536, 200_001, 10**6]
+
+# (spec, [(kind, arguments, node limit or None)]): searches run in turn on
+# one group object
+REPEATED_SEARCHES = [
+    ("C2xC2xC2", [("find", (5, 5), 500), ("find", (5, 5), None), ("find", (5, 5), 500)]),
+    ("C4xC4xC4", [("sizes", (6,), None), ("find", (6, 6), None)]),
+    ("heis(3)", [("sizes", (6,), None), ("enumerate", (4, 4, 5), None)]),
+]
 
 # malformed `ram` requests, each an input error (exit code 1 and a reason)
 INPUT_ERRORS = [
@@ -82,9 +92,8 @@ def _pair(rs, S) -> list[str]:
     return [rs.render_tuple(S.t1), rs.render_tuple(S.t2)]
 
 
-def _search(rs, kind: str, spec: str, args: tuple, budget) -> dict:
-    """The observation of one search on a fresh group."""
-    G = rs.build_group(spec)
+def _search(rs, kind: str, G, args: tuple, budget) -> dict:
+    """The observation of one search on the group G."""
     if kind == "sizes":
         result = rs.size_set_up_to(G, *args, budget)
         witnesses = {f"{a},{b}": _pair(rs, S) for (a, b), S in sorted(result.witnesses.items())}
@@ -122,13 +131,25 @@ def dump(root: Path, limit: int | None = None) -> dict:
     out: dict = {"deep_search": {}, "node_limits": {}}
     for kind, spec, args in first(deep):
         budget = rs.SearchBudget(cap=max(args[:2]))
-        out["deep_search"][f"{kind} {spec} {args}"] = _search(rs, kind, spec, args, budget)
+        G = rs.build_group(spec)
+        out["deep_search"][f"{kind} {spec} {args}"] = _search(rs, kind, G, args, budget)
     for (kind, spec, args), n in first(itertools.product(LIMIT_SEARCHES, LIMITS)):
         budget = rs.SearchBudget(max_candidates=n)
-        out["node_limits"][f"{kind} {spec} {args} {n}"] = _search(rs, kind, spec, args, budget)
+        G = rs.build_group(spec)
+        out["node_limits"][f"{kind} {spec} {args} {n}"] = _search(rs, kind, G, args, budget)
     out["catalog"] = first(catalog.run_catalog(32, 8, use_cache=False))
     out["cold_requests"] = [_request(cli, argv) for argv in first(workloads.cold_argvs())]
     out["input_errors"] = [_request(cli, argv) for argv in first(INPUT_ERRORS)]
+    out["repeated"] = {}
+    for spec, searches in first(REPEATED_SEARCHES):
+        G = rs.build_group(spec)
+        out["repeated"][spec] = [
+            {
+                "search": f"{kind} {args} {n}",
+                **_search(rs, kind, G, args, rs.SearchBudget(max_candidates=n or 10**12)),
+            }
+            for kind, args, n in searches
+        ]
     return canonical(out)
 
 
