@@ -117,7 +117,7 @@ def cmd_predict(args, G: FiniteGroup) -> tuple[dict, int]:
         r1, r2 = _parse_size(args.size)
         payload["size"] = [r1, r2]
         payload["member"] = scs.membership(r1, r2)
-    elif args.grid:
+    elif args.grid is not None:
         payload["grid"] = [
             [r1, r2, scs.membership(r1, r2)]
             for r1 in range(3, args.grid + 1)

@@ -593,10 +593,6 @@ class ConstructResult:
     reason: str = ""
     stats: Optional["oracle.SearchStats"] = None
 
-    @property
-    def found(self) -> bool:
-        return self.status == "ok"
-
 
 def _construct_pgroup(G: FiniteGroup, r1: int, r2: int) -> Optional[ConstructResult]:
     """Theory-backed construction for a p-group, or None when the implemented
@@ -709,16 +705,16 @@ def construct_any(
                 "unknown", reason="no implemented characterization covers this group"
             )
 
-    found = oracle.find_structure(G, r1, r2, budget)
-    if found.status == "found":
-        return ConstructResult("ok", found.structure, method="search", stats=found.stats)
-    if found.status == "none":
+    out = oracle.find_structure(G, r1, r2, budget)
+    if out.status == "found":
+        return ConstructResult("ok", out.structure, method="search", stats=out.stats)
+    if out.status == "none":
         return ConstructResult(
             "inadmissible",
             method="search",
             reason="exhaustive search found no structure",
-            stats=found.stats,
+            stats=out.stats,
         )
     return ConstructResult(
-        "unknown", method="search", reason="search budget exhausted", stats=found.stats
+        "unknown", method="search", reason="search budget exhausted", stats=out.stats
     )

@@ -9,11 +9,11 @@ as its own outcome, never as a negative.
 Every search is one prefix walk, `_SearchContext.walk`: a depth-first search
 over tuple prefixes of length < r drawn from a sorted alphabet, carrying the
 running product and the closure HPhi of the prefix with the Frattini
-subgroup (see below). The last entry is forced as the
-inverse of the prefix product. `enumerate_spherical` walks all nontrivial
-elements; a pair search walks T1 over all nontrivial elements and, for each
-completed T1, walks T2 over T1's partner alphabet. The walk applies these
-exactness-preserving rules, and no other code prunes:
+subgroup (see below).  The last entry is forced as the inverse of the prefix
+product.  `enumerate_spherical` walks all nontrivial elements; a pair search
+walks T1 over all nontrivial elements and, for each completed T1, walks T2
+over T1's partner alphabet.  The walk applies these exactness-preserving
+rules, and no other code prunes:
 
 * generation feasibility: a prefix whose closure needs more new generators
   than there are remaining slots cannot complete to a generating tuple.  For
@@ -27,18 +27,13 @@ exactness-preserving rules, and no other code prunes:
   the forced last entry is required to be >= the previous one.
 * partner alphabet (T1 walks only): every entry y of a partner tuple
   contributes its whole conjugate-closed cyclic set to the partner's sigma, so
-  y is usable only if that set meets sigma(T1) trivially.  Since every such
-  set contains the identity, usability against a prefix is the conjunction of
-  pairwise compatibilities with the prefix entries, so the alphabet is
-  maintained as a running AND of precomputed per-element compatibility masks.
-  If the usable alphabet fails to generate G, no partner exists for any
-  extension of the current prefix, because sigma only grows along a prefix.
-  The test is repeated once the forced last entry has narrowed the alphabet,
-  and skipped where an entry leaves the alphabet unchanged, since the same
-  alphabet already passed higher up the path.  It closes the alphabet one
-  element at a time through the memoized `extend_closure`, starting from
-  Phi(G), skipping elements already in the closure and stopping once it is
-  all of G, and its answer is memoized per alphabet.
+  y is usable only if that set meets sigma(T1) trivially.  Every such set
+  contains the identity, so the alphabet of a prefix is a running AND of
+  per-element compatibility masks `compat`.  If it fails to generate G, no
+  extension of the prefix has a partner, because sigma only grows along a
+  prefix; the test is repeated once the forced last entry has narrowed the
+  alphabet.  It closes the alphabet from Phi(G) one element at a time,
+  skipping elements already in the closure, and is memoized per alphabet.
 
 A subgroup grows only by one coset step, `extend_closure(H, y)` (Dimino's
 algorithm): starting from the closed set H, for each representative g of a
@@ -57,19 +52,15 @@ witness is therefore the same as with H, while fewer distinct closures are
 built and memoized.
 
 The context is built from the group's arithmetic, not from |G|^2 calls of
-`G.mul`: `mul` is `G.mul_table()`, which each realization computes with
-array arithmetic (a table group returns its own table), and `compat` is read
-off buckets rather than a scan over all pairs.  Two conjugate-closed cyclic
-sets cyc(x) and cyc(y) meet in more than the identity exactly when some
-conjugates of <x> and <y> share an element z != 1, hence share the subgroup
-of prime order p generated by a power of z.  A cyclic group has one
-subgroup of each prime order p dividing its order, so this happens exactly
-when, for some p, the order-p subgroups of <x> and <y> are conjugate.  The
-order-p subgroup of <x> is generated by z = x^(o(x)/p), and two order-p
-subgroups are conjugate exactly when their conjugate-closed sets cyc[z] are
-equal (if cyc[z] = cyc[w], then w lies in a conjugate of <z>, which has
-order p and so is <w>), so cyc[z] keys a bucket of all elements having that subgroup; x is
-incompatible with precisely the members of its own buckets.
+`G.mul`: `mul` is `G.mul_table()`, and `compat` is read off buckets.  Two
+conjugate-closed cyclic sets cyc(x) and cyc(y) meet in more than the
+identity exactly when some conjugates of <x> and <y> share a subgroup of
+prime order p.  A cyclic group has one subgroup of each prime order p
+dividing its order, generated in <x> by z = x^(o(x)/p), and two such
+subgroups are conjugate exactly when their sets cyc[z] are equal (if
+cyc[z] = cyc[w], then w lies in a conjugate of <z>, which has order p and so
+is <w>).  So cyc[z] keys a bucket of all elements having that subgroup, and
+x is incompatible with precisely the members of its own buckets.
 
 Most visited prefixes are leaves (length r-1, whose only extension is the
 forced last entry), so the leaf level is decided by masks rather than one
@@ -85,124 +76,109 @@ tuple; when narrowing, it checks each leaf for its partner alphabet:
   leaf closes to G exactly when <H, y> = G; closers(H) is the mask of those
   y. Since <H, y> = <H, yh> for every h in H, it is a union of cosets yH and
   takes one closure per coset; when `need(H)` > 1 it is empty.
-* `last(pi)` is the mask of the y in the alphabet A whose forced last entry
-  (pi*y)^-1 lies in A as well, A & pi^-1 A^-1.  It is slot pi of A's
-  forced-last row, filled on first use from the inverses of A's elements
-  or, when fewer, of the others' (left multiplication by pi^-1 maps those
-  onto the complement), so a slot of the full T1 alphabet costs one
-  product.  A partner walk therefore visits a leaf parent only if a leaf
-  below it completes, and then its first visited leaf ends the walk.
+* `last(pi)` is the mask of the y in the walk's alphabet A whose forced last
+  entry (pi*y)^-1 lies in A as well, A & pi^-1 A^-1.  It is filled from the
+  inverses of A's elements or, when fewer, of the others' (left
+  multiplication by pi^-1 maps those onto the complement), so on the full
+  T1 alphabet it costs one product.  A partner walk therefore visits a leaf
+  parent only if a leaf below it completes, and then its first visited leaf
+  ends the walk.
 * `lo(pi)` is the mask of y with (pi*y)^-1 >= y, memoized per pi.
 * A leaf's own partner alphabet generates G whenever the smaller alphabet
   left after the forced last entry does, since generation is monotone in the
   alphabet, and `need(H')` > 1 would mean no single entry closes H' to G; so
   neither is tested at a leaf.
+* Skipped leaves are still nodes: the leaf at alphabet position i is node
+  c + (i - first) + 1, where c is the count at its parent and `first` the
+  parent's first allowed position.
 
-Every leaf still counts as one node in `SearchStats.candidates` and against
-the budget: the leaf at alphabet position i is node c + (i - first) + 1,
-where c is the count at its parent and `first` the parent's first allowed
-position, so the skipped leaves are added arithmetically.
-
-The walk has one loop per level.  `rec` takes the prefixes shorter than
-r-3, whose children are interior; `parents` the prefixes of length r-3,
-whose children are leaf parents; and `leaves` a leaf parent with leaves to
-visit.  `rec` hands a child on to `parents` or to itself by its depth, and
-the root, counted and tested on entry to `walk`, goes to the loop of its own
-length (to `parents` when r = 3, and when r = 2 it computes its own leaf
-mask).  Each loop counts and cuts its children itself: a child is one node,
-then it is cut if its partner alphabet shrank and no longer generates G, or
-if `need` of its closure exceeds the slots left, two in `parents`.  There a
-leaf parent that passes both has its leaf mask computed; when the mask is
-empty (78-88% of leaf parents on the larger abelian groups), none of its
-leaves can complete, and it is counted with all its leaves at once,
-1 + len(alphabet) - first nodes.  Only a leaf parent with leaves to visit is
-called, and `leaves` takes its mask, so closers(H) and `lo` are read once
-per leaf parent.  The checks run in the order a child would run them itself.
+The walk has one loop per level: `rec` takes the prefixes shorter than r-3,
+`parents` those of length r-3, whose children are leaf parents, and `leaves`
+a leaf parent with leaves to visit.  The root, counted and tested on entry
+to `walk`, goes to the loop of its length; when r = 2 it computes its own
+leaf mask from closers(base) and last at the identity.  Each loop counts
+and cuts its children itself, in the order a child would: the count, then
+the partner-alphabet test where the alphabet shrank, then generation
+feasibility.  `parents` computes the leaf mask of a leaf parent that passes
+both.  When the mask is empty (78-88% of leaf parents on the larger abelian
+groups), it counts the leaf parent with all its leaves at once,
+1 + len(alphabet) - first nodes; otherwise it calls `leaves` with the mask,
+so closers(H) and `lo` are read once per leaf parent.
 
 A loop keeps the node count and `stop` in locals: `stop` is the node limit
 or, with a deadline, the next multiple of 4096, where the clock is polled.
-Once the count reaches `stop` it calls `_Tracker.reach` with it, which
-stores the count before it reads the clock.  Otherwise it stores the count
-in `tracker.count` in two places only: just before it calls out, to a loop
-or to `emit`, whose walks count on the same tracker, and when it returns.
-After a call it reads the count and `stop` back.  Every count is checked
-against `stop` before it is stored or handed on, so the first stored count
-at or past a poll is the one `reach` reads the clock at.  All counts since the last `reach` lie in one block of
-4096, so `stop` is the first poll a jump crosses; `reach` stops there if
-the deadline has passed, else at the limit if the count reached it, just as
-counting one node at a time would, and otherwise moves `stop` on.  Every
-count and budget stop is therefore the same as when each node is stored.
-`leaves` finds a leaf's position only to store it or hand it to `reach`: it
-compares the entry with the first entry whose count reaches `stop`.
+A count that reaches `stop` goes to `_Tracker.reach`, which stores it before
+it reads the clock; otherwise the loop stores the count in `tracker.count`
+only just before it calls out, to a loop or to `emit`, and when it returns,
+and reads the count and `stop` back after a call.  Every count is checked
+before it is stored or handed on, and all counts since the last `reach` lie
+in one block of 4096, so `stop` is the first poll a jump crosses; `reach`
+stops there if the deadline has passed, else at the limit if the count
+reached it, as counting one node at a time would, and otherwise moves `stop`
+on.  `leaves` finds a leaf's position only to store it or hand it to
+`reach`: it compares the entry with the first entry whose count reaches
+`stop`.
 
-The loops read three row tables, not the memos.  The step row of a closed set
-H holds in slot y the record (K, need(K), closers(K)) of K = <H, y>, one
-tuple per closed set shared by every slot that reaches it; the alphabet row
-of a partner alphabet P holds in slot y the alphabet P & compat[y], or 0
-when that no longer generates G.  A call reads its parent's rows once and
-one slot of each per child, so a child costs list reads rather than dict
-reads hashed on |G|-bit keys, and walks reach few closures and alphabets
-(15 and 92 on C4xC4xC4 at cap 7), so rows are few.  A leaf's partner
+The loops read row tables, not the memos.  The step row of a closed set H
+holds in slot y the record (K, need(K), closers(K)) of K = <H, y>, shared
+by every slot that reaches K; the alphabet row of a partner alphabet P holds
+in slot y the alphabet P & compat[y], or 0 when that no longer generates G;
+and the walk's forced-last row holds last(pi) in slot pi.  A call reads its
+parent's rows once and one slot of each per child, so a child costs list
+reads rather than dict reads hashed on |G|-bit keys; walks reach few
+closures and alphabets (15 and 92 on C4xC4xC4 at cap 7).  A leaf's partner
 alphabet is its parent's row at y, then that alphabet's row at the forced
-last entry.  The forced-last row of the walk's alphabet (above) is read in
-`parents` at the leaf parent's product; a walk fetches it once, made by
-`last_row` with the elements its slots are filled from.  An empty step or
-alphabet slot is filled by `step` or `alpha` from the memoized
-`extend_closure`, `closed` and `alphabet_generates`, a forced-last slot by
-`last`.  `need` is a few bit counts and is not memoized; the root reads
-need(base), and closers(base) and last at the identity only when r = 2.
+last entry.  An empty slot is filled by `step`, `alpha` or the walk's
+`last`, through the memoized `extend_closure`, `closed` and
+`alphabet_generates`.  `need` is a few bit counts and is not memoized.
 
 Every search builds its own context in `_run`, and nothing keeps one on a
 group, so a search is a function of its request alone: its counts, budget
 stops and witnesses do not depend on what ran on the group object before
 it, and the context build is always charged to its budget.  The caches have
-two lifetimes.  The context, with its rows, memos and partner memo, lives
-for one search, every T1 row of a size set included, and is freed when the
-search returns; the replay table below lives for one walk.
+two lifetimes.  A search owns the context: its rows, its memos and the
+partner memo, every T1 row of a size set included.  A walk owns its
+forced-last row and its replay table.  Each is freed when its owner returns.
 
 Within a search, one bound holds the caches that grow with the closures and
-alphabets a walk reaches: the rows, the records of `closed` and the answers
-of `alphabet_generates` are stored through `_Bounded.put`, which counts |G|
-slots per entry and clears its table before it would hold more than
-ROW_SLOTS slots.  They are speed caches, so a clear changes no answer or
-count, and a row a clear detaches serves on, unshared, the call that holds
-it.  The other caches keep their own policy.  `partner_memo` is cleared at
-its own bound of PARTNER_ENTRIES entries, together with the refuted
-alphabets below, and the replay table has no bound, because their misses are
-counted: a cleared partner entry is walked again, adding nodes and
-`partner_searches`, and a lost replay state changes `states_replayed`.
-`gens_for` is never cleared, since a closed set a live row holds is still
-extended through it; `ext_memo` holds one closure per closed set and element
-it was asked about, few since walks carry HPhi; and `lo_memo` holds at most
-|G| masks.
+alphabets a walk reaches: the step and alphabet rows, the records of
+`closed` and the answers of `alphabet_generates` are stored through
+`_Bounded.put`, which counts |G| slots per entry and clears its table before
+it would hold more than ROW_SLOTS slots.  They are speed caches, so a clear
+changes no answer or count, and a row a clear detaches serves on, unshared,
+the call that holds it.  `partner_memo` is cleared at its own bound of
+PARTNER_ENTRIES entries, together with the refuted alphabets below, and the
+replay table has no bound, because their misses are counted: a cleared
+partner entry is walked again, adding nodes and `partner_searches`, and a
+lost replay state changes `states_replayed`.  `gens_for` is never cleared,
+since a closed set a live row holds is still extended through it;
+`ext_memo` holds one closure per closed set and element it was asked about,
+few since walks carry HPhi; and `lo_memo` holds at most |G| masks.
 
 Every walk replays repeated interior states.  Until it emits, the walk of
 the subtree below a prefix depends only on the prefix's state: depth,
 product pi, closure HPhi, partner alphabet and, under the multiset rule, its
 first allowed position; the memos it reads cache pure functions.  Partner
 searches run only inside `emit`, so a subtree that emitted nothing ran none
-and counts the same nodes on every visit, whatever the partner memo holds.
-Within one walk, when the subtree of an interior child (one whose children
-are not leaves) returns having emitted nothing, a table keyed on that state
-stores the nodes it counted, and a later child in the same state adds that
-count instead of being walked, by the same rule.  Every count, budget stop
-and completion is therefore the same as without the table.  Leaf-parent
-states are not tabled: there the table grew by far more memory than it
-saved time.
+and counts the same nodes on every visit.  So when the subtree of an
+interior child (one whose children are not leaves) returns having emitted
+nothing, the walk's table stores the nodes it counted under that state, and
+a later child in the same state adds that count instead of being walked.
+Every count, budget stop and completion is therefore the same as without the
+table.  Leaf-parent states are not tabled: there the table grew by far more
+memory than it saved time.
 
 A pair search skips the T1 completions whose partner alphabet is already
 refuted.  Many completions share few partner alphabets (64,514 completions
-and 30 alphabets in `size_set_up_to(C4xC4xC4, 7)`), and once `emit` has
-found no partner on an alphabet P for any size still undecided in its row,
-every later completion on P would find the same memoized Nones.  So P joins
-the row's set `refuted`, and from then on `leaves` counts a completion on P
-itself, as one emission and one `t1_candidates`, and builds no tuple and
-calls no `emit`.  That call would have read the memo and run no walk, so
-every node count, budget stop and counter is the same; the emission still
-keeps the subtree out of the replay table.  A row's undecided sizes only
-shrink, so P stays refuted for the row.  Each row starts a new set, the
-partner memo's clear empties it, and P joins it only while the memo holds
-all its refutations, so a lost refutation is walked again as before.
+and 30 alphabets in `size_set_up_to(C4xC4xC4, 7)`).  Once `emit` has found
+no partner on an alphabet P for any size still undecided in its row, P joins
+the row's set `refuted`, the T1 walk's `dead`.  An `emit` on P would have
+read the memo's Nones and run no walk, so every count and budget stop is the
+same without it; the completion still keeps the subtree out of the replay
+table.  A row's undecided sizes only shrink, so P stays refuted for the row.
+Each row starts a new set, the partner memo's clear empties it, and P joins
+it only while the memo holds all its refutations, so a lost refutation is
+walked again.
 """
 
 from __future__ import annotations
@@ -382,18 +358,14 @@ class _SearchContext:
         self.at_least = [-(1 << y) for y in range(n)]  # y -> mask of the indices >= y
         self.step_rows = _Rows(n)  # H -> [(<H, y>, need, closers) per y]
         self.alpha_rows = _Rows(n)  # partner alphabet P -> [P & compat[y] or 0 per y]
-        self.last_rows = _Bounded(n)  # walk alphabet A -> its forced-last row
         self.all_nontrivial = self.full & ~1
         self.compat = self._compat_masks(G)
         self._setup_generation_bound(G)
 
     def _compat_masks(self, G: FiniteGroup) -> list[int]:
-        """compat[x]: usable partner entries once x is in the tuple, i.e. all
-        nontrivial y whose conjugate cyclic set meets that of x only in the
-        identity.  Read off buckets of the prime-order subgroups (see the
-        module docstring): each nontrivial x files itself under the key
-        cyc[x^(o(x)/p)] of each prime p dividing o(x), and compat[x] is every
-        nontrivial element outside the buckets of x's keys."""
+        """compat[x]: the nontrivial y whose conjugate cyclic set meets that
+        of x only in the identity, read off the buckets of prime-order
+        subgroups (see the module docstring)."""
         cyc = self.cyc
         keys: list[tuple[int, ...]] = [()] * self.n
         buckets: dict[int, int] = {}
@@ -413,12 +385,8 @@ class _SearchContext:
     # -- closures -------------------------------------------------------------
 
     def extend_closure(self, hmask: int, y: int) -> int:
-        """Closure of <H, y> given the closed set H; memoized on (H, y).
-
-        One coset step (see the module docstring): the closure is grown by
-        whole left cosets gH, queueing each new representative g, until
-        s*g lies in it for every representative g and every generator s of
-        <H, y>."""
+        """Closure of <H, y> given the closed set H, by one coset step (see
+        the module docstring); memoized on (H, y)."""
         if (hmask >> y) & 1:
             return hmask
         key = (hmask, y)
@@ -499,9 +467,8 @@ class _SearchContext:
 
     def closed(self, hmask: int) -> tuple[int, int, int]:
         """The record (H, need(H), closers(H)) of the closed set H, memoized,
-        where closers(H) is the mask of all y with <H, y> = G.  Since
-        <H, y> = <H, yh> for every h in H, that mask is a union of cosets yH,
-        and one closure decides a whole coset."""
+        where closers(H) is the mask of all y with <H, y> = G, decided one
+        coset yH at a time (see the module docstring)."""
         s = self.closed_memo.get(hmask)
         if s is None:
             full = self.full
@@ -542,29 +509,6 @@ class _SearchContext:
             self.lo_memo[pi] = r
         return r
 
-    def last_row(self, amask: int) -> tuple[list, tuple[int, ...], bool]:
-        """Make the forced-last row of the alphabet amask: its slots, each
-        None until `last` fills it, and what they are filled from, the
-        inverses of amask's elements or, flagged, of all other elements,
-        whichever are fewer."""
-        flip = 2 * amask.bit_count() > self.n
-        src = tuple(self.inv[a] for a in iter_bits(self.full & ~amask if flip else amask))
-        return self.last_rows.put(amask, ([None] * self.n, src, flip))
-
-    def last(self, row: list, amask: int, pi: int, src: tuple[int, ...], flip: bool) -> int:
-        """Fill slot pi of the forced-last row `row, src, flip` of the
-        alphabet amask: the mask of the z in amask whose forced last entry
-        (pi*z)^-1 also lies in amask, that is amask & pi^-1 amask^-1.  Left
-        multiplication by pi^-1 is a bijection, so with `flip` it maps src
-        onto the complement of pi^-1 amask^-1.  On the full T1 alphabet
-        that is one product per slot."""
-        prow = self.mul[self.inv[pi]]
-        m = 0
-        for b in src:
-            m |= 1 << prow[b]
-        m = row[pi] = amask & (~m if flip else m)
-        return m
-
     # -- the prefix walk --------------------------------------------------------
 
     def walk(
@@ -578,39 +522,20 @@ class _SearchContext:
         repeats: bool = True,
         dead=(),
     ):
-        """Depth-first walk over the spherical systems of size r >= 2 whose
-        entries lie in the alphabet `amask`, in lexicographic order of
-        alphabet indices (nondecreasing under `multiset`).
+        """Walk the spherical systems of size r >= 2 whose entries lie in the
+        alphabet `amask`, in lexicographic order of alphabet indices, as
+        multisets under `multiset`; the module docstring says how.
 
         `tracker` counts one node per visited prefix, before any pruning, and
-        raises `_BudgetStop` at its node limit or deadline.  One loop walks
-        each level: `rec` the prefixes shorter than r-3, `parents` those of
-        length r-3, whose children are leaf parents, and `leaves` a leaf
-        parent's leaves that may complete (see the module docstring).  Each
-        loop counts and cuts its children itself; `parents` counts a leaf
-        parent none of whose leaves can complete together with its leaves,
-        and `leaves` counts the leaves it skips arithmetically.  A loop
-        counts in a local, hands it to `reach` at `stop` and stores it in
-        `tracker.count` only just before a call out and on return; `emit`
-        may run walks on the same tracker, so after each call the loop reads
-        the count and `tracker.stop` back.  A call reads its parent's step
-        row and, with `narrow`, its alphabet row once, then one slot of each
-        per child; `parents` also reads one slot of the forced-last row of
-        `amask` per leaf parent.  The rows and the memos that fill their
-        slots share one bound of ROW_SLOTS slots per table (see the module
-        docstring).  The root reads need(base), and closers(base) and the
-        identity's forced-last slot only when r = 2.  Each completion
-        calls `emit(entries, pmask)`; a truthy return stops the
-        walk and becomes its result, otherwise the walk returns None.  With
-        `narrow`, `pmask` is the partner alphabet of the completed tuple and
-        prefixes whose partner alphabet no longer generates G are cut;
-        otherwise `pmask` is `amask`.  A completion whose `pmask` lies in
-        `dead` is counted as an emission and in `stats.t1_candidates`
-        instead of emitted.
-
-        An interior state met again whose first visit emitted nothing is
-        replayed from that visit's node count rather than walked (see the
-        module docstring); `repeats=False` walks every subtree."""
+        raises `_BudgetStop` at its node limit or deadline; `emit` may run
+        walks on the same tracker.  Each completion calls
+        `emit(entries, pmask)`; a truthy return stops the walk and becomes
+        its result, otherwise the walk returns None.  With `narrow`, the walk
+        applies the partner-alphabet rule and `pmask` is the partner alphabet
+        of the completed tuple; otherwise `pmask` is `amask`.  A completion
+        whose `pmask` lies in `dead` is counted as an emission and in
+        `stats.t1_candidates` instead of emitted.  `repeats=False` walks
+        every subtree rather than replaying repeated interior states."""
         mul, inv, lo, lo_memo, at_least = self.mul, self.inv, self.lo, self.lo_memo, self.at_least
         # an empty slot is filled by its table's method
         step_rows, step, alpha_rows, alpha = self.step_rows, self.step, self.alpha_rows, self.alpha
@@ -618,13 +543,24 @@ class _SearchContext:
         alist = tuple(iter_bits(amask))
         nalpha = len(alist)
         n = self.n
-        frow, src, flip = self.last_rows.get(amask) or self.last_row(amask)
-        last = self.last
+        # the forced-last row of amask and the elements its slots are filled from
+        flip = 2 * nalpha > n
+        src = [inv[a] for a in iter_bits(self.full & ~amask if flip else amask)]
+        frow: list[Optional[int]] = [None] * n
         entries: list[int] = []
         emits = 0
         # an interior child's state (its parent's depth, pi, hmask, pmask,
         # start) -> the nodes below it, for subtrees that emitted nothing
         seen: Optional[dict[tuple, int]] = {} if repeats else None
+
+        def last(pi: int) -> int:
+            # fill slot pi of the forced-last row: amask & pi^-1 amask^-1
+            prow = mul[inv[pi]]
+            m = 0
+            for b in src:
+                m |= 1 << prow[b]
+            m = frow[pi] = amask & (~m if flip else m)
+            return m
 
         def rec(depth: int, pi: int, hmask: int, pmask: int, start: int):
             # prefixes shorter than r-3: every child is interior
@@ -708,7 +644,7 @@ class _SearchContext:
                 if m:
                     piy = row[y]
                     f = frow[piy]
-                    m &= last(frow, amask, piy, src, flip) if f is None else f
+                    m &= last(piy) if f is None else f
                     if multiset and m:
                         lm = lo_memo[piy]
                         m &= (lo(piy) if lm is None else lm) & at_least[y]
@@ -793,7 +729,7 @@ class _SearchContext:
                 return rec(0, 0, self.base, amask, 0)
             if r == 3:
                 return parents(0, 0, self.base, amask, 0)
-            m = self.closed(self.base)[2] & last(frow, amask, 0, src, flip)
+            m = self.closed(self.base)[2] & last(0)
             if multiset:
                 m &= lo(0)
             return leaves(0, amask, 0, m)
@@ -917,10 +853,6 @@ class FindOutcome:
     structure: Optional[RamStructure] = None
     stats: SearchStats = field(default_factory=SearchStats)
 
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
 
 def find_structure(
     G: FiniteGroup, r1: int, r2: int, budget: Optional[SearchBudget] = None
@@ -937,8 +869,7 @@ def find_structure(
     witness = res[(a, b)]
     if witness is None:
         return FindOutcome("none", None, stats)
-    t1, t2 = witness
-    structure = validated(G, t1, t2)
+    structure = validated(G, *witness)
     if (r1, r2) != (a, b):
         structure = structure.swapped()
     return FindOutcome("found", structure, stats)
@@ -965,13 +896,8 @@ def size_set_up_to(
     stats = SearchStats()
     pairs = [(r1, r2) for r1 in range(3, cap + 1) for r2 in range(r1, cap + 1)]
     res = _search_rows(G, pairs, budget, stats)
-    found = set()
-    witnesses = {}
-    for pair, witness in res.items():
-        if witness is not None:
-            found.add(pair)
-            witnesses[pair] = validated(G, *witness)
-    return SizeSetResult(found, stats.exhausted and len(res) == len(pairs), stats, witnesses)
+    witnesses = {pair: validated(G, *w) for pair, w in res.items() if w is not None}
+    return SizeSetResult(set(witnesses), stats.exhausted and len(res) == len(pairs), stats, witnesses)
 
 
 def enumerate_structures(

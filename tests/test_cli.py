@@ -138,6 +138,14 @@ def test_predict_command(capsys):
     assert grid[(5, 6)] is True and grid[(5, 5)] is False
 
 
+@pytest.mark.parametrize("cap", ["0", "2", "3"])
+def test_predict_grid_below_the_least_size(capsys, cap):
+    # a grid cap is printed whatever its value: below size 3 the grid is empty
+    code, payload, _ = run(capsys, "predict", "--group", "C2xC2xC2", "--grid", cap)
+    assert code == 0
+    assert payload["grid"] == ([[3, 3, False]] if cap == "3" else [])
+
+
 def test_construct_command(capsys):
     code, payload, _ = run(
         capsys, "construct", "--group", "C6xC6xC2", "--size", "5,7"

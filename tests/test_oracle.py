@@ -176,7 +176,7 @@ def test_budgets_never_lie(spec, r1, r2, max_candidates):
         assert out.stats.candidates == max_candidates
     else:
         assert out.status == unbounded.status
-    if out.found:
+    if out.status == "found":
         assert out.structure.t1.entries == unbounded.structure.t1.entries
         assert out.structure.t2.entries == unbounded.structure.t2.entries
 
@@ -631,42 +631,46 @@ def test_leaf_masks_match_brute_force(spec, bfs_closure, monkeypatch):
 @pytest.mark.parametrize(
     "spec", ["C2xC2xC2xC2", "C2xC4xC4", "C3xC3", "C6xC6", "heis(3)", "q8", "s3"]
 )
-def test_forced_last_rows_match_brute_force(spec, monkeypatch):
-    # slot pi of an alphabet's forced-last row holds the z in the alphabet
-    # whose forced last entry (pi*z)^-1 lies in it too: every slot a size set
-    # and a spherical enumeration filled, each in its own context (q8 has no
-    # partner alphabets), and every product over the full alphabet, the
-    # partner alphabets of single entries and random alphabets with gaps
+def test_forced_last_rows_match_brute_force(spec):
+    # slot pi of a walk's forced-last row holds the z in its alphabet A whose
+    # forced last entry (pi*z)^-1 lies in A too: every slot that a size set,
+    # a spherical enumeration and walks over random alphabets, each to its
+    # first completion, fill (q8 has no partner alphabets).  The random
+    # alphabets hold more and fewer than |G|/2 elements, so rows are filled
+    # from the inverses of A's elements and from those of the others
     if spec in ("q8", "s3"):
         spec = f"cayley:{bundled_cayley_path(spec)}"
     G = build_group(spec)
-    built = _record_contexts(monkeypatch)
-    size_set_up_to(G, 5)
-    enumerate_spherical(G, 3)
-    assert len(built) == 2
+    fills = []
+
+    def record(frame, event, arg):
+        if event == "return" and frame.f_code.co_qualname == "_SearchContext.walk.<locals>.last":
+            local = frame.f_locals
+            fills.append((local["amask"], local["pi"], local["flip"], arg))
+
+    ctx = oracle._SearchContext(G)
+    rng = random.Random(spec)
+    draws = [(rng.getrandbits(ctx.n), rng.getrandbits(ctx.n)) for _ in range(8)]
+    dense = {ctx.all_nontrivial & (a | b) for a, b in draws}
+    sparse = {ctx.all_nontrivial & a & b for a, b in draws}
+    sys.setprofile(record)
+    try:
+        size_set_up_to(G, 5)
+        enumerate_spherical(G, 3)
+        for A in dense | sparse:
+            for r in range(2, 6):
+                tracker = oracle._Tracker(SearchBudget(), oracle.SearchStats())
+                ctx.walk(r, A, False, tracker, lambda *_: True)
+    finally:
+        sys.setprofile(None)
 
     def brute(A, pi):
         return sum(1 << z for z in iter_bits(A) if (A >> G.inv(G.mul(pi, z))) & 1)
 
-    filled = 0
-    for ctx in built:
-        for A, (row, _, _) in ctx.last_rows.items():
-            for pi, slot in enumerate(row):
-                if slot is not None:
-                    assert slot == brute(A, pi)
-                    filled += 1
-    assert filled > 0
-    ctx = built[0]
-    rng = random.Random(spec)
-    alphabets = {ctx.all_nontrivial, *ctx.compat[1:]}
-    alphabets |= {rng.getrandbits(ctx.n) & ctx.all_nontrivial for _ in range(20)}
-    flips = set()
-    for A in alphabets:
-        row, src, flip = ctx.last_row(A)
-        flips.add(flip)
-        for pi in range(ctx.n):
-            assert ctx.last(row, A, pi, src, flip) == brute(A, pi) == row[pi]
-    assert flips == {False, True}
+    assert fills
+    for A, pi, _, slot in fills:
+        assert slot == brute(A, pi)
+    assert {flip for A, _, flip, _ in fills if A in dense | sparse} == {False, True}
 
 
 def test_compat_buckets_match_pairwise_definition(table_groups):
@@ -736,14 +740,16 @@ def test_walk_calls_once_per_interior_prefix_and_open_leaf_parent():
     # a leaf parent none of whose leaves can complete is counted in its
     # parent's loop without a call; calling each one made 7,086 calls here.
     # The 1,564 prefixes called are split by level: `parents` takes those
-    # whose children are leaf parents, `rec` those above them
+    # whose children are leaf parents, `rec` those above them.  Only the
+    # level loops are counted, not the walk's other nested code
+    levels = {"rec", "parents", "leaves"}
     G = build_group("C2xC4xC4")
     calls = Counter()
 
     def count_calls(frame, event, arg):
-        name = frame.f_code.co_qualname
-        if event == "call" and name.startswith("_SearchContext.walk.<locals>."):
-            calls[name.rpartition(".")[2]] += 1
+        scope, _, name = frame.f_code.co_qualname.rpartition(".")
+        if event == "call" and scope == "_SearchContext.walk.<locals>" and name in levels:
+            calls[name] += 1
 
     sys.setprofile(count_calls)
     try:

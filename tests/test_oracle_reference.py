@@ -64,6 +64,7 @@ def naive_pairs(G, cap):
         ([3, 3], 5),
         ([2, 2, 2], 5),
         ([9], 5),
+        ([2, 3, 3], 4),
     ],
 )
 def test_size_sets_match_reference_abelian(orders, cap):

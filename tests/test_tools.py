@@ -49,6 +49,7 @@ def test_dump_outputs_smoke(tmp_path):
         "cold_requests": 1,
         "input_errors": 1,
         "repeated": 1,
+        "spherical": 1,
     }
     (deep,) = data["deep_search"].values()
     assert deep["exhaustive"] and {"candidates_examined", "states_replayed"} <= deep.keys()
@@ -60,4 +61,6 @@ def test_dump_outputs_smoke(tmp_path):
     # the same bounded find before and after an unbounded one on one group
     first, unbounded, again = data["repeated"]["C2xC2xC2"]
     assert first == again and first["status"] == "budget" and unbounded["status"] == "none"
+    # the two spherical systems of size 2 on C6: a generator and its inverse
+    assert data["spherical"]["C6 2"] == {"count": 2, "tuples": ["[x1; x1^5]", "[x1^5; x1]"]}
     assert "elapsed_ms" not in outs[0].read_text()

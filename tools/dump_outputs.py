@@ -12,7 +12,9 @@ this script) on:
 - the 100 `cold_requests` CLI requests: exit codes and stdout;
 - input errors: exit codes and stdout of malformed CLI requests;
 - repeated searches: fixed sequences of searches on one group object, each
-  observed as the same search on a fresh group is.
+  observed as the same search on a fresh group is;
+- spherical systems: the count and the tuples of `enumerate_spherical` on
+  fixed small groups of sizes 2, 3 and 4.
 
 Timing fields (`elapsed_ms`) are dropped and `cayley:` paths reduced to
 their file name, so two checkouts that compute the same outputs write the
@@ -54,6 +56,20 @@ REPEATED_SEARCHES = [
     ("C2xC2xC2", [("find", (5, 5), 500), ("find", (5, 5), None), ("find", (5, 5), 500)]),
     ("C4xC4xC4", [("sizes", (6,), None), ("find", (6, 6), None)]),
     ("heis(3)", [("sizes", (6,), None), ("enumerate", (4, 4, 5), None)]),
+]
+
+# (spec, size) enumerated by `enumerate_spherical`; `s3` and `q8` name the
+# bundled Cayley tables
+SPHERICAL = [
+    ("C6", 2),
+    ("C8", 2),
+    ("C2xC2", 3),
+    ("C3xC3", 3),
+    ("heis(3)", 3),
+    ("s3", 3),
+    ("C2xC2xC2", 4),
+    ("C4xC4", 4),
+    ("q8", 4),
 ]
 
 # malformed `ram` requests, each an input error (exit code 1 and a reason)
@@ -150,6 +166,11 @@ def dump(root: Path, limit: int | None = None) -> dict:
             }
             for kind, args, n in searches
         ]
+    out["spherical"] = {}
+    for name, r in first(SPHERICAL):
+        spec = f"cayley:{catalog.bundled_cayley_path(name)}" if name in ("s3", "q8") else name
+        tuples = [rs.render_tuple(T) for T in rs.enumerate_spherical(rs.build_group(spec), r)]
+        out["spherical"][f"{name} {r}"] = {"count": len(tuples), "tuples": tuples}
     return canonical(out)
 
 
