@@ -5,6 +5,12 @@ same construction parameters always produce the same index <-> element maps.
 Groups are immutable after construction; derived data is cached lazily and
 idempotently, so instances are safe to share across threads.
 
+Derived data is cached on the group in one of two ways.  The group's own
+attributes (`_cyclic`, `is_abelian`) are `cached_attribute`s; a method or a
+function of another module that caches on a group (`generators`,
+`invariants.exponent`, ...) goes through `per_group`, which also states the
+rule that binds both: a cached value never refers to its group.
+
 Normality, commutativity and the upper central series are computed from a
 greedy generating set (`FiniteGroup.generators`), in about |G| d work for d
 generators rather than |G|^2; so are Omega_i (`invariants.omega`) and the
@@ -25,6 +31,7 @@ because a walk per element would cost sum o(g) products and entries, about
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -38,6 +45,42 @@ QUOTIENT_ORDER_CAP = 4096
 
 _EXHAUSTIVE_AXIOM_CHECK_LIMIT = 200
 _SAMPLED_AXIOM_TRIPLES = 200_000
+
+
+class cached_attribute(functools.cached_property):
+    """A `functools.cached_property` that stores its value with `setattr`,
+    so that every later read finds a plain attribute of the group.
+
+    `functools.cached_property` stores it through the group's `__dict__`.
+    On CPython 3.11 that access turns the group's inline attribute values
+    into a dict, and every later attribute read on the group, `mul`'s
+    included, costs about twice as much."""
+
+    def __get__(self, G, owner=None):
+        if G is None:
+            return self
+        value = self.func(G)
+        setattr(G, self.attrname, value)
+        return value
+
+
+def per_group(fn):
+    """Cache fn(G, *args) on the group G, once per args.
+
+    The values live in one table, `G._per_group`, keyed by (fn, args), and
+    every caller shares them, so no caller may modify one.  A value must not
+    refer to G: G's table holding it would be a reference cycle, and G would
+    outlive its last outside reference until the cyclic collector ran."""
+
+    @functools.wraps(fn)
+    def cached(G, *args):
+        key = (fn, args)
+        table = G._per_group
+        if key not in table:
+            table[key] = fn(G, *args)
+        return table[key]
+
+    return cached
 
 
 class FiniteGroup:
@@ -74,52 +117,48 @@ class FiniteGroup:
             raise IndexError(f"element index {a} out of range for group of order {self.order}")
         return a
 
-    def _cache(self) -> dict:
-        c = getattr(self, "_cache_dict", None)
-        if c is None:
-            c = {}
-            self._cache_dict = c
-        return c
+    @cached_attribute
+    def _per_group(self) -> dict:
+        """The table of `per_group`."""
+        return {}
 
+    @cached_attribute
     def _cyclic(self) -> list[tuple[tuple[int, ...], int]]:
         """For each element g, a pair (row, j) with g = row[j], where row =
         (1, h, h^2, ..., h^(m-1)) is the walk of the first element h, in index
-        order, that no earlier row lists.  Cached; see the module docstring."""
-        cyc = self._cache().get("cyclic")
-        if cyc is None:
-            cyc = [None] * self.order
-            mul = self.mul
-            for h in self.elements():
-                if cyc[h] is None:
-                    row, x = [0], h
-                    while x:
-                        row.append(x)
-                        x = mul(x, h)
-                    row = tuple(row)
-                    for j, x in enumerate(row):
-                        if cyc[x] is None:
-                            cyc[x] = (row, j)
-            self._cache()["cyclic"] = cyc
+        order, that no earlier row lists.  See the module docstring."""
+        cyc = [None] * self.order
+        mul = self.mul
+        for h in self.elements():
+            if cyc[h] is None:
+                row, x = [0], h
+                while x:
+                    row.append(x)
+                    x = mul(x, h)
+                row = tuple(row)
+                for j, x in enumerate(row):
+                    if cyc[x] is None:
+                        cyc[x] = (row, j)
         return cyc
 
     def order_of(self, a: int) -> int:
         """Least k >= 1 with a^k = identity."""
-        row, j = self._cyclic()[self.check_index(a)]
+        row, j = self._cyclic[self.check_index(a)]
         return len(row) // math.gcd(j, len(row))
 
     def power(self, a: int, k: int) -> int:
         """a^k for any integer k."""
-        row, j = self._cyclic()[a]
+        row, j = self._cyclic[a]
         return row[j * k % len(row)]
 
     def inv(self, a: int) -> int:
         """a^-1."""
-        row, j = self._cyclic()[a]
+        row, j = self._cyclic[a]
         return row[-j % len(row)]
 
     def powers_mask(self, a: int) -> int:
         """Bitmask of the cyclic subgroup <a>."""
-        row, j = self._cyclic()[a]
+        row, j = self._cyclic[a]
         mask = 0
         for x in row[:: math.gcd(j, len(row))]:
             mask |= 1 << x
@@ -142,12 +181,10 @@ class FiniteGroup:
             self.check_index(g)
         return ElementSet(self.closure_mask(gens), self.order)
 
+    @per_group
     def generators(self) -> list[int]:
-        """Greedy generating set of G, ascending, cached; see greedy_generators."""
-        gens = self._cache().get("generators")
-        if gens is None:
-            gens = self._cache()["generators"] = greedy_generators(self, self.elements())[0]
-        return gens
+        """Greedy generating set of G, ascending; see greedy_generators."""
+        return greedy_generators(self, self.elements())[0]
 
     def is_normal(self, subset: ElementSet) -> bool:
         """True iff the subgroup is invariant under conjugation by all of G.
@@ -161,15 +198,8 @@ class FiniteGroup:
             raise NotASubgroup("the given element set is not closed under multiplication")
         return all((mask >> self.conjugate(h, s)) & 1 for h in hgens for s in self.generators())
 
-    @property
+    @cached_attribute
     def is_abelian(self) -> bool:
-        flag = self._cache().get("abelian")
-        if flag is None:
-            flag = self._compute_abelian()
-            self._cache()["abelian"] = flag
-        return flag
-
-    def _compute_abelian(self) -> bool:
         gens = self.generators()
         mul = self.mul
         return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :])
@@ -207,6 +237,8 @@ class AbelianGroup(FiniteGroup):
     the first coordinate most significant, so the zero vector has index 0.
     """
 
+    is_abelian = True
+
     def __init__(self, orders: Sequence[int]):
         orders = tuple(int(m) for m in orders)
         if not orders or any(m < 2 for m in orders):
@@ -219,7 +251,6 @@ class AbelianGroup(FiniteGroup):
             s //= m
             strides.append(s)
         self._strides = tuple(strides)
-        self._cache_dict = {"abelian": True}
 
     def vector(self, a: int) -> tuple[int, ...]:
         self.check_index(a)
@@ -269,13 +300,14 @@ class HeisenbergGroup(FiniteGroup):
     Order p^3; exponent p for odd p, which is why p is restricted to odd primes.
     """
 
+    is_abelian = False
+
     def __init__(self, p: int):
         p = int(p)
         if p < 3 or prime_factorization(p) != {p: 1}:
             raise RamError(f"Heisenberg realization requires an odd prime, got {p}")
         self.p = p
         self.order = p**3
-        self._cache_dict = {"abelian": False}
 
     def triple(self, a: int) -> tuple[int, int, int]:
         self.check_index(a)
@@ -417,7 +449,8 @@ class DirectProductGroup(FiniteGroup):
         out += self.right.mul_table(r % n2, c % n2)
         return out
 
-    def _compute_abelian(self) -> bool:
+    @cached_attribute
+    def is_abelian(self) -> bool:
         return self.left.is_abelian and self.right.is_abelian
 
     def describe(self) -> str:

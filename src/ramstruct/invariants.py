@@ -18,19 +18,17 @@ from .groups import (
     CayleyTableGroup,
     FiniteGroup,
     greedy_generators,
+    per_group,
     prime_factorization,
 )
 
 
+@per_group
 def exponent(G: FiniteGroup) -> int:
     """Maximum element order (equals the group exponent for p-groups): the
     longest row of the group's table of cyclic walks (`FiniteGroup._cyclic`),
     since each row is the walk of an element and lists only its powers."""
-    e = G._cache().get("exponent")
-    if e is None:
-        e = max(len(row) for row, _ in G._cyclic())
-        G._cache()["exponent"] = e
-    return e
+    return max(len(row) for row, _ in G._cyclic)
 
 
 def pgroup_prime(G: FiniteGroup) -> int:
@@ -54,19 +52,15 @@ def exponent_exponent(G: FiniteGroup) -> tuple[int, int]:
     return p, k
 
 
+@per_group
 def power_map(G: FiniteGroup, k: int) -> list[int]:
     """[g^k for g in G], cached on G per k.  Each entry is read off the
     group's table of cyclic walks, g^k = row[j k mod m] for g = row[j] (see
     `FiniteGroup._cyclic`), so a map costs one table lookup and no
-    multiplications once that table is built.  The cache holds int lists,
-    not G itself."""
+    multiplications once that table is built."""
     if k < 0:
         raise ValueError(f"power exponent must be >= 0, got {k}")
-    maps = G._cache().setdefault("power_maps", {})
-    pm = maps.get(k)
-    if pm is None:
-        pm = maps[k] = [row[j * k % len(row)] for row, j in G._cyclic()]
-    return pm
+    return [row[j * k % len(row)] for row, j in G._cyclic]
 
 
 def _level(G: FiniteGroup, i: int) -> int:
@@ -88,13 +82,13 @@ def torsion_set(G: FiniteGroup, i: int) -> ElementSet:
 def omega(G: FiniteGroup, i: int) -> ElementSet:
     """Subgroup generated by all elements of order dividing p^i; closed over
     only those not yet in the closure of the ones before them.  Cached on G
-    as a mask per level; every level i >= e shares Omega_e = G."""
-    i = min(i, exponent_exponent(G)[1])
-    masks = G._cache().setdefault("omega", {})
-    m = masks.get(i)
-    if m is None:
-        m = masks[i] = greedy_generators(G, torsion_set(G, i))[1]
-    return ElementSet(m, G.order)
+    per level; every level i >= e shares Omega_e = G."""
+    return _omega(G, min(i, exponent_exponent(G)[1]))
+
+
+@per_group
+def _omega(G: FiniteGroup, i: int) -> ElementSet:
+    return ElementSet(greedy_generators(G, torsion_set(G, i))[1], G.order)
 
 
 def agemo(G: FiniteGroup, i: int) -> ElementSet:
@@ -107,6 +101,7 @@ def power_image(G: FiniteGroup, i: int) -> ElementSet:
     return ElementSet.from_indices(power_map(G, _level(G, i)), G.order)
 
 
+@per_group
 def derived_subgroup(G: FiniteGroup) -> ElementSet:
     """Subgroup generated by all commutators.
 
@@ -114,34 +109,26 @@ def derived_subgroup(G: FiniteGroup) -> ElementSet:
     normal, as [a, s]^g = [ag, s] [g, s]^-1, and every s is central modulo K,
     so G/K is abelian.  With S = G.generators() this takes |G| |S|
     commutators instead of |G|^2."""
-    m = G._cache().get("derived")
-    if m is None:
-        if G.is_abelian:
-            m = 1
-        else:
-            gens = G.generators()
-            comm = sorted({G.commutator(a, s) for a in G.elements() for s in gens})
-            m = G.closure_mask(comm)
-        G._cache()["derived"] = m
-    return ElementSet(m, G.order)
+    if G.is_abelian:
+        return ElementSet(1, G.order)
+    gens = G.generators()
+    comm = sorted({G.commutator(a, s) for a in G.elements() for s in gens})
+    return ElementSet(G.closure_mask(comm), G.order)
 
 
+@per_group
 def frattini(G: FiniteGroup) -> ElementSet:
     """Phi(G) = G' * G^r for a nilpotent G, r the product of the primes of |G|.
 
     The r-th powers of G's p-part are exactly the p-th powers of G_p, so this
     is prod Phi(G_p) = prod G_p' G_p^p.  A p-group is nilpotent; for several
     primes `sylow_decomposition` certifies nilpotency, raising NotNilpotent
-    otherwise.  Cached on G as a mask."""
-    m = G._cache().get("frattini")
-    if m is None:
-        primes = prime_factorization(G.order)
-        if len(primes) > 1:
-            sylow_decomposition(G)
-        powers = set(power_map(G, math.prod(primes)))
-        m = G.closure_mask(derived_subgroup(G).indices() + sorted(powers))
-        G._cache()["frattini"] = m
-    return ElementSet(m, G.order)
+    otherwise."""
+    primes = prime_factorization(G.order)
+    if len(primes) > 1:
+        sylow_decomposition(G)
+    powers = set(power_map(G, math.prod(primes)))
+    return ElementSet(G.closure_mask(derived_subgroup(G).indices() + sorted(powers)), G.order)
 
 
 def generators_missing(order: int, phi: int, hmask: int) -> int:
@@ -207,19 +194,21 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, SylowFactor]:
 
     Succeeds exactly when every such set is a subgroup of order p^a, which
     certifies nilpotency; raises NotNilpotent otherwise.  A p-group is its
-    own factor, with the identity embedding and no table copy.
+    own factor, with the identity embedding and no table copy; that factor
+    refers to G, so it is built on each call, and only the factors of a group
+    with several primes are cached.
     """
-    cached = G._cache().get("sylow")
-    if cached is not None:
-        return cached
     fact = prime_factorization(G.order) if G.order > 1 else {}
     if len(fact) == 1:
-        # not cached: G's cache holding a factor that refers to G would be a
-        # reference cycle, keeping G alive past its last outside reference
         (p,) = fact
         return {p: SylowFactor(p, G, tuple(G.elements()))}
+    return _sylow_factors(G)
+
+
+@per_group
+def _sylow_factors(G: FiniteGroup) -> dict[int, SylowFactor]:
     out: dict[int, SylowFactor] = {}
-    for p, a in sorted(fact.items()):
+    for p, a in sorted(prime_factorization(G.order).items()):
         members = [g for g in G.elements() if _is_p_power(G.order_of(g), p)]
         if len(members) != p**a:
             raise NotNilpotent(
@@ -232,7 +221,6 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, SylowFactor]:
             raise NotNilpotent(f"{p}-power-order elements are not closed under product")
         factor = CayleyTableGroup(table, label=f"sylow{p}({G.describe()})", trusted=True)
         out[p] = SylowFactor(p, factor, tuple(members))
-    G._cache()["sylow"] = out
     return out
 
 

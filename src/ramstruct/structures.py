@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from .bitset import ElementSet
 from .errors import InternalContradiction, RamError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, per_group
 
 MIN_STRUCTURE_SIZE = 3
 
@@ -37,6 +37,7 @@ class GenTuple:
         return acc
 
 
+@per_group
 def _cyc_masks(G: FiniteGroup) -> list[int]:
     """cyc[y] = bitmask of the union over g of the conjugate subgroups <y>^g.
 
@@ -45,33 +46,28 @@ def _cyc_masks(G: FiniteGroup) -> list[int]:
     orbit of y under conjugation by the generators of G, and shared by every
     member of the class.
     """
-    masks = G._cache().get("cyc_masks")
-    if masks is not None:
-        return masks
     n = G.order
     pw = [G.powers_mask(y) for y in range(n)]
     if G.is_abelian:
-        masks = pw
-    else:
-        gens = G.generators()
-        masks = [0] * n
-        for y in range(n):
-            if masks[y]:
-                continue
-            cls, stack = {y}, [y]
-            while stack:
-                x = stack.pop()
-                for s in gens:
-                    c = G.conjugate(x, s)
-                    if c not in cls:
-                        cls.add(c)
-                        stack.append(c)
-            m = 0
-            for x in cls:
-                m |= pw[x]
-            for x in cls:
-                masks[x] = m
-    G._cache()["cyc_masks"] = masks
+        return pw
+    gens = G.generators()
+    masks = [0] * n
+    for y in range(n):
+        if masks[y]:
+            continue
+        cls, stack = {y}, [y]
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                c = G.conjugate(x, s)
+                if c not in cls:
+                    cls.add(c)
+                    stack.append(c)
+        m = 0
+        for x in cls:
+            m |= pw[x]
+        for x in cls:
+            masks[x] = m
     return masks
 
 

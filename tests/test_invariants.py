@@ -323,6 +323,57 @@ def test_pgroup_sylow_factor_keeps_no_reference_cycle():
             gc.enable()
 
 
+def test_cached_invariants_keep_no_reference_cycle():
+    # every value `per_group` keeps on a group (Sylow factors, Omega at each
+    # level, the profile's invariants) must leave the group to its refcount
+    import gc
+    import weakref
+
+    from ramstruct.catalog import bundled_cayley_path
+    from ramstruct.groups import per_group
+    from ramstruct.parsing import build_group
+    from ramstruct.structures import GenTuple, sigma
+    from ramstruct.theory import predict_nilpotent
+
+    @per_group
+    def keeps_its_group(G):
+        return [G]
+
+    def freed(spec, *calls) -> bool:
+        G = build_group(spec)
+        ref = weakref.ref(G)
+        for call in calls:
+            call(G)
+        del G
+        return ref() is None
+
+    factors = []  # the Sylow factor groups, which must be freed with their group
+
+    def sylow(G):
+        factors.extend(weakref.ref(f.group) for f in sylow_decomposition(G).values())
+
+    nilpotent = (
+        predict_nilpotent,
+        sylow,
+        frattini,
+        lambda G: sigma(G, GenTuple(G, tuple(G.generators()))),
+    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in ("heis(3)", "C2xC4xC4", f"cayley:{bundled_cayley_path('d4')}"):
+            assert freed(spec, pgroup_profile, sylow), spec
+        for spec in ("C6xC6", "prod(heis(3),C2)"):
+            assert freed(spec, *nilpotent), spec
+        assert len(factors) == 7 and all(ref() is None for ref in factors)
+        # the control: a cached value that refers to its group keeps it alive
+        assert not freed("C6xC6", keeps_its_group)
+    finally:
+        gc.collect()
+        if was_enabled:
+            gc.enable()
+
+
 def _count_mul(G):
     calls = [0]
     mul = G.mul
@@ -396,12 +447,13 @@ for G in (AbelianGroup([3, 3]), AbelianGroup([2, 8]), HeisenbergGroup(3)):
 
 
 class _CountingMaps(dict):
-    """A power-map cache that counts the maps stored in it."""
+    """A group's `per_group` table that counts the power maps stored in it."""
 
     built = 0
 
     def __setitem__(self, k, v):
-        self.built += 1
+        if k[0] is power_map.__wrapped__:
+            self.built += 1
         super().__setitem__(k, v)
 
 
@@ -410,7 +462,7 @@ def test_power_map_computed_once_per_group():
 
     for spec in ("C2xC2xC2xC2xC2xC2xC2xC2", "heis(7)"):
         G = build_group(spec)
-        maps = G._cache()["power_maps"] = _CountingMaps()
+        maps = G._per_group = _CountingMaps()
         torsion_set(G, 1)
         power_image(G, 1)
         agemo(G, 1)
@@ -428,13 +480,14 @@ def test_power_map_reads_the_cyclic_table_once_per_map():
 
     for spec in ("C65536", "heis(7)", "C9xC27"):
         G = build_group(spec)
-        cyclic, calls = G._cyclic, [0]
+        calls = [0]
 
-        def counted():
-            calls[0] += 1
-            return cyclic()
+        class Counted(list):
+            def __iter__(self):
+                calls[0] += 1
+                return super().__iter__()
 
-        G._cyclic = counted
+        G._cyclic = Counted(G._cyclic)
         for n, k in enumerate((0, 1, 2, 3, 5, 2**16), 1):
             power_map(G, k)
             assert calls[0] == n, (spec, k, calls[0])

@@ -237,3 +237,27 @@ def test_walk_loops_keep_the_node_count_in_a_local():
                 if _touches_count(header, ast.Load) and not any(map(_is_call_out, block[:k])):
                     bad.append(f"read at line {stmt.lineno}")
     assert bad == []
+
+
+def _name(node: ast.AST) -> str:
+    """The name a Name or Attribute node reads, or ""."""
+    return getattr(node, "attr", getattr(node, "id", ""))
+
+
+def test_groups_cache_derived_data_one_way():
+    # a group caches its own attributes as `groups.cached_attribute`s and
+    # everything else through `groups.per_group`.  No module reads an
+    # object's __dict__ or decorates with functools.cached_property, which
+    # stores through __dict__: on CPython 3.11 that doubles the cost of every
+    # later attribute read on the object
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _name(node) in ("_cache", "_cache_dict", "__dict__"):
+                bad.append(f"{path.name}:{node.lineno} {_name(node)}")
+            if isinstance(node, ast.FunctionDef) and (
+                node.name == "_compute_abelian"
+                or "cached_property" in map(_name, node.decorator_list)
+            ):
+                bad.append(f"{path.name}:{node.lineno} {node.name}")
+    assert bad == []

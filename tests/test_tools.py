@@ -1,18 +1,24 @@
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "tools" / "dump_outputs.py"
+CODE_LINES = ROOT / "tools" / "code_lines.py"
 
 
-def _load_dump_module():
-    spec = importlib.util.spec_from_file_location("dump_outputs", DUMP)
+def _load_tool(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_dump_module():
+    return _load_tool(DUMP)
 
 
 def test_dump_drops_timings_and_checkout_paths():
@@ -64,3 +70,52 @@ def test_dump_outputs_smoke(tmp_path):
     # the two spherical systems of size 2 on C6: a generator and its inverse
     assert data["spherical"]["C6 2"] == {"count": 2, "tuples": ["[x1; x1^5]", "[x1^5; x1]"]}
     assert "elapsed_ms" not in outs[0].read_text()
+
+
+def _printed_counts(*roots) -> dict[str, list[str]]:
+    """The rows `code_lines.py` prints for the roots, by module name."""
+    argv = [sys.executable, str(CODE_LINES)]
+    for root in roots:
+        argv += ["--root", str(root)]
+    out = subprocess.run(argv, check=True, capture_output=True, text=True, timeout=60).stdout
+    return {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    counts = _load_tool(CODE_LINES).module_counts(ROOT)
+    assert "groups.py" in counts and all(n > 0 for n in counts.values())
+    printed = _printed_counts(ROOT)
+    assert printed.pop("total") == [str(sum(counts.values()))]
+    assert printed == {name: [str(n)] for name, n in counts.items()}
+
+
+def test_code_lines_skip_comments_and_docstrings(tmp_path):
+    # on copies of the package: a comment line and a docstring line leave the
+    # count as it was, and a statement adds one
+    module = "structures.py"
+    base = (ROOT / "src" / "ramstruct" / module).read_text()
+    line = '    """Union of all conjugates of the cyclic subgroups generated by the entries."""\n'
+    assert base.count(line) == 1
+    edits = {
+        "comment": line + "    # a comment line\n",
+        "docstring": line.replace('entries."""', 'entries.\n    A docstring line."""'),
+        "statement": line + "    assert G is not None\n",
+    }
+    roots = {}
+    for name, replacement in edits.items():
+        root = roots[name] = tmp_path / name
+        shutil.copytree(
+            ROOT / "src" / "ramstruct",
+            root / "src" / "ramstruct",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (root / "src" / "ramstruct" / module).write_text(base.replace(line, replacement))
+    counts = _load_tool(CODE_LINES).module_counts
+    before = counts(ROOT)[module]
+    assert counts(roots["comment"])[module] == before
+    assert counts(roots["docstring"])[module] == before
+    assert counts(roots["statement"])[module] == before + 1
+    # with two roots the change is printed per module and in total
+    printed = _printed_counts(ROOT, roots["statement"])
+    assert printed[module] == [str(before), str(before + 1), "+1"]
+    assert printed["total"][2] == "+1"
