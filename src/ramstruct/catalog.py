@@ -20,6 +20,9 @@ from .oracle import ORACLE_VERSION, SearchBudget, SearchStats, size_set_up_to
 from .parsing import build_group
 from .theory import predict_nilpotent
 
+# part of every record's cache key: raise it when a record's fields change,
+# or what `theory` computes for one (`predictor`, `grid`, `mismatches`), so
+# records written before the change are evaluated afresh
 SCHEMA_VERSION = 1
 
 # order-125 search cost: the Heisenberg group over 5 is graded to a small cap

@@ -436,14 +436,9 @@ def product_project(
         raise NotCoprime("factors are not of coprime order")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    F = P.left if side == "left" else P.right
-    pick = (lambda pair: pair[0]) if side == "left" else (lambda pair: pair[1])
-
-    def project(entries: tuple[int, ...]) -> list[int]:
-        out = [pick(P.pair(g)) for g in entries]
-        return [z for z in out if z != 0]
-
-    t1, t2 = project(S.t1.entries), project(S.t2.entries)
+    F, k = (P.left, 0) if side == "left" else (P.right, 1)
+    t1 = [z for z in (P.pair(g)[k] for g in S.t1) if z != 0]
+    t2 = [z for z in (P.pair(g)[k] for g in S.t2) if z != 0]
 
     if target_size is not None:
         r, s = target_size
@@ -513,20 +508,12 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
 
     # x is independent of the earlier ns modulo the squares iff x lies
     # outside <Phi, ns>
-    ns: list[int] = []
-    span = phi.mask
-    for x in Om:
-        if len(ns) == d - 3:
-            break
-        if not (span >> x) & 1:
-            ns.append(x)
-            span = G.closure_mask([*phi, *ns])
+    gens, _ = greedy_generators(G, [*phi, *Om])
+    ns = [x for x in gens if x not in phi][: d - 3]
     if len(ns) != d - 3:
         raise InternalContradiction("order-below-exponent subgroup has unexpected rank")
 
-    n = 0
-    for m in ns:
-        n = G.mul(n, m)
+    n = GenTuple(G, tuple(ns)).product()
     k = G.order_of(n).bit_length() - 1
     t = G.power(n, 1 << (k - 1))
 
@@ -564,9 +551,7 @@ def semi_abelian_2group_odd_odd(G: FiniteGroup, r1: int, r2: int) -> RamStructur
             pos += 1
     entries.extend([x] * fx + [y] * fy + [z] * fz)
 
-    pi = 0
-    for g in entries:
-        pi = G.mul(pi, g)
+    pi = GenTuple(G, tuple(entries)).product()
     w = G.mul(pi, G.inv(n))
     if w not in phi:
         raise InternalContradiction("template product is not n modulo the squares")
@@ -626,13 +611,10 @@ def _construct_nilpotent(
     G: FiniteGroup, r1: int, r2: int, budget, method: str
 ) -> Optional[ConstructResult]:
     try:
-        factors = sylow_decomposition(G)
-    except NotNilpotent:
-        return None
-    try:
         scs = predict_nilpotent(G)
-    except HypothesisViolated:
+    except (NotNilpotent, HypothesisViolated):
         return None
+    factors = sylow_decomposition(G)
     if not scs.membership(r1, r2):
         return ConstructResult("inadmissible", reason=scs.violated_clause(r1, r2))
 

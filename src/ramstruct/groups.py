@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import ElementSet, iter_bits
+from .bitset import ElementSet, iter_bits, mask_of
 from .errors import NotASubgroup, NotNormal, RamError
 
 QUOTIENT_ORDER_CAP = 4096
@@ -525,10 +525,7 @@ class QuotientView:
 
     def coset_mask(self, q: int) -> int:
         rep = self._reps[q]
-        m = 0
-        for n in self.kernel:
-            m |= 1 << self.parent.mul(rep, n)
-        return m
+        return mask_of(self.parent.mul(rep, n) for n in self.kernel)
 
 
 def quotient(G: FiniteGroup, N: ElementSet) -> QuotientView:

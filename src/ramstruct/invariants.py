@@ -7,7 +7,7 @@ read off `power_map(G, k)`, the k-th powers of G, computed once per G and k."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -264,31 +264,16 @@ class PGroupProfile:
     e: int
     d: int
     order: int
-    power_image_sizes: tuple[int, ...] = field(default=())  # index i -> |{g^(p^i)}|
-    omega_indices: tuple[int, ...] = field(default=())  # index i -> |G : Omega_i|
-    semi_abelian: tuple[bool, ...] = field(default=())  # index i -> semi-p^i-abelian
-    classification: Optional[PGroupClassification] = None
+    power_image_sizes: tuple[int, ...]  # index i -> |{g^(p^i)}|
+    omega_indices: tuple[int, ...]  # index i -> |G : Omega_i|
+    semi_abelian: tuple[bool, ...]  # index i -> semi-p^i-abelian
+    classification: PGroupClassification
 
     def to_json(self) -> dict:
-        out = {
-            "p": self.p,
-            "e": self.e,
-            "d": self.d,
-            "order": self.order,
-            "power_image_sizes": list(self.power_image_sizes),
-            "omega_indices": list(self.omega_indices),
-            "semi_abelian": [
-                {"i": i, "holds": bool(v), "trivial": i == 0}
-                for i, v in enumerate(self.semi_abelian)
-            ],
-        }
-        if self.classification is not None:
-            out["classification"] = {
-                "abelian": self.classification.abelian,
-                "powerful": self.classification.powerful,
-                "p_central": self.classification.p_central,
-                "semi_abelian_at_e_minus_1": self.classification.semi_abelian_at_e_minus_1,
-            }
+        out = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        out["semi_abelian"] = [
+            {"i": i, "holds": bool(v), "trivial": i == 0} for i, v in enumerate(self.semi_abelian)
+        ]
         return out
 
 

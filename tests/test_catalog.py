@@ -69,6 +69,25 @@ def test_record_of_other_oracle_version_is_evaluated_afresh(monkeypatch, tmp_pat
     assert again["content_hash"] != first["content_hash"]
 
 
+def test_record_of_other_schema_version_is_evaluated_afresh(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        catalog, "builtin_catalog", lambda max_order: [CatalogEntry("C3xC3")]
+    )
+    out = tmp_path / "results.jsonl"
+
+    def sweep() -> dict:
+        (record,) = run_catalog(max_order=9, cap=5, out_path=out)
+        return record
+
+    first = sweep()
+    assert sweep()["cached"]
+    monkeypatch.setattr(catalog, "SCHEMA_VERSION", catalog.SCHEMA_VERSION + 1)
+    again = sweep()
+    assert not again["cached"]
+    assert again["content_hash"] != first["content_hash"]
+    assert again["schema_version"] == first["schema_version"] + 1
+
+
 def test_cayley_cache_key_ignores_the_directory(tmp_path):
     # the key holds the table's file name and bytes, not the checkout path
     budget = SearchBudget(cap=4)

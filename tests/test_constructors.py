@@ -16,6 +16,7 @@ from ramstruct.constructors import (
     semi_abelian_2group_odd_odd,
 )
 from ramstruct import constructors, oracle
+from ramstruct.catalog import bundled_cayley_path
 from ramstruct.errors import (
     DegenerateRank,
     HypothesisViolated,
@@ -23,11 +24,13 @@ from ramstruct.errors import (
     InternalContradiction,
     NoLiftExists,
     NotCoprime,
+    NotNilpotent,
     PaddingImpossible,
     PreconditionViolated,
 )
 from ramstruct.groups import AbelianGroup, quotient
-from ramstruct.invariants import omega
+from ramstruct.invariants import omega, sylow_decomposition
+from ramstruct.parsing import build_group
 from ramstruct.structures import (
     GenTuple,
     RamStructure,
@@ -36,7 +39,11 @@ from ramstruct.structures import (
     sigma,
     validated,
 )
-from ramstruct.theory import predict_elementary_abelian, predict_semi_abelian_pgroup
+from ramstruct.theory import (
+    predict_elementary_abelian,
+    predict_nilpotent,
+    predict_semi_abelian_pgroup,
+)
 
 
 def test_lift_tuple_spherical(c2c4cubed):
@@ -420,6 +427,22 @@ def test_construct_any_methods(c2c4cubed):
 
     res = construct_any(AbelianGroup([4, 4, 4]), 7, 7, method="theorem")
     assert res.status == "unknown"
+
+
+def test_theorem_gate_exits(s3):
+    # s3 is not nilpotent; the Sylow 2-factor of d4 x C3 is not
+    # semi-2-abelian: no theorem covers either, and auto answers by search
+    d4c3 = build_group(f"prod(cayley:{bundled_cayley_path('d4')},C3)")
+    with pytest.raises(NotNilpotent):
+        sylow_decomposition(s3)
+    with pytest.raises(HypothesisViolated):
+        predict_nilpotent(d4c3)
+    for G in (s3, d4c3):
+        theorem = construct_any(G, 4, 4, method="theorem")
+        assert theorem.status == "unknown", G.describe()
+        assert theorem.reason == "no implemented characterization covers this group"
+        searched = construct_any(G, 4, 4)
+        assert searched.method == "search" and searched.status == "inadmissible"
 
 
 def test_nilpotent_fallback_reports_every_search(c6c6c2, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ramstruct.bitset import ElementSet
 from ramstruct.errors import NotASubgroup, NotNormal, RamError
 from ramstruct.groups import (
+    QUOTIENT_ORDER_CAP,
     AbelianGroup,
     CayleyTableGroup,
     DirectProductGroup,
@@ -186,6 +187,20 @@ def test_quotient_requires_normal(heis3):
     H = heis3.generated_subgroup([heis3.index_of((1, 0, 0))])
     with pytest.raises(NotNormal):
         quotient(heis3, H)
+
+
+def test_quotient_refuses_orders_past_the_cap(monkeypatch):
+    # C2^13 / {1} has 8192 cosets, past the cap of 4096: refused before any
+    # table is built
+    G = AbelianGroup([2] * 13)
+    assert G.order > QUOTIENT_ORDER_CAP
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("quotient built a table past the cap")
+
+    monkeypatch.setattr(G, "mul_table", no_table)
+    with pytest.raises(RamError, match=f"quotient order 8192 exceeds cap {QUOTIENT_ORDER_CAP}"):
+        quotient(G, ElementSet.from_indices([0], G.order))
 
 
 def test_direct_product():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -263,6 +264,30 @@ def test_pgroup_profile_json(c2c4cubed):
     assert data["power_image_sizes"] == [128, 8, 1]
     assert data["semi_abelian"][0] == {"i": 0, "holds": True, "trivial": True}
     assert data["classification"]["abelian"]
+
+
+def test_pgroup_profile_json_text(c2c4cubed, heis3):
+    # the exact text `ram invariants` prints: keys in order, lists as lists
+    expected = [
+        (c2c4cubed, '{"p": 2, "e": 2, "d": 4, "order": 128, '
+        '"power_image_sizes": [128, 8, 1], "omega_indices": [128, 8, 1], '
+        '"semi_abelian": [{"i": 0, "holds": true, "trivial": true}, '
+        '{"i": 1, "holds": true, "trivial": false}, '
+        '{"i": 2, "holds": true, "trivial": false}], '
+        '"classification": {"abelian": true, "powerful": true, '
+        '"p_central": true, "semi_abelian_at_e_minus_1": true}}'),
+        (heis3, '{"p": 3, "e": 1, "d": 2, "order": 27, '
+        '"power_image_sizes": [27, 1], "omega_indices": [27, 1], '
+        '"semi_abelian": [{"i": 0, "holds": true, "trivial": true}, '
+        '{"i": 1, "holds": true, "trivial": false}], '
+        '"classification": {"abelian": false, "powerful": false, '
+        '"p_central": false, "semi_abelian_at_e_minus_1": true}}'),
+    ]
+    for G, text in expected:
+        data = pgroup_profile(G).to_json()
+        assert json.dumps(data) == text, G.describe()
+        for key in ("power_image_sizes", "omega_indices", "semi_abelian"):
+            assert type(data[key]) is list, key
 
 
 def test_omega_and_semi_abelian_match_brute_force(differential_groups):

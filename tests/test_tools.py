@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "tools" / "dump_outputs.py"
 CODE_LINES = ROOT / "tools" / "code_lines.py"
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 
 def _load_tool(path: Path):
@@ -119,3 +122,39 @@ def test_code_lines_skip_comments_and_docstrings(tmp_path):
     printed = _printed_counts(ROOT, roots["statement"])
     assert printed[module] == [str(before), str(before + 1), "+1"]
     assert printed["total"][2] == "+1"
+
+
+def _run_line(correct=True, failed=0, **values) -> str:
+    """A canned `perfbench/run.py` stdout: a summary line, then the JSON."""
+    metrics = {name: {"value": v, "unit": "u"} for name, v in values.items()}
+    summary = {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+    return "workload=w seed=1 trace=0\n" + json.dumps(summary) + "\n"
+
+
+def test_bench_pairs_table_arithmetic():
+    bench = _load_tool(BENCH_PAIRS)
+    parse = bench.parse_run
+    assert parse(_run_line(ops_per_s=5.0, op_p50_ms=2.0)) == {"ops_per_s": 5.0, "op_p50_ms": 2.0}
+    with pytest.raises(ValueError):
+        parse(_run_line(correct=False, ops_per_s=5.0))
+    with pytest.raises(ValueError):
+        parse(_run_line(failed=1, ops_per_s=5.0))
+    with pytest.raises(ValueError):
+        parse("")
+    # parent ops_per_s 100, 110, 120, 130, 140: median 120, quartiles 110 and
+    # 130, IQR 20/120 = 16.7%; the change reads 5% higher except in one pair,
+    # where it ties.  op_p50_ms is lower on the change in 3 of 5 pairs.
+    parent = [100.0, 110.0, 120.0, 130.0, 140.0]
+    change = [105.0, 110.0, 126.0, 136.5, 147.0]
+    p50_parent = [2.0, 2.0, 2.0, 2.0, 2.0]
+    p50_change = [1.0, 1.0, 1.0, 3.0, 3.0]
+    pairs = [
+        (parse(_run_line(ops_per_s=a, op_p50_ms=c)), parse(_run_line(ops_per_s=b, op_p50_ms=d)))
+        for a, b, c, d in zip(parent, change, p50_parent, p50_change)
+    ]
+    rows = bench.table_rows("w", pairs, {"ops_per_s": "higher", "op_p50_ms": "lower"})
+    assert rows == [
+        "| `w` | `ops_per_s` | 120 [110-130] | 126 [110-136.5] | +5.0% | 4/5 | 16.7% |",
+        "| `w` | `op_p50_ms` | 2 [2-2] | 1 [1-3] | -50.0% | 3/5 | 0.0% |",
+    ]
+    assert bench.spread([7.0]) == (7.0, 7.0, 7.0)
