@@ -14,11 +14,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import HypothesisViolated, NotNilpotent
-from .groups import AbelianGroup, FiniteGroup, prime_factorization
+from .groups import AbelianGroup, prime_factorization
 from .oracle import ORACLE_VERSION, SearchBudget, SearchStats, size_set_up_to
 from .parsing import build_group
-from .theory import predict_nilpotent
+from .theory import nilpotent_prediction
 
 # part of every record's cache key: raise it when a record's fields change,
 # or what `theory` computes for one (`predictor`, `grid`, `mismatches`), so
@@ -94,19 +93,12 @@ def _content_hash(spec: str, cap: int, budget: SearchBudget) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _predictor_for(G: FiniteGroup):
-    try:
-        return predict_nilpotent(G)
-    except (NotNilpotent, HypothesisViolated):
-        return None
-
-
 def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget, key: str) -> dict:
     """Predictor-vs-oracle comparison for one group, as a JSON-ready record
     stored under the cache key `key` (see `_content_hash`)."""
     cap_eff = entry.effective_cap(cap)
     G = build_group(entry.spec)
-    scs = _predictor_for(G)
+    scs = nilpotent_prediction(G)
     result = size_set_up_to(G, cap_eff, budget)
     record: dict = {
         "schema_version": SCHEMA_VERSION,

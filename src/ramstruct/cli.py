@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every command emits a single JSON object on stdout. Exit codes: 0 for a
-definitive answer (including negative ones), 2 when a search budget ran out
-before an answer was reached, 1 for input errors.
+definitive answer (including negative ones), 2 when no answer was reached
+(a spent search budget, or a theorem-only `construct` that no implemented
+theorem covers), 1 for input errors.
 """
 
 from __future__ import annotations
@@ -197,57 +198,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
+    def command(name, fn, help, group=True):
+        p = sub.add_parser(name, help=help)
         if group:
             p.add_argument("--group", required=True, help="group spec, e.g. C2xC4xC4xC4")
         p.add_argument("--budget-ms", type=int, default=None, help="search time budget")
         p.add_argument("--seed", type=int, default=None, help="accepted, unused (deterministic)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("check", help="validate a tuple pair as a ramification structure")
-    common(p)
+    p = command("check", cmd_check, "validate a tuple pair as a ramification structure")
     p.add_argument("--t1", required=True, help="tuple literal, e.g. [x1; x2; (x1*x2)^-1]")
     p.add_argument("--t2", required=True)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("search", help="exhaustive search for a structure of one size")
-    common(p)
+    p = command("search", cmd_search, "exhaustive search for a structure of one size")
     p.add_argument("--size", required=True, help="R1,R2")
     p.add_argument("--all", type=int, default=None, help="collect up to N witnesses")
-    p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("sizes", help="all admissible size pairs up to a cap, by search")
-    common(p)
+    p = command("sizes", cmd_sizes, "all admissible size pairs up to a cap, by search")
     p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(fn=cmd_sizes)
 
-    p = sub.add_parser("predict", help="closed-form admissible-size constraints")
-    common(p)
+    p = command("predict", cmd_predict, "closed-form admissible-size constraints")
     p.add_argument("--size", default=None, help="R1,R2 membership query")
     p.add_argument("--grid", type=int, default=None, help="emit the full grid up to a cap")
-    p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("construct", help="build a structure of a requested size")
-    common(p)
+    p = command("construct", cmd_construct, "build a structure of a requested size")
     p.add_argument("--size", required=True, help="R1,R2")
     p.add_argument("--method", choices=("auto", "theorem", "search"), default="auto")
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("invariants", help="p-group invariant profile as JSON")
-    common(p)
-    p.set_defaults(fn=cmd_invariants)
+    command("invariants", cmd_invariants, "p-group invariant profile as JSON")
 
-    p = sub.add_parser("semiabelian", help="semi-abelian test per power level")
-    common(p)
+    p = command("semiabelian", cmd_semiabelian, "semi-abelian test per power level")
     p.add_argument("--level", type=int, default=None)
-    p.set_defaults(fn=cmd_semiabelian)
 
-    p = sub.add_parser("catalog", help="predictor-vs-oracle sweep over the built-in catalog")
-    common(p, group=False)
+    p = command(
+        "catalog", cmd_catalog, "predictor-vs-oracle sweep over the built-in catalog", group=False
+    )
     p.add_argument("--max-order", type=int, default=32)
     p.add_argument("--cap", type=int, default=8)
     p.add_argument("--out", default=None, help="JSONL results file (also the cache)")
     p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(fn=cmd_catalog)
 
     return parser
 

@@ -28,7 +28,6 @@ from .errors import (
     NotAPGroup,
     NotCoprime,
     NotExponentP,
-    NotNilpotent,
     PaddingImpossible,
     PreconditionViolated,
 )
@@ -56,8 +55,8 @@ from .invariants import (
 )
 from .structures import GenTuple, RamStructure, is_spherical_system, validated
 from .theory import (
+    nilpotent_prediction,
     predict_elementary_abelian,
-    predict_nilpotent,
     predict_semi_abelian_pgroup,
     semi_abelian_clauses,
     semi_abelian_exponent,
@@ -610,9 +609,8 @@ def _construct_pgroup(G: FiniteGroup, r1: int, r2: int) -> Optional[ConstructRes
 def _construct_nilpotent(
     G: FiniteGroup, r1: int, r2: int, budget, method: str
 ) -> Optional[ConstructResult]:
-    try:
-        scs = predict_nilpotent(G)
-    except (NotNilpotent, HypothesisViolated):
+    scs = nilpotent_prediction(G)
+    if scs is None:
         return None
     factors = sylow_decomposition(G)
     if not scs.membership(r1, r2):

@@ -108,16 +108,16 @@ so closers(H) and `lo` are read once per leaf parent.
 A loop keeps the node count and `stop` in locals: `stop` is the node limit
 or, with a deadline, the next multiple of 4096, where the clock is polled.
 A count that reaches `stop` goes to `_Tracker.reach`, which stores it before
-it reads the clock; otherwise the loop stores the count in `tracker.count`
-only just before it calls out, to a loop or to `emit`, and when it returns,
-and reads the count and `stop` back after a call.  Every count is checked
-before it is stored or handed on, and all counts since the last `reach` lie
-in one block of 4096, so `stop` is the first poll a jump crosses; `reach`
-stops there if the deadline has passed, else at the limit if the count
-reached it, as counting one node at a time would, and otherwise moves `stop`
-on.  `leaves` finds a leaf's position only to store it or hand it to
-`reach`: it compares the entry with the first entry whose count reaches
-`stop`.
+it reads the clock and returns the next `stop`, the loop's new local;
+otherwise the loop stores the count in `tracker.count` only just before it
+calls out, to a loop or to `emit`, and when it returns, and reads the count
+and `stop` back only after such a call.  Every count is checked before it
+is stored or handed on, and all counts since the last `reach` lie in one
+block of 4096, so `stop` is the first poll a jump crosses; `reach` stops
+there if the deadline has passed, else at the limit if the count reached
+it, as counting one node at a time would, and otherwise moves `stop` on.
+`leaves` finds a leaf's position only to store it or hand it to `reach`: it
+compares the entry with the first entry whose count reaches `stop`.
 
 The loops read row tables, not the memos.  The step row of a closed set H
 holds in slot y the record (K, need(K), closers(K)) of K = <H, y>, shared
@@ -216,8 +216,12 @@ ORACLE_VERSION = 2
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds on a search; exceeding any bound yields a 'budget' outcome.
-    `max_candidates` bounds visited prefixes, counted as `SearchStats.candidates`."""
+    """Bounds on a search.  Running past `max_candidates` (visited prefixes,
+    counted as `SearchStats.candidates`) or `max_millis` yields a 'budget'
+    outcome; a size above `cap` is refused with ValueError before any
+    search.  Without a budget, `find_structure` and `enumerate_structures`
+    use `SearchBudget()` and so refuse sizes above 16, while `size_set_up_to`
+    uses `SearchBudget(cap=cap)` and refuses none."""
 
     max_candidates: int = 10**12
     max_millis: Optional[int] = None
@@ -291,10 +295,10 @@ class _Tracker:
         self.stop = self.limit if self.deadline is None else min(self.limit, 4096)
         self.stats = stats
 
-    def reach(self, cy: int):
+    def reach(self, cy: int) -> int:
         """Count up to cy >= stop, stopping where counting one node at a time
-        would (see the module docstring), else moving `stop` on.  The count
-        is stored before the clock is read."""
+        would (see the module docstring), else moving `stop` on and returning
+        it.  The count is stored before the clock is read."""
         self.count = cy
         if self.stop < self.limit and time.monotonic() > self.deadline:
             self.count = self.stop
@@ -303,6 +307,7 @@ class _Tracker:
             self.count = self.limit
             raise _BudgetStop
         self.stop = self.limit if self.deadline is None else min(self.limit, (cy | 0xFFF) + 1)
+        return self.stop
 
     def poll(self):
         """Stop if the deadline has passed, e.g. during the context build."""
@@ -573,8 +578,7 @@ class _SearchContext:
                 y = alist[i]
                 c += 1
                 if c >= stop:
-                    reach(c)
-                    stop = tracker.stop
+                    stop = reach(c)
                 p = pmask
                 if narrow:
                     p = arow[y]
@@ -595,8 +599,7 @@ class _SearchContext:
                     if nodes is not None:
                         c += nodes
                         if c >= stop:
-                            reach(c)
-                            stop = tracker.stop
+                            stop = reach(c)
                         stats.states_replayed += 1
                         continue
                     e0 = emits
@@ -625,8 +628,7 @@ class _SearchContext:
                 y = alist[i]
                 c += 1
                 if c >= stop:
-                    reach(c)
-                    stop = tracker.stop
+                    stop = reach(c)
                 p = pmask
                 if narrow:
                     p = arow[y]
@@ -652,8 +654,7 @@ class _SearchContext:
                     # no leaf below can complete: count them all
                     c += nalpha - first
                     if c >= stop:
-                        reach(c)
-                        stop = tracker.stop
+                        stop = reach(c)
                     continue
                 entries.append(y)
                 tracker.count = c
@@ -682,9 +683,7 @@ class _SearchContext:
                 m ^= low
                 y = low.bit_length() - 1
                 if y >= ystop:
-                    cy = base + (amask & (low - 1)).bit_count() + 1
-                    reach(cy)
-                    stop = tracker.stop
+                    stop = reach(base + (amask & (low - 1)).bit_count() + 1)
                     k = stop - base - 1
                     ystop = alist[k] if k < nalpha else n
                 z = inv[row[y]]

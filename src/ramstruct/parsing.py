@@ -17,6 +17,7 @@ semicolon-separated element literals in brackets: "[x1; x2; (x1*x2)^-1]".
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -111,6 +112,14 @@ class _Cursor:
             raise self.error("expected an integer")
         return int(self.text[start : self.pos])
 
+    def items(self, item, sep: str = ",") -> list:
+        """One or more `item()` results, separated by any character of `sep`."""
+        out = [item()]
+        while (ch := self.peek()) and ch in sep:  # "" is in every string
+            self.pos += 1
+            out.append(item())
+        return out
+
 
 def build_group(text: str) -> FiniteGroup:
     """The group a spec names; `G.describe()` is its canonical spelling, so
@@ -128,10 +137,7 @@ def _parse_spec(cur: _Cursor) -> FiniteGroup:
     if rest.startswith("abelian"):
         cur.pos += len("abelian")
         cur.expect("(")
-        orders = [_order(cur)]
-        while cur.peek() == ",":
-            cur.expect(",")
-            orders.append(_order(cur))
+        orders = cur.items(lambda: _order(cur))
         cur.expect(")")
         return AbelianGroup(orders)
     if rest.startswith("heis"):
@@ -172,11 +178,7 @@ def _parse_spec(cur: _Cursor) -> FiniteGroup:
         cur.expect(")")
         return direct_product(left, right)
     if cur.peek() in ("C", "c"):
-        orders = [_cyclic_atom(cur)]
-        while cur.peek() in ("x", "X"):
-            cur.pos += 1
-            orders.append(_cyclic_atom(cur))
-        return AbelianGroup(orders)
+        return AbelianGroup(cur.items(lambda: _cyclic_atom(cur), "xX"))
     raise cur.error("expected a group spec")
 
 
@@ -224,11 +226,7 @@ def _element(cur: _Cursor, G: FiniteGroup) -> int:
 
 
 def _abelian_word(cur: _Cursor, G: AbelianGroup) -> int:
-    acc = _abelian_factor(cur, G)
-    while cur.peek() == "*":
-        cur.expect("*")
-        acc = G.mul(acc, _abelian_factor(cur, G))
-    return acc
+    return functools.reduce(G.mul, cur.items(lambda: _abelian_factor(cur, G), "*"))
 
 
 def _abelian_factor(cur: _Cursor, G: AbelianGroup) -> int:
@@ -272,10 +270,7 @@ def _looks_like_vector(cur: _Cursor) -> bool:
 def _coordinates(cur: _Cursor) -> list[int]:
     """A signed coordinate list: "(" int ("," int)* ")"."""
     cur.expect("(")
-    coords = [cur.integer(signed=True)]
-    while cur.peek() == ",":
-        cur.expect(",")
-        coords.append(cur.integer(signed=True))
+    coords = cur.items(lambda: cur.integer(signed=True))
     cur.expect(")")
     return coords
 
@@ -346,10 +341,7 @@ def parse_tuple(G: FiniteGroup, text: str) -> GenTuple:
     cur.expect("[")
     if cur.peek() == "]":
         raise cur.error("empty tuple")
-    entries = [_element(cur, G)]
-    while cur.peek() == ";":
-        cur.expect(";")
-        entries.append(_element(cur, G))
+    entries = cur.items(lambda: _element(cur, G), ";")
     cur.expect("]")
     if not cur.at_end():
         raise cur.error("unexpected trailing input")

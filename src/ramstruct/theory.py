@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import HypothesisViolated, NotExponentP
+from .errors import HypothesisViolated, NotExponentP, NotNilpotent
 from .groups import FiniteGroup, prime_factorization
 from .invariants import (
     exponent_exponent,
@@ -167,3 +167,12 @@ def predict_nilpotent(G: FiniteGroup) -> SizeConstraintSet:
     if is_c2_cubed:
         prov.append("elementary abelian of order 8 bars both sizes odd")
     return SizeConstraintSet(True, m, frozenset(excluded), is_c2_cubed, tuple(prov))
+
+
+def nilpotent_prediction(G: FiniteGroup) -> Optional[SizeConstraintSet]:
+    """`predict_nilpotent(G)`, or None when G is not nilpotent or a Sylow
+    factor is not semi-abelian at its top power level."""
+    try:
+        return predict_nilpotent(G)
+    except (NotNilpotent, HypothesisViolated):
+        return None

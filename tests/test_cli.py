@@ -195,6 +195,25 @@ def test_construct_budget_exit_code(capsys):
         assert code == 2
 
 
+def test_construct_by_theorem_alone_uncovered_exit_code(capsys):
+    # (7,7) on C8xC8xC8 is admissible, but the odd-odd 2-group construction
+    # needs d(G) > 3: a theorem-only construct reaches no answer, runs no
+    # search and exits 2 all the same
+    code, payload, lines = run(
+        capsys, "construct", "--group", "C8xC8xC8", "--size", "7,7", "--method", "theorem"
+    )
+    assert code == 2 and len(lines) == 1
+    payload.pop("elapsed_ms")
+    assert payload == {
+        "command": "construct",
+        "tool_version": __version__,
+        "status": "unknown",
+        "method": "",
+        "reason": "no implemented characterization covers this group",
+        "group": "C8xC8xC8",
+    }
+
+
 def test_invariants_command(capsys):
     code, payload, _ = run(capsys, "invariants", "--group", "C2xC4xC4xC4")
     assert code == 0

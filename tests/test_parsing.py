@@ -137,6 +137,43 @@ def test_parse_tuple(c2c4cubed):
         parse_tuple(C, "[x1; x2] trailing")
 
 
+def test_literal_error_positions():
+    # (group spec, literal, error, position of the offending input): a spec
+    # when the group is None, else a tuple literal in brackets or an element
+    # literal; most are separated lists left short or doubled
+    cases = [
+        (None, "abelian(2,)", ParseError, 10),
+        (None, "abelian(2 4)", ParseError, 10),
+        (None, "C2 x C3 x", ParseError, 9),
+        (None, "C2xC4xC1", InvalidOrder, 7),
+        (None, "abelian(2,4, 0)", InvalidOrder, 12),
+        ("C2xC4xC4xC4", "[x1;]", ParseError, 4),
+        ("C2xC4xC4xC4", "[x1; ; x2]", ParseError, 5),
+        ("C2xC4xC4xC4", "[x1; x2", ParseError, 7),
+        ("C2xC4xC4xC4", "[x1, x2]", ParseError, 3),
+        ("C2xC4xC4xC4", "x1*", ParseError, 3),
+        ("C2xC4xC4xC4", "x1**x2", ParseError, 3),
+        ("C2xC4xC4xC4", "(x1*x2", ParseError, 6),
+        ("C2xC4xC4xC4", "x2^", ParseError, 3),
+        ("C2xC4xC4xC4", "(1,2)", ParseError, 5),
+        ("C2xC4xC4xC4", "(0,1,,0)", ParseError, 5),
+        ("C3xC3", "(1,)", ParseError, 3),
+        ("heis(3)", "(1,)", ParseError, 3),
+        ("heis(3)", "(1,,2)", ParseError, 3),
+        ("heis(3)", "(0,1", ParseError, 4),
+        ("heis(3)", "[(1,2)]", ParseError, 6),
+    ]
+    for spec, text, error, pos in cases:
+        with pytest.raises(error) as info:
+            if spec is None:
+                build_group(text)
+            elif text.startswith("["):
+                parse_tuple(build_group(spec), text)
+            else:
+                parse_element(build_group(spec), text)
+        assert info.value.pos == pos, (spec, text)
+
+
 def test_render_round_trip(c2c4cubed, heis3, q8):
     P = build_group("prod(C3xC3,heis(3))")
     for G in (c2c4cubed, heis3, q8, P):

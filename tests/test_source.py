@@ -178,10 +178,10 @@ def test_caches_are_cleared_only_by_the_one_bound():
 WALK_CALLS = {"rec", "parents", "down", "leaves", "emit"}
 
 
-def _touches_count(node: ast.AST, ctx: type) -> bool:
+def _touches_tracker(node: ast.AST, ctx: type, attrs=("count",)) -> bool:
     return any(
         isinstance(n, ast.Attribute)
-        and n.attr == "count"
+        and n.attr in attrs
         and isinstance(n.value, ast.Name)
         and n.value.id == "tracker"
         and isinstance(n.ctx, ctx)
@@ -214,7 +214,8 @@ def test_walk_loops_keep_the_node_count_in_a_local():
     # per child, the walk's loops count in a local: `tracker.count` is stored
     # only in the statement just before a call out (a walk level or `emit`)
     # and read only after a call out in the same block, so a child
-    # that is counted, cut or skipped touches no attribute
+    # that is counted, cut or skipped touches no attribute; `tracker.stop`
+    # too is read only after a call out, as `reach` returns the next one
     tree = ast.parse((SRC / "oracle.py").read_text())
     (ctx,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SearchContext"]
     (walk,) = [n for n in ctx.body if isinstance(n, ast.FunctionDef) and n.name == "walk"]
@@ -230,11 +231,13 @@ def test_walk_loops_keep_the_node_count_in_a_local():
                     header = stmt.iter
                 else:
                     header = stmt
-                if _touches_count(header, ast.Store) and not (
+                if _touches_tracker(header, ast.Store) and not (
                     k + 1 < len(block) and _is_call_out(block[k + 1])
                 ):
                     bad.append(f"store at line {stmt.lineno}")
-                if _touches_count(header, ast.Load) and not any(map(_is_call_out, block[:k])):
+                if _touches_tracker(header, ast.Load, ("count", "stop")) and not any(
+                    map(_is_call_out, block[:k])
+                ):
                     bad.append(f"read at line {stmt.lineno}")
     assert bad == []
 

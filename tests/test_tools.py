@@ -59,6 +59,8 @@ def test_dump_outputs_smoke(tmp_path):
         "input_errors": 1,
         "repeated": 1,
         "spherical": 1,
+        "help": 1,
+        "parse_errors": 1,
     }
     (deep,) = data["deep_search"].values()
     assert deep["exhaustive"] and {"candidates_examined", "states_replayed"} <= deep.keys()
@@ -72,6 +74,9 @@ def test_dump_outputs_smoke(tmp_path):
     assert first == again and first["status"] == "budget" and unbounded["status"] == "none"
     # the two spherical systems of size 2 on C6: a generator and its inverse
     assert data["spherical"]["C6 2"] == {"count": 2, "tuples": ["[x1; x1^5]", "[x1^5; x1]"]}
+    # the help of `ram` itself, and the first malformed literal's error
+    assert data["help"]["ram"]["help"].startswith("usage: ram ")
+    assert data["parse_errors"][0]["error"] == "ParseError"
     assert "elapsed_ms" not in outs[0].read_text()
 
 

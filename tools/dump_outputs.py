@@ -14,7 +14,12 @@ this script) on:
 - repeated searches: fixed sequences of searches on one group object, each
   observed as the same search on a fresh group is;
 - spherical systems: the count and the tuples of `enumerate_spherical` on
-  fixed small groups of sizes 2, 3 and 4.
+  fixed small groups of sizes 2, 3 and 4;
+- help: the `format_help()` text of `ram` and of each subcommand at
+  HELP_COLUMNS columns, with each subcommand's option defaults and the name
+  of the function it runs;
+- parse errors: the exception class and message of fixed malformed specs,
+  element literals and tuple literals, many of them separated lists.
 
 Timing fields (`elapsed_ms`) are dropped and `cayley:` paths reduced to
 their file name, so two checkouts that compute the same outputs write the
@@ -33,6 +38,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 # (kind, spec, arguments) searched under each node limit of LIMITS: finds
 # (r1, r2), size sets (cap) and capped enumerations (r1, r2, limit)
@@ -85,6 +91,35 @@ INPUT_ERRORS = [
     ["construct", "--group", "C3xC3", "--size", "4,1000", "--method", "search"],
 ]
 
+# the terminal width, in columns, that the help texts are formatted at
+HELP_COLUMNS = "100"
+
+# (group spec, text): malformed input, read as a group spec when the group is
+# None, else as a tuple literal when it starts with "[", else as an element
+PARSE_ERRORS = [
+    (None, "abelian(2,)"),
+    (None, "abelian(2 4)"),
+    (None, "abelian()"),
+    (None, "C2x"),
+    (None, "C2 x C3 x"),
+    (None, "C2xC3 C4"),
+    ("C2xC4xC4xC4", "[x1;]"),
+    ("C2xC4xC4xC4", "[x1; ; x2]"),
+    ("C2xC4xC4xC4", "[x1; x2"),
+    ("C2xC4xC4xC4", "[x1, x2]"),
+    ("C2xC4xC4xC4", "x1*"),
+    ("C2xC4xC4xC4", "x1**x2"),
+    ("C2xC4xC4xC4", "x1*x5"),
+    ("C2xC4xC4xC4", "(x1*x2"),
+    ("C2xC4xC4xC4", "(0,1,,0)"),
+    ("C2xC4xC4xC4", "(0,4,0,0)"),
+    ("C3xC3", "(1,)"),
+    ("heis(3)", "(1,)"),
+    ("heis(3)", "(1,,2)"),
+    ("heis(3)", "(0,1"),
+    ("heis(3)", "[(1,2)]"),
+]
+
 _CAYLEY_PATH = re.compile(r"cayley:[^,)\"]*?([^/,)\"]+\.json)")
 
 
@@ -131,6 +166,38 @@ def _request(cli, argv: list[str]) -> dict:
     return {"argv": argv, "code": code, "stdout": lines}
 
 
+def _help(cli) -> dict:
+    """The help text of `ram` and of each subcommand at HELP_COLUMNS columns,
+    with the subcommand's option defaults and the name of the function it
+    runs."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    with mock.patch.dict("os.environ", {"COLUMNS": HELP_COLUMNS}):
+        out = {"ram": {"help": parser.format_help()}}
+        for name, sub in subparsers.choices.items():
+            out[name] = {
+                "help": sub.format_help(),
+                "defaults": {a.dest: a.default for a in sub._actions},
+                "fn": sub.get_default("fn").__name__,
+            }
+    return out
+
+
+def _parse_error(rs, spec: str | None, text: str) -> dict:
+    """The error that reading `text` raises, by class name and message."""
+    out = {"group": spec, "text": text, "error": None}
+    try:
+        if spec is None:
+            rs.build_group(text)
+        elif text.startswith("["):
+            rs.parse_tuple(rs.build_group(spec), text)
+        else:
+            rs.parse_element(rs.build_group(spec), text)
+    except rs.errors.RamError as exc:
+        out.update(error=type(exc).__name__, message=str(exc))
+    return out
+
+
 def dump(root: Path, limit: int | None = None) -> dict:
     """Every section's outputs for the checkout at `root`."""
     sys.path[:0] = [str(root / "src"), str(root)]
@@ -171,6 +238,8 @@ def dump(root: Path, limit: int | None = None) -> dict:
         spec = f"cayley:{catalog.bundled_cayley_path(name)}" if name in ("s3", "q8") else name
         tuples = [rs.render_tuple(T) for T in rs.enumerate_spherical(rs.build_group(spec), r)]
         out["spherical"][f"{name} {r}"] = {"count": len(tuples), "tuples": tuples}
+    out["help"] = dict(first(_help(cli).items()))
+    out["parse_errors"] = [_parse_error(rs, spec, text) for spec, text in first(PARSE_ERRORS)]
     return canonical(out)
 
 
