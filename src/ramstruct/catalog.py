@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 from .groups import AbelianGroup, prime_factorization
 from .oracle import ORACLE_VERSION, SearchBudget, SearchStats, size_set_up_to
 from .parsing import build_group
+from .structures import size_pairs
 from .theory import nilpotent_prediction
 
 # part of every record's cache key: raise it when a record's fields change,
@@ -113,18 +114,12 @@ def evaluate_entry(entry: CatalogEntry, cap: int, budget: SearchBudget, key: str
         "content_hash": key,
     }
     if scs is not None:
-        grid = []
-        mismatches = []
-        for r1 in range(3, cap_eff + 1):
-            for r2 in range(r1, cap_eff + 1):
-                predicted = scs.membership(r1, r2)
-                observed = (r1, r2) in result.pairs
-                grid.append([r1, r2, observed, predicted])
-                if predicted != observed and result.exhaustive:
-                    mismatches.append([r1, r2, observed, predicted])
+        # grid rows are [r1, r2, observed, predicted]; a mismatch is a row
+        # whose two disagree, counted only on an exhaustive search
+        grid = [[*size, size in result.pairs, scs.membership(*size)] for size in size_pairs(cap_eff)]
         record["predictor"] = scs.to_json()
         record["grid"] = grid
-        record["mismatches"] = mismatches
+        record["mismatches"] = [row for row in grid if result.exhaustive and row[2] != row[3]]
     return record
 
 

@@ -29,7 +29,7 @@ from .oracle import (
     size_set_up_to,
 )
 from .parsing import build_group, parse_tuple, render_element, render_tuple
-from .structures import RamFailure, RamStructure, check_ramification, sigma
+from .structures import RamFailure, RamStructure, check_ramification, sigma, size_pairs
 from .theory import predict_nilpotent
 
 EXIT_OK = 0
@@ -119,11 +119,7 @@ def cmd_predict(args, G: FiniteGroup) -> tuple[dict, int]:
         payload["size"] = [r1, r2]
         payload["member"] = scs.membership(r1, r2)
     elif args.grid is not None:
-        payload["grid"] = [
-            [r1, r2, scs.membership(r1, r2)]
-            for r1 in range(3, args.grid + 1)
-            for r2 in range(r1, args.grid + 1)
-        ]
+        payload["grid"] = [[r1, r2, scs.membership(r1, r2)] for r1, r2 in size_pairs(args.grid)]
     return payload, EXIT_OK
 
 

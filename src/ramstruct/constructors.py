@@ -653,6 +653,14 @@ def _construct_nilpotent(
     )
 
 
+# a search outcome's `ConstructResult` status and reason, by `FindOutcome.status`
+_SEARCH_ANSWERS = {
+    "found": ("ok", ""),
+    "none": ("inadmissible", "exhaustive search found no structure"),
+    "budget": ("unknown", "search budget exhausted"),
+}
+
+
 def construct_any(
     G: FiniteGroup,
     r1: int,
@@ -686,15 +694,5 @@ def construct_any(
             )
 
     out = oracle.find_structure(G, r1, r2, budget)
-    if out.status == "found":
-        return ConstructResult("ok", out.structure, method="search", stats=out.stats)
-    if out.status == "none":
-        return ConstructResult(
-            "inadmissible",
-            method="search",
-            reason="exhaustive search found no structure",
-            stats=out.stats,
-        )
-    return ConstructResult(
-        "unknown", method="search", reason="search budget exhausted", stats=out.stats
-    )
+    status, reason = _SEARCH_ANSWERS[out.status]
+    return ConstructResult(status, out.structure, method="search", reason=reason, stats=out.stats)

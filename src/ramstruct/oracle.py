@@ -132,7 +132,8 @@ last entry.  An empty slot is filled by `step`, `alpha` or the walk's
 `last`, through the memoized `extend_closure`, `closed` and
 `alphabet_generates`.  `need` is a few bit counts and is not memoized.
 
-Every search builds its own context in `_run`, and nothing keeps one on a
+Every search builds its own context and its own counters in `_run`, which
+returns the counters to the entry point, and nothing keeps either on a
 group, so a search is a function of its request alone: its counts, budget
 stops and witnesses do not depend on what ran on the group object before
 it, and the context build is always charged to its budget.  The caches have
@@ -185,14 +186,14 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bitset import iter_bits
 from .errors import NotNilpotent, RamError
 from .groups import FiniteGroup, prime_factorization
 from .invariants import frattini, generators_missing
-from .structures import GenTuple, RamStructure, _cyc_masks, validated
+from .structures import GenTuple, RamStructure, _cyc_masks, size_pairs, validated
 
 ORACLE_ORDER_LIMIT = 512
 
@@ -764,19 +765,21 @@ def _guard(sizes: tuple[int, ...], least: int, what: str, budget: Optional[Searc
         raise ValueError(f"requested sizes sum to {sum(sizes)}; the recursion limit allows {deepest}")
 
 
-def _run(G: FiniteGroup, budget: SearchBudget, stats: SearchStats, search) -> None:
+def _run(G: FiniteGroup, budget: SearchBudget, search) -> SearchStats:
     """Run `search(ctx, tracker)` on a context built for this search alone,
-    under the budget.  The budget's clock starts before the context is built,
-    so the build is charged; a budget stop clears `stats.exhausted`, and
-    `stats.candidates` is the node count either way."""
-    tracker = _Tracker(budget, stats)
+    under the budget, and return the search's counters, `tracker.stats`.
+    The budget's clock starts before the context is built, so the build is
+    charged; a budget stop clears `exhausted`, and `candidates` is the node
+    count either way."""
+    tracker = _Tracker(budget, SearchStats())
     ctx = _SearchContext(G)
     try:
         tracker.poll()
         search(ctx, tracker)
     except _BudgetStop:
-        stats.exhausted = False
-    stats.candidates = tracker.count
+        tracker.stats.exhausted = False
+    tracker.stats.candidates = tracker.count
+    return tracker.stats
 
 
 def enumerate_spherical(G: FiniteGroup, r: int) -> list[GenTuple]:
@@ -790,7 +793,7 @@ def enumerate_spherical(G: FiniteGroup, r: int) -> list[GenTuple]:
     def search(ctx, tracker):
         ctx.walk(r, ctx.all_nontrivial, False, tracker, lambda t, _: out.append(GenTuple(G, t)))
 
-    _run(G, SearchBudget(), SearchStats(), search)
+    _run(G, SearchBudget(), search)
     return out
 
 
@@ -798,16 +801,16 @@ _MISSING = object()  # partner_memo stores None for a proven negative
 
 
 def _search_rows(
-    G: FiniteGroup,
-    pairs: list[tuple[int, int]],
-    budget: SearchBudget,
-    stats: SearchStats,
-) -> dict[tuple[int, int], Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Decide each (r1, r2) pair (r1 <= r2): a witness tuple pair, or None for
-    proven nonexistence. Pairs left undecided on budget exhaustion are absent
-    from the result and stats.exhausted is cleared.  Each row r1 is one T1
-    walk for its ascending list of partner sizes, from which a size is
-    dropped once `results` holds a witness for it."""
+    G: FiniteGroup, pairs: list[tuple[int, int]], budget: SearchBudget
+) -> tuple[dict[tuple[int, int], Optional[RamStructure]], SearchStats]:
+    """Decide each (r1, r2) pair (r1 <= r2) in one search, returning the
+    decisions and the search's counters.  A decision is the validated
+    witness, or None for proven nonexistence.  Pairs are left undecided, and
+    absent from the decisions, only by a budget stop, which clears
+    `exhausted`; so the search is exhaustive exactly when every pair is
+    decided.  Each row r1 is one T1 walk for its ascending list of partner
+    sizes, from which a size is dropped once `results` holds a witness for
+    it; each witness is validated once, after the search."""
     results: dict[tuple[int, int], Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     rows: dict[int, list[int]] = {}
     for r1, r2 in sorted(pairs):
@@ -819,7 +822,7 @@ def _search_rows(
             refuted: set[int] = set()
 
             def emit(t1, pmask):
-                stats.t1_candidates += 1
+                tracker.stats.t1_candidates += 1
                 found = len(results)
                 for r2 in undecided:
                     t2 = partner_memo.get((pmask, r2), _MISSING)
@@ -840,17 +843,19 @@ def _search_rows(
             for r2 in undecided:
                 results[(r1, r2)] = None
 
-    _run(G, budget, stats, search)
-    return results
+    stats = _run(G, budget, search)
+    return {pair: None if w is None else validated(G, *w) for pair, w in results.items()}, stats
 
 
 @dataclass
 class FindOutcome:
-    """Tri-state search result: found / none exists / budget exhausted."""
+    """Tri-state search result: found / none exists / budget exhausted.
+    `structure` is the witness of size (r1, r2) as requested, or None unless
+    found; `stats` holds the counters of the one search that decided it."""
 
     status: str  # "found" | "none" | "budget"
-    structure: Optional[RamStructure] = None
-    stats: SearchStats = field(default_factory=SearchStats)
+    structure: Optional[RamStructure]
+    stats: SearchStats
 
 
 def find_structure(
@@ -860,26 +865,26 @@ def find_structure(
     proof of nonexistence, or budget exhaustion."""
     budget = budget or SearchBudget()
     _guard((r1, r2), 3, "structure sizes must be >= 3", budget)
-    stats = SearchStats()
     a, b = min(r1, r2), max(r1, r2)
-    res = _search_rows(G, [(a, b)], budget, stats)
-    if (a, b) not in res:
+    decided, stats = _search_rows(G, [(a, b)], budget)
+    if (a, b) not in decided:
         return FindOutcome("budget", None, stats)
-    witness = res[(a, b)]
-    if witness is None:
+    structure = decided[(a, b)]
+    if structure is None:
         return FindOutcome("none", None, stats)
-    structure = validated(G, *witness)
-    if (r1, r2) != (a, b):
-        structure = structure.swapped()
-    return FindOutcome("found", structure, stats)
+    return FindOutcome("found", structure if (r1, r2) == (a, b) else structure.swapped(), stats)
 
 
 @dataclass
 class SizeSetResult:
+    """The decided admissible pairs of one size-set search with a witness
+    for each; `exhaustive` is `stats.exhausted`, true exactly when every
+    pair up to the cap was decided."""
+
     pairs: set[tuple[int, int]]  # canonical r1 <= r2
     exhaustive: bool
     stats: SearchStats
-    witnesses: dict[tuple[int, int], RamStructure] = field(default_factory=dict)
+    witnesses: dict[tuple[int, int], RamStructure]
 
     def membership(self, r1: int, r2: int) -> bool:
         return (min(r1, r2), max(r1, r2)) in self.pairs
@@ -892,11 +897,9 @@ def size_set_up_to(
     implied since swapping the two systems swaps the size components."""
     _guard((cap, cap), 3, "cap must be >= 3", budget)
     budget = budget or SearchBudget(cap=cap)
-    stats = SearchStats()
-    pairs = [(r1, r2) for r1 in range(3, cap + 1) for r2 in range(r1, cap + 1)]
-    res = _search_rows(G, pairs, budget, stats)
-    witnesses = {pair: validated(G, *w) for pair, w in res.items() if w is not None}
-    return SizeSetResult(set(witnesses), stats.exhausted and len(res) == len(pairs), stats, witnesses)
+    decided, stats = _search_rows(G, size_pairs(cap), budget)
+    witnesses = {pair: S for pair, S in decided.items() if S is not None}
+    return SizeSetResult(set(witnesses), stats.exhausted, stats, witnesses)
 
 
 def enumerate_structures(
@@ -912,14 +915,13 @@ def enumerate_structures(
         raise ValueError("limit must be >= 1")
     budget = budget or SearchBudget()
     _guard((r1, r2), 3, "structure sizes must be >= 3", budget)
-    stats = SearchStats()
     a, b = min(r1, r2), max(r1, r2)
     out: list[RamStructure] = []
 
     def search(ctx, tracker):
         def emit(t1, pmask):
-            stats.t1_candidates += 1
-            stats.partner_searches += 1
+            tracker.stats.t1_candidates += 1
+            tracker.stats.partner_searches += 1
 
             def emit_partner(t2, _):
                 structure = validated(G, t1, t2)
@@ -930,5 +932,4 @@ def enumerate_structures(
 
         ctx.walk(a, ctx.all_nontrivial, ctx.abelian, tracker, emit, narrow=True)
 
-    _run(G, budget, stats, search)
-    return out, stats
+    return out, _run(G, budget, search)  # the search fills `out`

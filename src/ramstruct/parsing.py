@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from pathlib import Path
 
 from .errors import InvalidOrder, InvalidPrime, OutOfRange, ParseError, RamError
@@ -128,7 +129,15 @@ def build_group(text: str) -> FiniteGroup:
     G = _parse_spec(cur)
     if not cur.at_end():
         raise cur.error("unexpected trailing input")
+    _refuse_order(G.order)
     return G
+
+
+def _refuse_order(order: int) -> None:
+    """Refuse a group of order past `sys.maxsize` before anything walks it:
+    its element indices would not fit a Python index or a numpy array."""
+    if order > sys.maxsize:
+        raise RamError(f"group order {order} exceeds the largest supported order {sys.maxsize}")
 
 
 def _parse_spec(cur: _Cursor) -> FiniteGroup:
@@ -145,6 +154,7 @@ def _parse_spec(cur: _Cursor) -> FiniteGroup:
         cur.expect("(")
         at = cur.pos
         p = cur.integer()
+        _refuse_order(p**3)  # before the primality test, whose cost grows with p
         if p < 3 or prime_factorization(p) != {p: 1}:
             raise InvalidPrime(f"heis needs an odd prime, got {p}", cur.text, at)
         cur.expect(")")

@@ -13,6 +13,11 @@ from .groups import FiniteGroup, per_group
 MIN_STRUCTURE_SIZE = 3
 
 
+def size_pairs(cap: int) -> list[tuple[int, int]]:
+    """The size pairs 3 <= r1 <= r2 <= cap, ordered by r1 and then r2."""
+    return [(r1, r2) for r1 in range(MIN_STRUCTURE_SIZE, cap + 1) for r2 in range(r1, cap + 1)]
+
+
 @dataclass(frozen=True)
 class GenTuple:
     """Ordered tuple of elements of one group; repetition allowed."""

@@ -101,3 +101,21 @@ def test_cayley_cache_key_ignores_the_directory(tmp_path):
     shutil.copy(bundled_cayley_path("q8"), tmp_path / "two" / "group.json")
     edited = catalog._content_hash(f"cayley:{tmp_path / 'two' / 'group.json'}", 4, budget)
     assert edited != keys[0]
+
+
+def test_each_entry_gets_its_own_node_budget():
+    # the budget bounds each entry's search, not the sweep: an entry is cut
+    # at the node limit exactly when its full search visits more nodes, and
+    # a cut entry reports no mismatch
+    full = list(run_catalog(32, 8, use_cache=False))
+    budget = SearchBudget(max_candidates=1000, cap=8)
+    bounded = list(run_catalog(32, 8, budget, use_cache=False))
+    assert len(bounded) == 59
+    assert [r["spec"] for r in bounded] == [r["spec"] for r in full]
+    cut = [r["spec"] for r in bounded if not r["exhaustive"]]
+    assert cut == [r["spec"] for r in full if r["candidates_examined"] > 1000]
+    assert len(cut) == 18
+    for record in bounded:
+        assert record.get("mismatches", []) == []
+        if not record["exhaustive"]:
+            assert record["candidates_examined"] == 1000

@@ -412,3 +412,22 @@ def test_huge_power_level_answers_at_once():
     )
     assert code == 0
     assert payload["levels"] == [{"i": 100000000, "holds": True, "trivial": False}]
+
+
+@pytest.mark.parametrize("argv", [("invariants",), ("predict", "--size", "5,5")])
+def test_order_past_maxsize_is_an_input_error(capsys, argv):
+    # C2^70: its order fits no Python index, so the spec is refused, with
+    # its order, before any command walks the group
+    code, payload, _ = run(capsys, argv[0], "--group", f"C{2**70}", *argv[1:])
+    assert code == 1
+    assert payload["error"] == "RamError" and str(2**70) in payload["message"]
+
+
+def test_heisenberg_order_past_maxsize_is_refused_before_the_prime_test():
+    # heis(p) is refused on its order p^3 before p is tested for primality,
+    # which by trial division would take minutes for this p; a new process,
+    # so that a hang fails on the timeout
+    p = 10**18 + 3
+    code, payload = _fresh_process("invariants", "--group", f"heis({p})", timeout=10)
+    assert code == 1
+    assert payload["error"] == "RamError" and str(p**3) in payload["message"]

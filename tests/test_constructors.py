@@ -429,6 +429,24 @@ def test_construct_any_methods(c2c4cubed):
     assert res.status == "unknown"
 
 
+def test_construct_any_search_answers(c2c4cubed, q8):
+    # the search route's three answers, each with its reason and counters
+    found = construct_any(AbelianGroup([4, 4, 4]), 7, 7, method="search")
+    assert (found.status, found.method, found.reason) == ("ok", "search", "")
+    assert found.structure.size == (7, 7) and found.stats.exhausted
+
+    none = construct_any(q8, 5, 5, method="search")
+    assert (none.status, none.method) == ("inadmissible", "search")
+    assert none.reason == "exhaustive search found no structure"
+    assert none.structure is None and none.stats.exhausted
+
+    budget = oracle.SearchBudget(max_candidates=1000, cap=5)
+    spent = construct_any(c2c4cubed, 5, 5, budget=budget, method="search")
+    assert (spent.status, spent.method) == ("unknown", "search")
+    assert spent.reason == "search budget exhausted" and spent.structure is None
+    assert spent.stats.candidates == 1000 and not spent.stats.exhausted
+
+
 def test_theorem_gate_exits(s3):
     # s3 is not nilpotent; the Sylow 2-factor of d4 x C3 is not
     # semi-2-abelian: no theorem covers either, and auto answers by search

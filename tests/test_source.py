@@ -264,3 +264,19 @@ def test_groups_cache_derived_data_one_way():
             ):
                 bad.append(f"{path.name}:{node.lineno} {node.name}")
     assert bad == []
+
+
+def test_search_counters_are_made_only_by_run():
+    # every search's counters come from `_run`, which hands them to the
+    # tracker and returns them; no entry point makes its own
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    (run,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_run"]
+
+    def makers(node):
+        return [
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and _name(n.func) == "SearchStats"
+        ]
+
+    assert makers(run) and makers(tree) == makers(run)

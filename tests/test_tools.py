@@ -61,6 +61,7 @@ def test_dump_outputs_smoke(tmp_path):
         "spherical": 1,
         "help": 1,
         "parse_errors": 1,
+        "constructors": 1,
     }
     (deep,) = data["deep_search"].values()
     assert deep["exhaustive"] and {"candidates_examined", "states_replayed"} <= deep.keys()

@@ -19,7 +19,11 @@ this script) on:
   HELP_COLUMNS columns, with each subcommand's option defaults and the name
   of the function it runs;
 - parse errors: the exception class and message of fixed malformed specs,
-  element literals and tuple literals, many of them separated lists.
+  element literals and tuple literals, many of them separated lists;
+- constructors: the group, size and rendered tuples of each constructor on
+  the inputs its tests and demos use (or the error it raises), and
+  `construct_any` under each method with its status, method, reason and
+  search counters.
 
 Timing fields (`elapsed_ms`) are dropped and `cayley:` paths reduced to
 their file name, so two checkouts that compute the same outputs write the
@@ -120,6 +124,65 @@ PARSE_ERRORS = [
     ("heis(3)", "[(1,2)]"),
 ]
 
+# arguments (p, d, r1, r2) of `elementary_abelian_structure`
+ELEMENTARY_ABELIAN = [
+    (5, 2, 3, 3),
+    (2, 3, 5, 6),
+    (2, 3, 6, 6),
+    (2, 4, 5, 5),
+    (2, 4, 7, 9),
+    (3, 2, 5, 7),
+    (3, 3, 5, 7),
+    (5, 2, 5, 6),
+    (3, 2, 3, 3),
+    (2, 3, 5, 5),
+    (2, 3, 7, 9),
+]
+
+# (constructor, group spec, r1, r2) of the constructors that take a group
+ON_GROUP = [
+    ("exponent_p_structure", "heis(5)", 3, 3),
+    ("exponent_p_structure", "heis(3)", 4, 4),
+    ("exponent_p_structure", "heis(3)", 3, 3),
+    ("exponent_p_structure", "C4", 3, 3),
+    ("semi_abelian_2group_odd_odd", "C2xC4xC4xC4", 7, 7),
+    ("semi_abelian_2group_odd_odd", "C2xC4xC4xC4", 7, 5),
+    ("semi_abelian_2group_odd_odd", "C2xC4xC4xC4", 6, 7),
+    ("semi_abelian_2group_odd_odd", "C2xC2xC4xC4xC4", 9, 7),
+    ("semi_abelian_2group_odd_odd", "C2xC2xC2xC4xC4xC4", 7, 7),
+    ("semi_abelian_2group_odd_odd", "C4xC4xC4", 7, 7),
+]
+
+# target sizes of `pad_from_beauville` on C5xC5's (3,3) structure
+PADDINGS = [(3, 3), (3, 4), (7, 8), (4, 6)]
+
+# (side, target size) of `product_project` on the (5,7) structure combined
+# from C3xC3 at (5,7) and C2^3 at (5,6)
+PROJECTIONS = [
+    ("left", None),
+    ("left", (5, 7)),
+    ("left", (6, 8)),
+    ("left", (7, 9)),
+    ("right", None),
+]
+
+# (group spec, r1, r2, node limit or None) built by `construct_any` under
+# each method; `{s3}`, `{q8}` and `{d4}` stand for the bundled Cayley tables
+CONSTRUCTS = [
+    ("C6xC6xC2", 5, 7, None),
+    ("C6xC6xC2", 5, 6, None),
+    ("C6xC6xC2", 5, 5, 10**5),
+    ("C7", 3, 3, None),
+    ("{q8}", 5, 5, None),
+    ("{s3}", 4, 4, None),
+    ("prod({d4},C3)", 4, 4, None),
+    ("heis(3)", 4, 6, None),
+    ("heis(5)", 4, 5, None),
+    ("C4xC4xC4", 7, 7, None),
+    ("C2xC4xC4xC4", 6, 6, None),
+    ("C2xC4xC4xC4", 5, 5, 1000),
+]
+
 _CAYLEY_PATH = re.compile(r"cayley:[^,)\"]*?([^/,)\"]+\.json)")
 
 
@@ -198,6 +261,61 @@ def _parse_error(rs, spec: str | None, text: str) -> dict:
     return out
 
 
+def _shown(rs, S) -> dict:
+    """The group, size and rendered tuples of the structure S."""
+    return {"group": S.group.describe(), "size": list(S.size), "tuples": _pair(rs, S)}
+
+
+def _built(rs, build, *args) -> dict:
+    """The structure `build(*args)` returns, shown, or the error it raises."""
+    try:
+        return _shown(rs, build(*args))
+    except rs.errors.RamError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _constructors(rs, catalog) -> dict:
+    """The structures of each constructor on fixed inputs, and the answers
+    of `construct_any` under each method."""
+    from ramstruct import constructors as cons
+
+    tables = {name: f"cayley:{catalog.bundled_cayley_path(name)}" for name in ("s3", "q8", "d4")}
+
+    def group(spec):
+        return rs.build_group(spec.format(**tables))
+
+    ea = cons.elementary_abelian_structure
+    out = {f"elementary_abelian_structure {a}": _built(rs, ea, *a) for a in ELEMENTARY_ABELIAN}
+    for name, spec, r1, r2 in ON_GROUP:
+        out[f"{name} {spec} {(r1, r2)}"] = _built(rs, getattr(cons, name), group(spec), r1, r2)
+    # the odd-odd structure on C2xC4xC4xC4 at (7,7), projected and lifted back
+    G = group("C2xC4xC4xC4")
+    S = cons.semi_abelian_2group_odd_odd(G, 7, 7)
+    out["project_mod_omega"] = _built(rs, cons.project_mod_omega, G, S)
+    projected = cons.project_mod_omega(G, S)
+    out["lift_structure_mod_omega"] = _built(rs, cons.lift_structure_mod_omega, G, projected)
+    base = ea(5, 2, 3, 3)
+    for target in PADDINGS:
+        out[f"pad_from_beauville {target}"] = _built(rs, cons.pad_from_beauville, base, *target)
+    out["product_combine"] = _built(rs, cons.product_combine, ea(3, 2, 5, 7), ea(2, 3, 5, 6))
+    combined = cons.product_combine(ea(3, 2, 5, 7), ea(2, 3, 5, 6))
+    for side, target in PROJECTIONS:
+        out[f"product_project {side} {target}"] = _built(
+            rs, cons.product_project, combined, side, target
+        )
+    for (spec, r1, r2, n), method in itertools.product(CONSTRUCTS, ("auto", "theorem", "search")):
+        budget = rs.SearchBudget(max_candidates=n or 10**12, cap=max(r1, r2))
+        res = rs.construct_any(group(spec), r1, r2, budget=budget, method=method)
+        out[f"construct_any {spec} {(r1, r2)} {n} {method}"] = {
+            "status": res.status,
+            "method": res.method,
+            "reason": res.reason,
+            "structure": res.structure and _shown(rs, res.structure),
+            "stats": res.stats and _stats(res.stats),
+        }
+    return out
+
+
 def dump(root: Path, limit: int | None = None) -> dict:
     """Every section's outputs for the checkout at `root`."""
     sys.path[:0] = [str(root / "src"), str(root)]
@@ -240,6 +358,7 @@ def dump(root: Path, limit: int | None = None) -> dict:
         out["spherical"][f"{name} {r}"] = {"count": len(tuples), "tuples": tuples}
     out["help"] = dict(first(_help(cli).items()))
     out["parse_errors"] = [_parse_error(rs, spec, text) for spec, text in first(PARSE_ERRORS)]
+    out["constructors"] = dict(first(_constructors(rs, catalog).items()))
     return canonical(out)
 
 
