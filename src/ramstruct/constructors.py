@@ -64,7 +64,7 @@ from .theory import (
 from . import oracle
 
 
-# -- shared steps: padding, entrywise products --------------------------------------
+# -- shared steps: padding, product assembly --------------------------------------
 
 
 def _pad(G: FiniteGroup, entries: Sequence[int], target: int) -> tuple[int, ...]:
@@ -81,20 +81,27 @@ def _pad(G: FiniteGroup, entries: Sequence[int], target: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def _zip_product(
-    G: FiniteGroup, parts: Sequence[tuple[Callable[[int], int], Sequence[int]]]
-) -> tuple[int, ...]:
-    """Entrywise product in G of tuples from commuting factors, each given as
-    (embed into G, entries); a shorter tuple contributes the identity past its
-    end, so the result has the longest tuple's length."""
-    out = []
-    for i in range(max(len(entries) for _, entries in parts)):
-        acc = 0
-        for embed, entries in parts:
-            if i < len(entries):
-                acc = G.mul(acc, embed(entries[i]))
-        out.append(acc)
-    return tuple(out)
+def _assemble(
+    G: FiniteGroup, parts: Sequence[tuple[Callable[[int], int], RamStructure]], step: str
+) -> RamStructure:
+    """The structure on G zipped from structures on commuting factors, each
+    given as (embed into G, structure): each tuple is the entrywise product
+    of the factors' tuples, a shorter one contributing the identity past its
+    end. Validated as `step`."""
+
+    def zipped(tuples: list[tuple[Callable[[int], int], GenTuple]]) -> list[int]:
+        out = []
+        for i in range(max(len(T) for _, T in tuples)):
+            acc = 0
+            for embed, T in tuples:
+                if i < len(T):
+                    acc = G.mul(acc, embed(T.entries[i]))
+            out.append(acc)
+        return out
+
+    t1 = zipped([(embed, S.t1) for embed, S in parts])
+    t2 = zipped([(embed, S.t2) for embed, S in parts])
+    return validated(G, t1, t2, step)
 
 
 # -- lifting through a normal subgroup ----------------------------------------
@@ -410,13 +417,7 @@ def product_combine(SG: RamStructure, SH: RamStructure) -> RamStructure:
     P = direct_product(G, H)
 
     left, right = (lambda a: P.index_of(a, 0)), (lambda b: P.index_of(0, b))
-
-    def zip_tuples(tG: GenTuple, tH: GenTuple) -> tuple[int, ...]:
-        return _zip_product(P, [(left, tG.entries), (right, tH.entries)])
-
-    return validated(
-        P, zip_tuples(SG.t1, SH.t1), zip_tuples(SG.t2, SH.t2), "product combination"
-    )
+    return _assemble(P, [(left, SG), (right, SH)], "product combination")
 
 
 def product_project(
@@ -612,29 +613,21 @@ def _construct_nilpotent(
     scs = nilpotent_prediction(G)
     if scs is None:
         return None
-    factors = sylow_decomposition(G)
     if not scs.membership(r1, r2):
         return ConstructResult("inadmissible", reason=scs.violated_clause(r1, r2))
 
-    # every factor's target is settled before any factor searches, so falling
-    # back to a search of G never drops the counters of a factor's search
-    targets = {}
-    for p, factor in factors.items():
-        fscs = predict_semi_abelian_pgroup(factor.group)
-        target = (r1, r2)
-        if not fscs.membership(*target):
-            # only the order-8 elementary abelian factor can refuse; drop the
-            # larger (odd) side by one, which another factor still carries
-            target = (r1 - 1, r2) if r1 >= r2 else (r1, r2 - 1)
-            if not fscs.membership(*target):
-                return None
-        targets[p] = target
-
-    parts: list[tuple] = []
+    parts = []
     methods = []
     stats = None  # the factors' search counters, summed
-    for p, factor in sorted(factors.items()):
-        sub = construct_any(factor.group, *targets[p], budget=budget, method=method)
+    for p, factor in sorted(sylow_decomposition(G).items()):
+        target = (r1, r2)
+        if not predict_semi_abelian_pgroup(factor.group).membership(r1, r2):
+            # only a C2^3 factor refuses a pair G admits, by its both-odd bar;
+            # both sides are then odd and at least 5, not (5,5), so it admits
+            # the pair with the larger side one shorter (r1 on a tie), and
+            # the other factors carry the full side
+            target = (r1 - 1, r2) if r1 >= r2 else (r1, r2 - 1)
+        sub = construct_any(factor.group, *target, budget=budget, method=method)
         if sub.stats is not None:
             stats = stats or oracle.SearchStats()
             stats.add(sub.stats)
@@ -645,9 +638,7 @@ def _construct_nilpotent(
         parts.append((factor.embed, sub.structure))
         methods.append(f"{p}:{sub.method}")
 
-    t1 = _zip_product(G, [(embed, S.t1.entries) for embed, S in parts])
-    t2 = _zip_product(G, [(embed, S.t2.entries) for embed, S in parts])
-    result = validated(G, t1, t2, "product assembly")
+    result = _assemble(G, parts, "product assembly")
     return ConstructResult(
         "ok", result, method="sylow-product(" + ",".join(methods) + ")", stats=stats
     )

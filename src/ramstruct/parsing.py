@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 from pathlib import Path
 
 from .errors import InvalidOrder, InvalidPrime, OutOfRange, ParseError, RamError
@@ -33,6 +32,10 @@ from .groups import (
     prime_factorization,
 )
 from .structures import GenTuple
+
+# the largest group order a spec may name: every command lists or walks the
+# elements, which past this order takes minutes or more memory than a host has
+_MAX_ORDER = 1 << 18
 
 
 # -- group specs -----------------------------------------------------------------
@@ -134,10 +137,10 @@ def build_group(text: str) -> FiniteGroup:
 
 
 def _refuse_order(order: int) -> None:
-    """Refuse a group of order past `sys.maxsize` before anything walks it:
-    its element indices would not fit a Python index or a numpy array."""
-    if order > sys.maxsize:
-        raise RamError(f"group order {order} exceeds the largest supported order {sys.maxsize}")
+    """Refuse a group of order past `_MAX_ORDER` before anything walks it or
+    builds a list of its elements."""
+    if order > _MAX_ORDER:
+        raise RamError(f"group order {order} exceeds the largest supported order {_MAX_ORDER}")
 
 
 def _parse_spec(cur: _Cursor) -> FiniteGroup:

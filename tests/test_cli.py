@@ -431,3 +431,21 @@ def test_heisenberg_order_past_maxsize_is_refused_before_the_prime_test():
     code, payload = _fresh_process("invariants", "--group", f"heis({p})", timeout=10)
     assert code == 1
     assert payload["error"] == "RamError" and str(p**3) in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (("invariants", "--group", "heis(2097143)"), 2097143**3),
+        (("predict", "--group", "C4611686018427387903", "--size", "5,5"), 4611686018427387903),
+        (("invariants", "--group", "prod(C512,C1024)"), 2**19),
+    ],
+)
+def test_order_past_the_cap_is_refused_before_the_group_is_walked(argv, order):
+    # orders below `sys.maxsize` but far past memory or time: the spec is
+    # refused, with its order, before any list of the elements is built or
+    # the order is factored; a new process, so that a hang or an exhausted
+    # memory fails on the timeout or the missing JSON
+    code, payload = _fresh_process(*argv, timeout=10)
+    assert code == 1
+    assert payload["error"] == "RamError" and str(order) in payload["message"]

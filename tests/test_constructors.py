@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ramstruct.constructors import (
@@ -27,8 +28,9 @@ from ramstruct.errors import (
     NotNilpotent,
     PaddingImpossible,
     PreconditionViolated,
+    RamError,
 )
-from ramstruct.groups import AbelianGroup, quotient
+from ramstruct.groups import AbelianGroup, CayleyTableGroup, quotient
 from ramstruct.invariants import omega, sylow_decomposition
 from ramstruct.parsing import build_group
 from ramstruct.structures import (
@@ -463,34 +465,58 @@ def test_theorem_gate_exits(s3):
         assert searched.method == "search" and searched.status == "inadmissible"
 
 
-def test_nilpotent_fallback_reports_every_search(c6c6c2, monkeypatch):
-    # the Sylow 3-factor of C2^3 x C3^2 refuses (5,6), so the route falls back
-    # to searching G; the Sylow 2-factor, which would search, must not run
-    # first, or its counters would be lost from the result
-    real_predict, real_find = constructors.predict_semi_abelian_pgroup, oracle.find_structure
+def test_nilpotent_route_searches_a_factor_past_the_search_limit():
+    # |G| = 576 is past the search's order limit, and the Sylow 2-factor
+    # C4^3 is the rank-3 odd-odd case, which no construction covers: the
+    # route searches that factor alone and lifts the 3-factor
+    G = build_group("C4xC4xC4xC3xC3")
+    built = construct_any(G, 7, 7)
+    assert (built.status, built.reason) == ("ok", "")
+    assert built.method == "sylow-product(2:search,3:exponent-p-lift)"
+    assert built.structure.size == (7, 7) and built.stats.exhausted
+    assert built.stats.counters() == {
+        "candidates_examined": 8907,
+        "t1_candidates": 1,
+        "partner_searches": 1,
+        "states_replayed": 0,
+    }
+    assert isinstance(check_ramification(G, built.structure.t1, built.structure.t2), RamStructure)
 
-    class Refuses:
-        def membership(self, r1, r2):
-            return False
+    budget = oracle.SearchBudget(max_candidates=1000, cap=7)
+    spent = construct_any(G, 7, 7, budget=budget)
+    assert spent.status == "unknown" and spent.structure is None
+    assert spent.reason == "Sylow 2-factor: search budget exhausted"
+    assert spent.stats.candidates == 1000 and not spent.stats.exhausted
 
+    theorem = construct_any(G, 7, 7, method="theorem")
+    assert theorem.status == "unknown" and theorem.stats is None
+    assert theorem.reason == "Sylow 2-factor: no implemented characterization covers this group"
+
+    with pytest.raises(RamError, match="oracle search supports orders up to 512"):
+        construct_any(G, 7, 7, method="search")
+
+
+def test_odd_odd_takes_the_top_power_branch_on_a_relabelled_table(monkeypatch):
+    # C2xC8xC8xC8 with the indices of x1 and x1*x4^2 swapped: the greedy
+    # pick of the ns then meets an n whose order-2 power lies in X, which no
+    # abelian spec reaches; only that branch calls `power_map`
+    A = AbelianGroup([2, 8, 8, 8])
+    x1 = A.generator(0)
+    y = A.mul(x1, A.power(A.generator(3), 2))
+    perm = np.arange(A.order)
+    perm[[x1, y]] = [y, x1]
+    G = CayleyTableGroup(perm[A.mul_table()[np.ix_(perm, perm)]], trusted=True)
+    real_power_map = constructors.power_map
+    calls = []
     monkeypatch.setattr(
-        constructors,
-        "predict_semi_abelian_pgroup",
-        lambda P: Refuses() if P.order % 3 == 0 else real_predict(P),
+        constructors, "power_map", lambda G, k: calls.append(k) or real_power_map(G, k)
     )
-    monkeypatch.setattr(constructors, "_construct_pgroup", lambda P, r1, r2: None)
-    searches = []
-
-    def find_structure(G, *args):
-        out = real_find(G, *args)
-        searches.append((G.order, out.stats))
-        return out
-
-    monkeypatch.setattr(oracle, "find_structure", find_structure)
-    res = construct_any(c6c6c2, 5, 6)
-    assert res.status == "ok" and res.method == "search"
-    assert [order for order, _ in searches] == [72]
-    assert res.stats == searches[0][1]
+    for size in ((7, 7), (5, 7), (9, 9)):
+        calls.clear()
+        S = semi_abelian_2group_odd_odd(G, *size)
+        assert calls == [4], size
+        assert S.size == size
+        assert isinstance(check_ramification(G, S.t1, S.t2), RamStructure)
 
 
 def test_constructors_always_validate(c2c4cubed, c6c6c2, heis3):

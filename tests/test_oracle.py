@@ -25,7 +25,7 @@ from ramstruct.oracle import (
     size_set_up_to,
 )
 from ramstruct.parsing import build_group
-from ramstruct.structures import RamStructure, check_ramification
+from ramstruct.structures import RamStructure, check_ramification, sigma
 
 
 def _record_contexts(monkeypatch, weak: bool = False) -> list:
@@ -62,6 +62,19 @@ def test_enumerate_spherical_r2():
     tuples = [T.entries for T in enumerate_spherical(G, 2)]
     assert tuples == [(g, G.inv(g)) for g in range(1, 5)]
     assert spherical_count(AbelianGroup([2, 2]), 2) == 0  # no generating pairs (g, g)
+
+
+def test_size_two_systems_only_on_cyclic_groups_and_cover_them():
+    # a size-2 system (x, x^-1) generates the cyclic group <x>, and its
+    # conjugate cyclic set is then the whole group; so no group has a
+    # ramification pair with a side of 2, and a Sylow factor's pairs are
+    # its ordinary size pairs
+    for entry in builtin_catalog(32):
+        G = build_group(entry.spec)
+        systems = enumerate_spherical(G, 2)
+        cyclic = any(G.order_of(g) == G.order for g in G.elements())
+        assert bool(systems) == cyclic, entry.spec
+        assert all(sigma(G, T).cardinality == G.order for T in systems), entry.spec
 
 
 def test_enumerate_spherical_c3c3_count():

@@ -23,7 +23,7 @@ this script) on:
 - constructors: the group, size and rendered tuples of each constructor on
   the inputs its tests and demos use (or the error it raises), and
   `construct_any` under each method with its status, method, reason and
-  search counters.
+  search counters (or the error it raises).
 
 Timing fields (`elapsed_ms`) are dropped and `cayley:` paths reduced to
 their file name, so two checkouts that compute the same outputs write the
@@ -167,7 +167,9 @@ PROJECTIONS = [
 ]
 
 # (group spec, r1, r2, node limit or None) built by `construct_any` under
-# each method; `{s3}`, `{q8}` and `{d4}` stand for the bundled Cayley tables
+# each method; `{s3}`, `{q8}` and `{d4}` stand for the bundled Cayley tables.
+# C4xC4xC4xC3xC3, of order past the search's limit, builds through a search
+# of its Sylow 2-factor
 CONSTRUCTS = [
     ("C6xC6xC2", 5, 7, None),
     ("C6xC6xC2", 5, 6, None),
@@ -181,6 +183,8 @@ CONSTRUCTS = [
     ("C4xC4xC4", 7, 7, None),
     ("C2xC4xC4xC4", 6, 6, None),
     ("C2xC4xC4xC4", 5, 5, 1000),
+    ("C4xC4xC4xC3xC3", 7, 7, None),
+    ("C4xC4xC4xC3xC3", 7, 7, 1000),
 ]
 
 _CAYLEY_PATH = re.compile(r"cayley:[^,)\"]*?([^/,)\"]+\.json)")
@@ -266,12 +270,17 @@ def _shown(rs, S) -> dict:
     return {"group": S.group.describe(), "size": list(S.size), "tuples": _pair(rs, S)}
 
 
-def _built(rs, build, *args) -> dict:
-    """The structure `build(*args)` returns, shown, or the error it raises."""
+def _raised(rs, answer, *args) -> dict:
+    """`answer(*args)`, or the class name and message of the error it raises."""
     try:
-        return _shown(rs, build(*args))
+        return answer(*args)
     except rs.errors.RamError as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _built(rs, build, *args) -> dict:
+    """The structure `build(*args)` returns, shown, or the error it raises."""
+    return _raised(rs, lambda: _shown(rs, build(*args)))
 
 
 def _constructors(rs, catalog) -> dict:
@@ -303,16 +312,22 @@ def _constructors(rs, catalog) -> dict:
         out[f"product_project {side} {target}"] = _built(
             rs, cons.product_project, combined, side, target
         )
-    for (spec, r1, r2, n), method in itertools.product(CONSTRUCTS, ("auto", "theorem", "search")):
-        budget = rs.SearchBudget(max_candidates=n or 10**12, cap=max(r1, r2))
-        res = rs.construct_any(group(spec), r1, r2, budget=budget, method=method)
-        out[f"construct_any {spec} {(r1, r2)} {n} {method}"] = {
+
+    def construct(G, r1, r2, budget, method) -> dict:
+        res = rs.construct_any(G, r1, r2, budget=budget, method=method)
+        return {
             "status": res.status,
             "method": res.method,
             "reason": res.reason,
             "structure": res.structure and _shown(rs, res.structure),
             "stats": res.stats and _stats(res.stats),
         }
+
+    for (spec, r1, r2, n), method in itertools.product(CONSTRUCTS, ("auto", "theorem", "search")):
+        budget = rs.SearchBudget(max_candidates=n or 10**12, cap=max(r1, r2))
+        out[f"construct_any {spec} {(r1, r2)} {n} {method}"] = _raised(
+            rs, construct, group(spec), r1, r2, budget, method
+        )
     return out
 
 
